@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import DomainError, factorize, is_prime, lcm_pow_minus_one, primes_up_to
+from .exact import (
+    DomainError, decimal_string, factorize, is_prime, lcm_pow_minus_one, primes_up_to,
+)
 from .characters import DirichletCharacter, enumerate_characters, square_inverse_eps
 from .bernoulli import VacuousClauseError, bernoulli_norm_numerator
 from .dimensions import dim_new
@@ -241,7 +243,7 @@ class DihedralReport:
         if self.primes is not None:
             out["primes"] = list(self.primes)
         if self.bound is not None:
-            out["bound"] = str(self.bound)
+            out["bound"] = decimal_string(self.bound)
             out["degree"] = self.degree
         return out
 
@@ -296,12 +298,6 @@ def fundamental_orders(ell: int, k: int) -> tuple[int, int]:
     n = (ell - 1) // math.gcd(ell - 1, k - 1)
     m = (ell + 1) // math.gcd(ell + 1, k - 1)
     return n, m
-
-
-def dihedral_distinguishing_index(k: int, N: int) -> int:
-    """The displayed integer bound 2 k N^2 prod_{p|N} (1 + 1/p)."""
-    chain = dihedral_bound_chain(k, N)
-    return chain["n_bound"]
 
 
 def dihedral_bound_chain(k: int, N: int) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .exact import DomainError, FactorCache, set_factor_cache  # noqa: F401
+from .exact import DomainError, FactorCache, decimal_string, set_factor_cache  # noqa: F401
 from .characters import character_by_index, enumerate_characters
 from .cyclotomic import CycloElement
 from .residues import FixtureError, NewformFixture
@@ -147,7 +147,8 @@ def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
         lines.append("dihedral candidates: " + ", ".join(map(str, report.dihedral.primes)))
     else:
         lines.append(
-            f"dihedral bound (degree {report.dihedral.degree}): {report.dihedral.bound}"
+            f"dihedral bound (degree {report.dihedral.degree}): "
+            + decimal_string(report.dihedral.bound)
         )
     lines.append("exceptional image candidates: " + ", ".join(map(str, report.exceptional_image)))
     for a in report.assumptions:

@@ -24,19 +24,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         raise DomainError(f"cyclotomic index must be positive, got {n}")
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1  # x^n - 1
-    poly = [Fraction(c) for c in num]
+    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            q, r = polys.divmod_exact(poly, list(cyclotomic_polynomial(d)))
-            assert not r
-            poly = q
-    out = []
-    for c in poly:
-        assert c.denominator == 1
-        out.append(c.numerator)
-    return tuple(out)
+            # Phi_d is monic, so the division stays in Z
+            poly = polys.exact_quo(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
 
 
 def euler_phi(n: int) -> int:
@@ -63,10 +56,11 @@ class CycloElement:
     def __init__(self, n: int, coeffs):
         if n < 1:
             raise DomainError(f"root of unity order must be positive, got {n}")
-        phi = polys.degree(list(cyclotomic_polynomial(n)))
+        modulus = cyclotomic_polynomial(n)
+        phi = polys.degree(modulus)
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > phi:
-            vec = polys.poly_mod(vec, list(cyclotomic_polynomial(n)))
+            vec = polys.rem(vec, modulus)
         vec = vec + [Fraction(0)] * (phi - len(vec))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "coeffs", tuple(vec[:phi]))
@@ -107,7 +101,7 @@ class CycloElement:
         if other is None:
             return NotImplemented
         a, b = self._pair(other)
-        return CycloElement(a.n, polys.add(list(a.coeffs), list(b.coeffs)))
+        return CycloElement(a.n, polys.add(a.coeffs, b.coeffs))
 
     __radd__ = __add__
 
@@ -131,7 +125,7 @@ class CycloElement:
         if other is None:
             return NotImplemented
         a, b = self._pair(other)
-        return CycloElement(a.n, polys.mul(list(a.coeffs), list(b.coeffs)))
+        return CycloElement(a.n, polys.mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -143,7 +137,7 @@ class CycloElement:
         s0, s1 = [], [Fraction(1)]
         r1 = polys.trim(r1)
         while polys.degree(r1) > 0:
-            q, r = polys.divmod_exact(r0, r1)
+            q, r = polys.quo_rem(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
         assert r1, "Phi_n and a nonzero reduced element must be coprime"
@@ -204,11 +198,7 @@ class CycloElement:
         """Complex conjugation, zeta_n -> zeta_n^(n-1)."""
         if self.n <= 2:
             return self
-        acc = CycloElement(self.n, [Fraction(0)])
-        z_inv = zeta(self.n, self.n - 1)
-        for i in reversed(range(len(self.coeffs))):
-            acc = acc * z_inv + self.coeffs[i]
-        return acc
+        return polys.evaluate(self.coeffs, zeta(self.n, self.n - 1))
 
     def norm(self) -> Fraction:
         """Absolute norm from Q(zeta_n): the product over all conjugates."""
@@ -221,11 +211,8 @@ class CycloElement:
         import mpmath
 
         with mpmath.workdps(prec):
-            z = mpmath.expjpi(mpmath.mpf(2) / self.n)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.coeffs):
-                acc = acc * z + mpmath.mpf(c.numerator) / c.denominator
-            return acc
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in self.coeffs]
+            return polys.evaluate(coeffs, mpmath.expjpi(mpmath.mpf(2) / self.n))
 
     # -- display -------------------------------------------------------------
 

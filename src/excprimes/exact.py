@@ -8,6 +8,7 @@ and is the currency of every "l divides ..." clause in the bound engine.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import random
@@ -16,6 +17,11 @@ from dataclasses import dataclass, field
 
 class DomainError(ValueError):
     """Raised when an operation is called outside its mathematical domain."""
+
+
+def decimal_string(n: int) -> str:
+    """Exact decimal digits of n, also past the interpreter's limit on str(int)."""
+    return str(decimal.Decimal(n))
 
 
 # Deterministic Miller-Rabin: this base set is a proven witness set for all
@@ -203,18 +209,6 @@ def lcm_pow_minus_one(p: int, k: int) -> int:
     return math.lcm(p ** k - 1, p ** (k - 2) - 1)
 
 
-def prime_divisor_union(items: list) -> list[int]:
-    """Sorted deduplicated union of primes dividing any of the inputs.
-
-    Accepts FactoredInteger values or plain nonzero ints (factorized here).
-    """
-    primes: set[int] = set()
-    for item in items:
-        fi = item if isinstance(item, FactoredInteger) else factorize(int(item))
-        primes.update(fi.primes())
-    return sorted(primes)
-
-
 def primes_up_to(limit: int) -> list[int]:
     """All primes <= limit (simple sieve; limit is small in this package)."""
     if limit < 2:
@@ -319,4 +313,3 @@ assert factorize(1).factors == ()
 assert factorize(-12).value == -12 and factorize(-12).factors == ((2, 2), (3, 1))
 assert lcm_pow_minus_one(11, 4) == 14640
 assert lcm_pow_minus_one(2, 4) == 15
-assert prime_divisor_union([factorize(14640), factorize(11)]) == [2, 3, 5, 11, 61]

@@ -1,9 +1,17 @@
-"""Dense univariate polynomial helpers over Fraction (and int) coefficients.
+"""The package's one dense univariate polynomial core.
 
 Polynomials are lists indexed by degree (lowest degree first), trimmed so the
-last entry is nonzero; the zero polynomial is the empty list. The resultant
-follows the fraction-free subresultant PRS to keep intermediate integers
-small; rational inputs are cleared to integer polynomials first.
+last entry is nonzero; the zero polynomial is the empty list. The routines use
+only the coefficients' own arithmetic (+, -, *, / and truth value), so the same
+code serves Fraction coefficients (Q, and Q(zeta_n) through CycloElement) and
+FieldElement coefficients (F_q, with F_p as a field of degree one). Division
+needs field coefficients; int coefficients are divided as Fractions, so a
+non-monic int divisor gives Fraction, never float, coefficients.
+
+Over Q and Z the module also has the resultant, which follows the
+fraction-free subresultant PRS to keep intermediate integers small (rational
+inputs are cleared to integer polynomials first), Lagrange interpolation and
+Horner evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from .exact import DomainError
 def trim(poly: list) -> list:
     """Drop trailing zeros; [] is the zero polynomial."""
     i = len(poly)
-    while i > 0 and poly[i - 1] == 0:
+    while i > 0 and not poly[i - 1]:
         i -= 1
     return poly[:i]
 
@@ -28,10 +36,9 @@ def degree(poly: list) -> int:
 
 
 def add(f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
     for i, c in enumerate(g):
         out[i] += c
     return trim(out)
@@ -48,9 +55,9 @@ def sub(f: list, g: list) -> list:
 def mul(f: list, g: list) -> list:
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
+    out = [f[0] * 0] * (len(f) + len(g) - 1)  # the coefficients' own zero
     for i, a in enumerate(f):
-        if a == 0:
+        if not a:
             continue
         for j, b in enumerate(g):
             out[i + j] += a * b
@@ -58,33 +65,78 @@ def mul(f: list, g: list) -> list:
 
 
 def scale(f: list, c) -> list:
-    if c == 0:
+    if not c:
         return []
     return [a * c for a in f]
 
 
-def divmod_exact(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder over a field (Fraction coefficients)."""
+def _inverse(c):
+    """1 / c, exact for an int c (where 1 / c would be a float)."""
+    return Fraction(1, c) if isinstance(c, int) else 1 / c
+
+
+def quo_rem(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of f by g over a field."""
     if not g:
         raise DomainError("division by the zero polynomial")
-    f = [Fraction(c) for c in f]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    lc = Fraction(g[-1])
-    while len(f) >= len(g) and trim(f):
-        f = trim(f)
-        if len(f) < len(g):
-            break
-        k = len(f) - len(g)
-        coeff = f[-1] / lc
-        q[k] = coeff
-        for i, b in enumerate(g):
-            f[k + i] -= coeff * Fraction(b)
-        f = f[:-1]
-    return trim(q), trim(f)
+    dg = len(g) - 1
+    inv = None if g[-1] == 1 else _inverse(g[-1])
+    r = list(f)
+    q = [None] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg] if inv is None else r[k + dg] * inv
+        q[k] = c
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return trim(q), trim(r[:dg])
 
 
-def poly_mod(f: list, g: list) -> list:
-    return divmod_exact(f, g)[1]
+def rem(f: list, g: list) -> list:
+    return quo_rem(f, g)[1]
+
+
+def exact_quo(f: list, g: list) -> list:
+    """f / g, raising DomainError when g does not divide f."""
+    q, r = quo_rem(f, g)
+    if r:
+        raise DomainError("polynomial division is not exact")
+    return q
+
+
+def monic(f: list) -> list:
+    """f scaled to leading coefficient 1 (f nonzero)."""
+    if f[-1] == 1:
+        return list(f)
+    inv = _inverse(f[-1])
+    return [c * inv for c in f]
+
+
+def gcd(f: list, g: list) -> list:
+    """Monic gcd; the gcd of two zero polynomials is []."""
+    f, g = trim(list(f)), trim(list(g))
+    while g:
+        f, g = g, rem(f, g)
+    return monic(f) if f else f
+
+
+def powmod(f: list, e: int, m: list) -> list:
+    """f^e mod m for e >= 1, by square and multiply."""
+    if e < 1:
+        raise DomainError(f"powmod needs a positive exponent, got {e}")
+    base = rem(f, m)
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else rem(mul(result, base), m)
+        e >>= 1
+        if not e:
+            return result
+        base = rem(mul(base, base), m)
+
+
+def derivative(f: list) -> list:
+    return trim([i * f[i] for i in range(1, len(f))])
 
 
 def evaluate(f: list, x):
@@ -207,22 +259,3 @@ def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fracti
         result = add(result, scale(basis, yi / denom))
     out = [Fraction(c) for c in result] + [Fraction(0)] * (n - len(result))
     return out[:n]
-
-
-def gcd_poly(f: list, g: list) -> list:
-    """Monic gcd over Q."""
-    f, g = trim([Fraction(c) for c in f]), trim([Fraction(c) for c in g])
-    while g:
-        f, g = g, poly_mod(f, g)
-    if f:
-        lc = f[-1]
-        f = [c / lc for c in f]
-    return f
-
-
-# Inline self-checks.
-assert _resultant_int([1, 1, 1], [-1, 1]) == 3  # Res(x^2+x+1, x-1) = value at 1
-assert resultant([1, 1, 1], [-1, 1]) == 3
-assert resultant([-1, 1], [1, 1, 1]) == 3  # deg product even: same sign
-assert resultant([Fraction(1, 2), 1], [1, 0, 1]) == Fraction(5, 4)  # (x+1/2): x^2+1 at -1/2
-assert divmod_exact([1, 0, 1], [1, 1]) == ([-1, 1], [2])

@@ -1,5 +1,13 @@
 """Finite fields F_{ell^d}, newform fixtures, and residue points.
 
+F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
+hides its tuple of integer coordinates: its add, multiply and reduction mod
+the modulus are the only code here that works on that format. All polynomial
+work over F_p and F_q (factor degrees, the irreducibility test behind the
+modulus search, and root finding by Cantor-Zassenhaus splitting) runs on
+lists of FieldElements through the one polynomial core in `polys`, with F_p
+as the field of degree one.
+
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
 zeta_image) with f(alpha) = 0 and Phi_n(zeta) = 0. Points are produced up to
@@ -9,7 +17,6 @@ which keeps reports byte-identical across runs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -29,148 +36,58 @@ class DenominatorObstruction(ValueError):
     """ell divides a coefficient denominator: residue-point mode unavailable."""
 
 
-# -- polynomials over F_p as int tuples, lowest degree first -------------------
+# -- factor degrees and irreducibility over F_p -----------------------------------
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    a = list(a)
-    inv_lc = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        a = _ptrim(a)
-        if len(a) < len(m):
-            break
-        c = a[-1] * inv_lc % p
-        shift = len(a) - len(m)
-        for i, y in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * y) % p
-        a = _ptrim(a[:-1])
-    return _ptrim(a)
-
-
-def _pmonic(a, p):
-    if not a:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return _pmonic(a, p)
-
-
-def _ppowmod(base, e, m, p):
-    result = [1]
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _pderiv(a, p):
-    return _ptrim([i * a[i] % p for i in range(1, len(a))])
-
-
-def _psquarefree(a, p):
-    """The radical (product of distinct irreducible factors) of a mod p."""
-    a = _pmonic(_ptrim(list(a)), p)
-    if len(a) <= 2:
-        return a
-    d = _pderiv(a, p)
-    if not d:
-        # a = g(x^p) = (g under identity Frobenius on F_p coefficients)^p
-        root = [a[i] for i in range(0, len(a), p)]
-        return _psquarefree(root, p)
-    g = _pgcd(a, d, p)
+def _squarefree(f: list) -> list:
+    """The radical (product of the distinct monic irreducible factors) of f over F_p."""
+    f = polys.monic(f)
+    if len(f) <= 2:
+        return f
+    df = polys.derivative(f)
+    if not df:
+        # f = g(x^p) = g^p, as Frobenius fixes the coefficients in F_p
+        return _squarefree(f[:: f[0].field.p])
+    g = polys.gcd(f, df)
     if len(g) == 1:
-        return a
-    quotient = _pdiv_exact(a, g, p)
-    part = _psquarefree(g, p)
-    extra = _pdiv_exact(part, _pgcd(part, quotient, p), p)
-    return _pmul(quotient, extra, p)
-
-
-def _pdiv_exact(a, b, p):
-    a = list(a)
-    inv_lc = pow(b[-1], -1, p)
-    q = [0] * (len(a) - len(b) + 1)
-    while _ptrim(a) and len(a) >= len(b):
-        c = a[-1] * inv_lc % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * y) % p
-        a = a[:-1]
-        while a and a[-1] == 0 and len(a) >= len(b):
-            a = a[:-1]
-    assert not _ptrim(a), "division was not exact"
-    return _ptrim(q)
+        return f
+    quotient = polys.exact_quo(f, g)
+    part = _squarefree(g)
+    return polys.mul(quotient, polys.exact_quo(part, polys.gcd(part, quotient)))
 
 
 def factor_degree_multiset(coeffs, p) -> list[tuple[int, int]]:
     """(degree, count) pairs for the distinct irreducible factors of coeffs mod p."""
-    fp = _psquarefree([c % p for c in coeffs], p)
-    if len(fp) <= 1:
+    F = FiniteField(p, 1)
+    v = polys.trim([F.element(c) for c in coeffs])
+    if len(v) <= 1:
         raise DomainError("polynomial vanishes mod p")
+    v = _squarefree(v)
+    x = [F.zero(), F.one()]
     out = []
-    v = fp
-    h = [0, 1]
+    h = x
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppowmod(h, p, v, p)
-        g = _pgcd(_psub(h, [0, 1], p), v, p)
+        h = polys.powmod(h, p, v)
+        g = polys.gcd(polys.sub(h, x), v)
         if len(g) > 1:
             out.append((d, (len(g) - 1) // d))
-            v = _pdiv_exact(v, g, p)
-            h = _pmod(h, v, p)
+            v = polys.exact_quo(v, g)
+            h = polys.rem(h, v)
     if len(v) > 1:
         out.append((len(v) - 1, 1))
     return out
 
 
-def _pirreducible(m, p):
-    d = len(m) - 1
-    if d < 1 or m[-1] % p != 1:
+def _is_irreducible_mod_p(m: list) -> bool:
+    """Rabin's test for a monic m of degree d >= 2 over F_p."""
+    p, d = m[0].field.p, len(m) - 1
+    x = [m[0].field.zero(), m[0].field.one()]
+    if polys.powmod(x, p ** d, m) != x:
         return False
-    x = [0, 1]
-    if _ppowmod(x, p ** d, m, p) != _pmod(x, m, p):
-        return False
-    for r in {r for r, _ in factorize(d).factors} if d > 1 else set():
-        g = _pgcd(_psub(_ppowmod(x, p ** (d // r), m, p), x, p), m, p)
-        if len(g) != 1:
+    for r in {r for r, _ in factorize(d).factors}:
+        if len(polys.gcd(polys.sub(polys.powmod(x, p ** (d // r), m), x), m)) != 1:
             return False
     return True
 
@@ -200,20 +117,28 @@ class FiniteField:
     def _find_modulus(p: int, d: int) -> tuple[int, ...]:
         if d == 1:
             return (0, 1)
+        F = FiniteField(p, 1)
         rng = random.Random(f"modulus:{p}:{d}")
         while True:
             cand = [rng.randrange(p) for _ in range(d)] + [1]
-            if _pirreducible(cand, p):
+            if _is_irreducible_mod_p([F.element(c) for c in cand]):
                 return tuple(cand)
+
+    def _reduce(self, vec) -> tuple[int, ...]:
+        """Integer coefficients (lowest degree first) mod p and the monic modulus."""
+        vec = list(vec)
+        m, d, p = self.modulus, self.d, self.p
+        for top in range(len(vec) - 1, d - 1, -1):
+            c = vec[top] % p
+            if c:
+                for i in range(d):
+                    vec[top - d + i] -= c * m[i]
+        return tuple(c % p for c in vec[:d]) + (0,) * (d - len(vec))
 
     def element(self, coeffs) -> "FieldElement":
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        vec = [c % self.p for c in coeffs]
-        if len(vec) > self.d:
-            vec = _pmod(vec, list(self.modulus), self.p)
-        vec = vec + [0] * (self.d - len(vec))
-        return FieldElement(self, tuple(vec[: self.d]))
+        return FieldElement(self, self._reduce(coeffs))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -228,10 +153,6 @@ class FiniteField:
                 f"{context}: denominator {x.denominator} is divisible by {self.p}"
             )
         return self.element(x.numerator * pow(x.denominator, -1, self.p))
-
-    def all_elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.d):
-            yield FieldElement(self, tup)
 
     def __eq__(self, other):
         return (
@@ -284,29 +205,27 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._check(other)
-        prod = _pmul(list(self.coeffs), list(other.coeffs), self.field.p)
-        red = _pmod(prod, list(self.field.modulus), self.field.p)
-        red = red + [0] * (self.field.d - len(red))
-        return FieldElement(self.field, tuple(red))
+        field = self.field
+        prod = [0] * (2 * field.d - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    prod[i + j] += a * b
+        return FieldElement(field, field._reduce(prod))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """1 / self, as self^(q - 2) (Fermat)."""
         if not self:
             raise DomainError("inverse of zero field element")
-        p = self.field.p
-        r0, r1 = list(self.field.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        inv_c = pow(r1[0], -1, p)
-        s1 = [c * inv_c % p for c in s1]
-        return self.field.element(s1)
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._check(other) * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -330,7 +249,8 @@ class FieldElement:
         for _ in range(self.field.d):
             acc = acc + x
             x = x.frobenius()
-        assert all(c == 0 for c in acc.coeffs[1:])
+        if any(acc.coeffs[1:]):
+            raise ArithmeticError(f"trace of {self} does not lie in F_{self.field.p}")
         return acc.coeffs[0]
 
     def __bool__(self):
@@ -355,19 +275,6 @@ class FieldElement:
         if self.field.d == 1:
             return str(self.coeffs[0])
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    inv_lc = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while _ptrim(a) and len(a) >= len(b):
-        c = a[-1] * inv_lc % p
-        q[len(a) - len(b)] = c
-        for i, y in enumerate(b):
-            a[len(a) - len(b) + i] = (a[len(a) - len(b) + i] - c * y) % p
-        a = _ptrim(a[:-1])
-    return _ptrim(q), _ptrim(a)
 
 
 def is_square_in_field(x: FieldElement) -> bool:
@@ -397,140 +304,52 @@ def quadratic_irreducible(a: FieldElement, c: FieldElement) -> bool:
 
 
 def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
-    """All roots in F_{p^d} of an integer polynomial, sorted canonically."""
-    p = field.p
-    fp = _ptrim([c % p for c in coeffs])
+    """All roots in F_q of an integer polynomial, sorted canonically.
+
+    gcd(x^q - x, f) is the product of the distinct linear factors of f over
+    F_q; Cantor-Zassenhaus equal-degree splitting then separates them.
+    """
+    fp = polys.trim([c % field.p for c in coeffs])
     if not fp:
         raise DomainError("polynomial vanishes identically mod p")
     if len(fp) == 1:
         return []
-    if field.q <= 10 ** 6:
-        fe = [field.element(c) for c in fp]
-        roots = []
-        for x in field.all_elements():
-            acc = field.zero()
-            for c in reversed(fe):
-                acc = acc * x + c
-            if not acc:
-                roots.append(x)
-        return sorted(roots, key=lambda r: r.sort_key())
-    # large field: strip to the product of linear factors, then split it
-    fF = [field.element(c) for c in fp]
-    fF = _fmonic(fF)
-    x_poly = [field.zero(), field.one()]
-    xq = _fpowmod(x_poly, field.q, fF, field)
-    h = _fgcd(_fsub(xq, x_poly, field), fF, field)
+    f = polys.monic([field.element(c) for c in fp])
+    x = [field.zero(), field.one()]
+    h = polys.gcd(polys.sub(polys.powmod(x, field.q, f), x), f)
     roots = []
-    _split_linear_product(h, field, roots, random.Random(f"edf:{p}:{field.d}:{tuple(fp)}"))
+    _split_linear_product(h, roots, random.Random(f"edf:{field.p}:{field.d}:{tuple(fp)}"))
     return sorted(set(roots), key=lambda r: r.sort_key())
 
 
-def _ftrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fsub(a, b, field):
-    n = max(len(a), len(b))
-    z = field.zero()
-    return _ftrim([(a[i] if i < len(a) else z) - (b[i] if i < len(b) else z) for i in range(n)])
-
-
-def _fmul(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return _ftrim(out)
-
-
-def _fmonic(a):
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
-def _fmod(a, m, field):
-    a = list(a)
-    inv_lc = m[-1].inverse()
-    while _ftrim(a) and len(a) >= len(m):
-        c = a[-1] * inv_lc
-        shift = len(a) - len(m)
-        for i, y in enumerate(m):
-            a[shift + i] = a[shift + i] - c * y
-        a = _ftrim(a[:-1])
-    return _ftrim(a)
-
-
-def _fgcd(a, b, field):
-    a, b = _ftrim(list(a)), _ftrim(list(b))
-    while b:
-        a, b = b, _fmod(a, b, field)
-    return _fmonic(a) if a else a
-
-
-def _fpowmod(base, e, m, field):
-    result = [field.one()]
-    base = _fmod(list(base), m, field)
-    while e:
-        if e & 1:
-            result = _fmod(_fmul(result, base, field), m, field)
-        base = _fmod(_fmul(base, base, field), m, field)
-        e >>= 1
-    return result
-
-
-def _split_linear_product(h, field, out: list, rng: random.Random):
+def _split_linear_product(h, out: list, rng: random.Random):
     """h is monic and splits into distinct linear factors; collect the roots."""
-    h = _ftrim(list(h))
     if len(h) <= 1:
         return
     if len(h) == 2:
-        out.append(-h[0] / h[1])
+        out.append(-h[0])
         return
+    field = h[0].field
     while True:
         a = field.element([rng.randrange(field.p) for _ in range(field.d)])
-        shifted = [a, field.one()]
         if field.p == 2:
             # trace polynomial of a random multiple splits Artin-Schreier style
             t = []
-            term = _fmod([field.zero(), a], h, field)
+            term = polys.rem([field.zero(), a], h)
             for _ in range(field.d):
-                t = _fsub(t, [-c for c in term], field)
-                term = _fmod(_fmul(term, term, field), h, field)
-            g = _fgcd(t, h, field)
+                t = polys.add(t, term)
+                term = polys.rem(polys.mul(term, term), h)
+            g = polys.gcd(t, h)
         else:
-            power = _fpowmod(shifted, (field.q - 1) // 2, h, field)
-            g = _fgcd(_fsub(power, [field.one()], field), h, field)
+            power = polys.powmod([a, field.one()], (field.q - 1) // 2, h)
+            g = polys.gcd(polys.sub(power, [field.one()]), h)
         if 1 < len(g) < len(h):
-            _split_linear_product(g, field, out, rng)
-            _split_linear_product(_fdiv_exact(h, g, field), field, out, rng)
+            _split_linear_product(g, out, rng)
+            _split_linear_product(polys.exact_quo(h, g), out, rng)
             return
 
 
-def _fdiv_exact(a, b, field):
-    a = list(a)
-    inv_lc = b[-1].inverse()
-    q = [field.zero()] * (len(a) - len(b) + 1)
-    while _ftrim(a) and len(a) >= len(b):
-        c = a[-1] * inv_lc
-        q[len(a) - len(b)] = c
-        for i, y in enumerate(b):
-            a[len(a) - len(b) + i] = a[len(a) - len(b) + i] - c * y
-        a = _ftrim(a[:-1])
-    assert not _ftrim(a)
-    return _ftrim(q)
-
-
 # -- resultants and compositum norms --------------------------------------------
-
-
-def resultant(f, g) -> Fraction:
-    """Res(f, g) over Q; zero polynomial is a domain error."""
-    return polys.resultant(list(f), list(g))
 
 
 def compositum_norm(P, Q, f, Phi) -> Fraction:
@@ -723,10 +542,8 @@ class ResiduePoint:
 
     def reduce_vector(self, vec) -> FieldElement:
         """Power-basis coordinates in alpha down to the residue field."""
-        acc = self.field.zero()
-        for c in reversed([Fraction(v) for v in vec]):
-            acc = acc * self.alpha_image + self.field.from_fraction(c, "coefficient of alpha")
-        return acc
+        coeffs = [self.field.from_fraction(v, "coefficient of alpha") for v in vec]
+        return polys.evaluate(coeffs, self.alpha_image)
 
     def reduce_cyclo(self, x: CycloElement) -> FieldElement:
         """Image of an element of Q(zeta_m), for m dividing the point's index."""
@@ -816,5 +633,6 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
     expected = sum(
         cf * cp * math.gcd(df, dp) for df, cf in fdegs for dp, cp in pdegs
     )
-    assert len(points) == expected, (len(points), expected)
+    if len(points) != expected:
+        raise ArithmeticError(f"found {len(points)} residue points mod {ell}, expected {expected}")
     return sorted(points, key=lambda pt: pt.sort_key())

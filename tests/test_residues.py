@@ -1,10 +1,12 @@
+import functools
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from excprimes import (
     DenominatorObstruction,
@@ -17,6 +19,7 @@ from excprimes import (
     find_residue_points,
 )
 from excprimes.residues import (
+    FieldElement,
     factor_degree_multiset,
     is_square_in_field,
     poly_roots_in_field,
@@ -25,6 +28,11 @@ from excprimes.residues import (
 
 
 # -- finite fields ---------------------------------------------------------------
+
+
+def _elements(F):
+    """Every element of F, in the order of their coordinate tuples."""
+    return [FieldElement(F, tup) for tup in itertools.product(range(F.p), repeat=F.d)]
 
 
 def test_field_construction_is_deterministic():
@@ -78,8 +86,9 @@ def test_from_fraction_and_denominator_obstruction():
 def test_squares_by_euler_criterion():
     for ell, d in ((3, 2), (5, 1), (7, 1)):
         F = FiniteField(ell, d)
-        squares = {(x * x).coeffs for x in F.all_elements()}
-        for x in F.all_elements():
+        elements = _elements(F)
+        squares = {(x * x).coeffs for x in elements}
+        for x in elements:
             assert is_square_in_field(x) == (x.coeffs in squares)
     with pytest.raises(DomainError):
         is_square_in_field(FiniteField(2, 2).one())
@@ -89,9 +98,10 @@ def test_quadratic_irreducible_matches_brute_force():
     # degree 2 over a field: irreducible iff X^2 - aX + c has no root
     for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
         F = FiniteField(ell, d)
-        for a in F.all_elements():
-            for c in F.all_elements():
-                has_root = any(x * x - a * x + c == F.zero() for x in F.all_elements())
+        elements = _elements(F)
+        for a in elements:
+            for c in elements:
+                has_root = any(x * x - a * x + c == F.zero() for x in elements)
                 assert quadratic_irreducible(a, c) == (not has_root), (ell, d, a, c)
 
 
@@ -124,10 +134,64 @@ def test_factor_degree_multiset_consistency():
     assert factor_degree_multiset((*QUARTIC,), 43) == [(1, 1), (3, 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _power_table(F, top):
+    """Every element x of F with the coordinates of x^0, ..., x^top in one tuple."""
+    table = []
+    for x in _elements(F):
+        row = [F.one()]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        table.append((x, tuple(c for y in row for c in y.coeffs)))
+    return table
+
+
+def _roots_by_enumeration(coeffs, F):
+    """The roots of an integer polynomial of degree <= 5, by evaluating it everywhere."""
+    p, d = F.p, F.d
+    terms = [(i * d, c % p) for i, c in enumerate(coeffs) if c % p]
+    return sorted(
+        x.coeffs
+        for x, row in _power_table(F, 5)
+        if all(sum(c * row[k + j] for k, c in terms) % p == 0 for j in range(d))
+    )
+
+
+# F_{43^3} and F_{5^6} serve 81.6c at ell = 43 and 5
+ENUMERATION_FIELDS = [
+    (2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (5, 4), (5, 6), (7, 1), (43, 3),
+]
+
+
+@st.composite
+def _integer_polys(draw):
+    """Random integer polynomials, and products of linear factors with repeated roots."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-60, 60), min_size=2, max_size=6))
+    poly = [1]
+    for r in draw(st.lists(st.integers(0, 42), min_size=1, max_size=5)):
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ENUMERATION_FIELDS), _integer_polys())
+@example((43, 3), QUARTIC)
+@example((5, 6), QUARTIC)
+@example((2, 4), QUARTIC)
+def test_root_finding_matches_enumeration(params, coeffs):
+    F = FiniteField(*params)
+    if all(c % F.p == 0 for c in coeffs):
+        with pytest.raises(DomainError):
+            poly_roots_in_field(coeffs, F)
+        return
+    roots = [r.coeffs for r in poly_roots_in_field(coeffs, F)]
+    assert roots == _roots_by_enumeration(coeffs, F)
+
+
 def test_large_field_root_finding_agrees_with_enumeration():
-    # force the EDF branch with q > 10^6 and compare against the small field
+    # in a field too large to enumerate, the roots lying in the prime field agree
     F_big = FiniteField(1171, 2)
-    assert F_big.q > 10 ** 6
     roots = poly_roots_in_field(QUARTIC, F_big)
     for r in roots:
         acc = F_big.zero()
@@ -151,6 +215,88 @@ def test_residue_points_frozen_level81_example(fx81):
     for d in descs:
         assert d["ell"] == 43 and d["cyclo_index"] == 3
         assert d["field_degree"] == 3
+
+
+# find_residue_points(81.6c, n, ell).describe() at ell = 5 and 43, in the
+# fields F_{5^3}, F_{5^6} and F_{43^3}: the field moduli and the canonical
+# orbit representatives that verify reports are built from.
+FROZEN_POINTS_81 = {
+    (5, 1): [
+        {"ell": 5,
+         "field_degree": 3,
+         "field_modulus": [4, 2, 0, 1],
+         "alpha": [1, 0, 0],
+         "degree": 1},
+        {"ell": 5,
+         "field_degree": 3,
+         "field_modulus": [4, 2, 0, 1],
+         "alpha": [1, 0, 3],
+         "degree": 3},
+    ],
+    (5, 3): [
+        {"ell": 5,
+         "field_degree": 6,
+         "field_modulus": [3, 0, 2, 3, 1, 2, 1],
+         "alpha": [0, 4, 4, 3, 4, 1],
+         "degree": 6,
+         "zeta": [0, 1, 4, 1, 1, 3],
+         "cyclo_index": 3},
+        {"ell": 5,
+         "field_degree": 6,
+         "field_modulus": [3, 0, 2, 3, 1, 2, 1],
+         "alpha": [1, 0, 0, 0, 0, 0],
+         "degree": 2,
+         "zeta": [0, 1, 4, 1, 1, 3],
+         "cyclo_index": 3},
+    ],
+    (43, 1): [
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [8, 11, 24],
+         "degree": 3},
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [13, 0, 0],
+         "degree": 1},
+    ],
+    (43, 3): [
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [8, 11, 24],
+         "degree": 3,
+         "zeta": [6, 0, 0],
+         "cyclo_index": 3},
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [8, 11, 24],
+         "degree": 3,
+         "zeta": [36, 0, 0],
+         "cyclo_index": 3},
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [13, 0, 0],
+         "degree": 1,
+         "zeta": [6, 0, 0],
+         "cyclo_index": 3},
+        {"ell": 43,
+         "field_degree": 3,
+         "field_modulus": [15, 25, 27, 1],
+         "alpha": [13, 0, 0],
+         "degree": 1,
+         "zeta": [36, 0, 0],
+         "cyclo_index": 3},
+    ],
+}
+
+
+def test_residue_points_frozen_at_5_and_43(fx81):
+    for (ell, n), want in FROZEN_POINTS_81.items():
+        assert [pt.describe() for pt in find_residue_points(fx81, n, ell)] == want, (ell, n)
 
 
 def test_residue_points_without_cyclotomic_part(fx11_4):

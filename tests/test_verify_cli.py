@@ -218,6 +218,23 @@ def test_cli_bound_is_deterministic_and_frozen():
     assert "timing" in _payload(timed)
 
 
+def test_cli_bound_renders_a_bound_past_the_str_digit_limit():
+    # the dihedral bound at (6, 1089) has more digits than str(int) allows
+    from decimal import Decimal
+
+    from excprimes import candidate_report
+
+    bound = candidate_report(6, 1089).dihedral.bound
+    assert bound.bit_length() > 4300 * 3.33
+    proc = run_cli("bound", "--weight", 6, "--level", 1089)
+    assert proc.returncode == 0, proc.stderr
+    assert Decimal(_payload(proc)["outputs"]["dihedral"]["bound"]) == bound
+    text = run_cli("bound", "--weight", 6, "--level", 1089, "--format", "text")
+    assert text.returncode == 0, text.stderr
+    line = next(l for l in text.stdout.splitlines() if l.startswith("dihedral bound"))
+    assert Decimal(line.rsplit(": ", 1)[1]) == bound
+
+
 def test_cli_bound_usage_errors():
     assert run_cli("bound", "--weight", 3, "--level", 11).returncode == 2
     assert run_cli("bound", "--weight", 4, "--level", 0).returncode == 2
