@@ -121,11 +121,3 @@ def lvalue_functional_rhs(k: int, chi: DirichletCharacter, precision: int = 50):
         ck = (2j * mpmath.pi) ** k / mpmath.factorial(k - 1)
         b = bernoulli_generalized(k, chi.inverse()).embed_numeric(precision)
         return -w * ck / mpmath.mpf(f) ** k * b / (2 * k)
-
-
-# Inline self-checks.
-assert bernoulli_classical(6) == Fraction(1, 42)
-assert bernoulli_classical(0) == 1 and bernoulli_classical(3) == 0
-assert bernoulli_classical(1) == Fraction(-1, 2)
-assert bernoulli_polynomial(1, Fraction(1)) == Fraction(1, 2)  # B_1(1) = +1/2
-assert von_staudt_denominator(6) == 42

@@ -18,7 +18,7 @@ from .exact import (
     DomainError, decimal_string, factorize, is_prime, lcm_pow_minus_one, primes_up_to,
 )
 from .characters import DirichletCharacter, enumerate_characters, square_inverse_eps
-from .bernoulli import VacuousClauseError, bernoulli_norm_numerator
+from .bernoulli import VacuousClauseError, bernoulli_classical, bernoulli_norm_numerator
 from .dimensions import dim_new
 
 GATE_SMALL = "small prime gate (ell <= k+1)"
@@ -68,7 +68,11 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
     c = _square_part_root(fac)
 
     if N == 1:
-        pass
+        # Swinnerton-Dyer, LNM 350: at level 1, ell > k+1 is reducible only
+        # when ell divides the numerator of B_k/2k
+        clause = "divides the numerator of B_k/2k"
+        for ell in factorize((bernoulli_classical(k) / (2 * k)).numerator).primes():
+            pairs.add((ell, clause))
     elif squarefree:
         if k > 2:
             g = 0

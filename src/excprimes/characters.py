@@ -328,18 +328,3 @@ def square_inverse_eps(nu: DirichletCharacter) -> DirichletCharacter:
     if not nu.is_primitive():
         raise DomainError("square_inverse_eps requires a primitive character")
     return (nu * nu).primitive_associate().inverse()
-
-
-# Inline self-checks.
-assert len(enumerate_characters(9, "all")) == 6
-assert sorted(c.order for c in enumerate_characters(9, "primitive")) == [3, 3, 6, 6]
-assert [c.order for c in enumerate_characters(1, "all")] == [1]
-_nu = character_by_index(9, 2)
-assert _nu.value(2) == zeta(3) and _nu.order == 3 and _nu.is_primitive()
-assert _nu.value(5) == zeta(3, 2)  # 2^5 = 5 mod 9
-assert not _nu.value(3)
-assert _nu.parity() == "even" and _nu.conductor == 9
-assert square_inverse_eps(_nu) == _nu  # nu^3 = 1 so (nu^2)^(-1) = nu
-assert character_by_index(9, 3).conductor == 3  # quadratic factors through mod 3
-assert trivial_character().is_primitive()
-assert character_by_index(8, 1).conductor == 8 and character_by_index(8, 2).conductor == 4

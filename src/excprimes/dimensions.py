@@ -135,11 +135,3 @@ def sturm_bound(k: int, N: int) -> int:
     """ceil(k * [SL_2(Z) : Gamma_0(N)] / 12)."""
     inv = level_invariants(N)
     return -(-k * inv.index // 12)
-
-
-# Inline self-checks.
-assert level_invariants(11).genus == 1 and level_invariants(23).genus == 2
-assert dim_cusp_forms(2, 1) == 0 and dim_cusp_forms(2, 23) == 2
-assert dim_new(6, 81) == 18 and dim_cusp_forms(6, 81) == 39
-assert dim_new(4, 11) == 2 and dim_new(2, 23) == 2
-assert sturm_bound(6, 81) == 54 and sturm_bound(2, 23) == 4 and sturm_bound(2, 1) == 1

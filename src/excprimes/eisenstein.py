@@ -187,22 +187,31 @@ def eisenstein_E(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
     return QExpansion(coeffs, k, c * c)
 
 
+def _sigma1_sieve(truncation: int) -> list[int]:
+    """sigma_1(n) for 0 <= n <= truncation (entry 0 is 0), in O(T log T)."""
+    sig = [0] * (truncation + 1)
+    for m in range(1, truncation + 1):
+        for j in range(m, truncation + 1, m):
+            sig[j] += m
+    return sig
+
+
 def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
     """E_2(tau) - u E_2(u tau): constant term (u-1)/24, a_n = sum of m | n, u not | m."""
     if u < 2:
         raise DomainError(f"E_2^(u) needs u >= 2, got {u}")
+    sig = _sigma1_sieve(truncation)
     coeffs: list = [Fraction(u - 1, 24)]
     for n in range(1, truncation + 1):
-        coeffs.append(Fraction(sum(m for m in range(1, n + 1) if n % m == 0 and m % u)))
+        # the divisors m = u m' of n sum to u sigma_1(n/u)
+        coeffs.append(Fraction(sig[n] - (u * sig[n // u] if n % u == 0 else 0)))
     return QExpansion(coeffs, 2, u)
 
 
 def _e2_series(truncation: int) -> QExpansion:
     """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used mod ell only)."""
-    coeffs: list = [Fraction(-1, 24)]
-    for n in range(1, truncation + 1):
-        coeffs.append(Fraction(sum(m for m in range(1, n + 1) if n % m == 0)))
-    return QExpansion(coeffs, 2, 1)
+    sig = _sigma1_sieve(truncation)
+    return QExpansion([Fraction(-1, 24)] + [Fraction(s) for s in sig[1:]], 2, 1)
 
 
 def eprime_weight2_steinberg(signs, ell: int, truncation: int) -> QExpansion:

@@ -8,11 +8,14 @@ and is the currency of every "l divides ..." clause in the bound engine.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
+import itertools
 import math
 import os
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 class DomainError(ValueError):
@@ -77,24 +80,55 @@ def is_proven_prime(n: int) -> bool:
     return n < _MR_DETERMINISTIC_LIMIT
 
 
-_TRIAL_LIMIT = 10 ** 6
+# Trial division runs over the primes below this bound. A cofactor left with
+# no prime factor below it and smaller than its square is prime.
+_TRIAL_BOUND = 1 << 16
+
+# Brent rho steps before ECM takes over. Within this budget rho finds prime
+# factors of up to about nine digits; larger ones are left to ECM.
+_RHO_BUDGET = 1 << 16
+
+# ECM stage-1 bounds B1 and the number of curves run at each, after the
+# GMP-ECM table for 15-, 20-, 25- and 30-digit factors; the last bound is
+# kept once the table runs out. Stage 2 covers primes up to 100 * B1 with
+# giant steps of D and baby steps j < D/2 prime to D.
+_ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, 300), (250_000, 700))
+_ECM_B2_FACTOR = 100
+_ECM_D = 2310
 
 
-def _pollard_brent(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite n.
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(primes_up_to(_TRIAL_BOUND - 1))
 
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _pollard_brent(n: int) -> int | None:
+    """Brent-cycle Pollard rho on odd composite n.
+
+    Returns a nontrivial factor, or None when _RHO_BUDGET steps found none.
     The RNG is seeded with n so repeated runs split identically.
     """
-    if n % 2 == 0:
-        return 2
     rng = random.Random(n)
-    while True:
+    steps = 0
+    while steps < _RHO_BUDGET:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps >= _RHO_BUDGET:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -106,6 +140,7 @@ def _pollard_brent(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += 2 * r
             r *= 2
         if g == n:
             g = 1
@@ -115,18 +150,138 @@ def _pollard_brent(n: int) -> int:
         if g != n:
             return g
         # cycle degenerated; retry with fresh parameters
+    return None
 
 
-def _factor_into(n: int, out: dict[int, int]) -> None:
-    """Accumulate the factorization of n >= 1 into out (prime -> exponent)."""
-    if n == 1:
-        return
-    if is_prime(n):
+# -- ECM on Montgomery curves B y^2 = x^3 + A x^2 + x, x-only (X : Z) points,
+# with a24 = (A + 2) / 4 (Montgomery, Math. Comp. 48 (1987)).
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q from P, Q and their difference P - Q = (xd : zd)."""
+    u = (xp - zp) * (xq + zq) % n
+    v = (xp + zp) * (xq - zq) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x : z) for k >= 1 by the Montgomery ladder."""
+    xr, zr = x, z
+    xs, zs = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        # (xs : zs) - (xr : zr) = (x : z) throughout
+        xa, za = _xadd(xs, zs, xr, zr, x, z, n)
+        if bit == "1":
+            xr, zr = xa, za
+            xs, zs = _xdbl(xs, zs, a24, n)
+        else:
+            xs, zs = xa, za
+            xr, zr = _xdbl(xr, zr, a24, n)
+    return xr, zr
+
+
+@lru_cache(maxsize=8)
+def _stage1_multiplier(b1: int) -> int:
+    """Product of the largest prime powers p^e <= b1."""
+    k = 1
+    for p in primes_up_to(b1):
+        q = p
+        while q * p <= b1:
+            q *= p
+        k *= q
+    return k
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """One ECM curve; a proper divisor of n when the curve's order mod some p | n is smooth.
+
+    Suyama's parametrization by sigma gives the curve and a point on it.
+    Stage 1 multiplies the point by every prime power up to b1, giving Q.
+    Stage 2 catches one more prime q = m D +- j up to 100 * b1: q Q vanishes
+    mod p exactly when m D Q and j Q have the same x-coordinate mod p.
+    Returns 1 or n when the curve finds nothing.
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x0, z0 = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x0 * v * z0 % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    inv = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * z0 * inv % n
+    x = 16 * x0 * x0 * v * inv % n  # x0 / z0
+    qx, qz = _ladder(_stage1_multiplier(b1), x, 1, a24, n)
+    g = math.gcd(qz, n)
+    if g != 1:
+        return g
+
+    # baby steps: x(j Q) for odd j < D/2 prime to D, normalized to Z = 1
+    baby = []
+    two = _xdbl(qx, qz, a24, n)
+    prev, cur = (qx, qz), _ladder(3, qx, qz, a24, n)  # j Q and (j + 2) Q
+    for j in range(1, _ECM_D // 2, 2):
+        if math.gcd(j, _ECM_D) == 1:
+            g = math.gcd(prev[1], n)
+            if g != 1:
+                return g
+            baby.append(prev[0] * pow(prev[1], -1, n) % n)
+        prev, cur = cur, _xadd(*cur, *two, *prev, n)
+
+    # giant steps: R = m D Q, from m = max(1, b1 // D) until m D - D/2 > 100 * b1
+    m = max(1, b1 // _ECM_D)
+    step = _ladder(_ECM_D, qx, qz, a24, n)
+    r = _ladder(m * _ECM_D, qx, qz, a24, n)
+    s = _ladder((m + 1) * _ECM_D, qx, qz, a24, n)
+    acc = 1
+    while m * _ECM_D - _ECM_D // 2 <= _ECM_B2_FACTOR * b1:
+        g = math.gcd(r[1], n)
+        if g != 1:
+            return g
+        xr = r[0] * pow(r[1], -1, n) % n
+        for xj in baby:
+            acc = acc * (xr - xj) % n
+        r, s = s, _xadd(*s, *step, *r, n)
+        m += 1
+    return math.gcd(acc, n)
+
+
+def _ecm(n: int) -> int:
+    """Lenstra's elliptic curve method: a nontrivial factor of composite n.
+
+    Curves come from an RNG seeded with n, so repeated runs split
+    identically. B1 grows along _ECM_SCHEDULE; the number of curves is not
+    limited.
+    """
+    rng = random.Random(n)
+    levels = itertools.chain(_ECM_SCHEDULE, itertools.repeat(_ECM_SCHEDULE[-1]))
+    for b1, curves in levels:
+        for _ in range(curves):
+            g = _ecm_curve(n, rng.randrange(6, n - 1), b1)
+            if 1 < g < n:
+                return g
+
+
+def _split_into(n: int, out: dict[int, int]) -> None:
+    """Accumulate the factorization of n > 1, which has no prime factor below _TRIAL_BOUND."""
+    if n < _TRIAL_BOUND ** 2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    d = _pollard_brent(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+    for k in range(2, n.bit_length() // 16 + 1):
+        r = _iroot(n, k)
+        if r ** k == n:
+            for _ in range(k):
+                _split_into(r, out)
+            return
+    d = _pollard_brent(n) or _ecm(n)
+    _split_into(d, out)
+    _split_into(n // d, out)
 
 
 @dataclass(frozen=True)
@@ -145,10 +300,13 @@ class FactoredInteger:
     def __post_init__(self):
         prod = 1
         for p, e in self.factors:
-            assert p >= 2 and e >= 1
+            if p < 2 or e < 1:
+                raise DomainError(f"factor {p}^{e} needs p >= 2 and e >= 1")
             prod *= p ** e
-        assert prod == abs(self.value), "factorization does not re-multiply"
-        assert list(self.factors) == sorted(self.factors)
+        if prod != abs(self.value):
+            raise ArithmeticError(f"factorization does not re-multiply to {self.value}")
+        if any(p >= q for (p, _), (q, _) in zip(self.factors, self.factors[1:])):
+            raise DomainError("factor primes must be distinct and increasing")
 
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
@@ -165,39 +323,40 @@ class FactoredInteger:
 
 
 def factorize(n: int) -> FactoredInteger:
-    """Exact factorization of a nonzero integer (sign carried on value)."""
+    """Exact factorization of a nonzero integer (sign carried on value).
+
+    Factorizations are memoised by |n| for the life of the process. An
+    active factor cache is read before the memo and is handed every result,
+    memo hits included.
+    """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
-    cache = _active_cache()
-    if cache is not None:
-        hit = cache.get(abs(n))
-        if hit is not None:
-            return FactoredInteger(n, hit, proven=all(is_proven_prime(p) for p, _ in hit))
     m = abs(n)
-    fac: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-    p = 49
-    while p * p <= m and p < _TRIAL_LIMIT:
-        # skip even candidates; small primes already stripped
-        if m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        else:
-            p += 2
-    if m > 1:
-        if p * p > m:
-            fac[m] = fac.get(m, 0) + 1
-        else:
-            _factor_into(m, fac)
-    factors = tuple(sorted(fac.items()))
-    proven = all(is_proven_prime(p) for p, _ in factors)
-    result = FactoredInteger(n, factors, proven)
+    cache = _active_cache()
+    factors = cache.get(m) if cache is not None else None
+    if factors is None:
+        factors = _factor_abs(m)
     if cache is not None:
-        cache.put(abs(n), factors)
-    return result
+        cache.put(m, factors)
+    return FactoredInteger(n, factors, all(is_proven_prime(p) for p, _ in factors))
+
+
+@lru_cache(maxsize=1 << 12)
+def _factor_abs(m: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (prime, exponent) pairs of m >= 1: trial division, then rho and ECM."""
+    fac: dict[int, int] = {}
+    for p in _trial_primes():
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            fac[p] = e
+    if m > 1:
+        _split_into(m, fac)
+    return tuple(sorted(fac.items()))
 
 
 def lcm_pow_minus_one(p: int, k: int) -> int:
@@ -262,14 +421,11 @@ class FactorCache:
                             p, e = int(part), 1
                         factors.append((p, e))
                 factors_t = tuple(sorted(factors))
-                prod = 1
-                for p, e in factors_t:
-                    if e < 1 or not is_prime(p):
-                        raise ValueError("bad prime")
-                    prod *= p ** e
-                if prod != n or n < 1:
-                    raise ValueError("does not re-multiply")
-            except (ValueError, IndexError):
+                if n < 1 or not all(is_prime(p) for p, _ in factors_t):
+                    raise ValueError("bad prime")
+                # re-multiplies, and rejects a prime listed twice
+                FactoredInteger(n, factors_t)
+            except (ValueError, IndexError, ArithmeticError):
                 self.warnings.append(f"ignoring corrupt cache line: {line!r}")
                 continue
             self._table[n] = factors_t
@@ -286,12 +442,23 @@ class FactorCache:
         if not self._dirty:
             return
         os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        with open(self.path, "w", encoding="ascii") as fh:
-            for n in sorted(self._table):
-                parts = ",".join(
-                    f"{p}^{e}" if e > 1 else str(p) for p, e in self._table[n]
-                )
-                fh.write(f"{n}={parts}\n")
+        # write a sibling file and rename it over the old one, so a failed
+        # write never leaves a truncated cache behind
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                for n in sorted(self._table):
+                    parts = ",".join(
+                        f"{p}^{e}" if e > 1 else str(p) for p, e in self._table[n]
+                    )
+                    fh.write(f"{n}={parts}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         self._dirty = False
 
 
@@ -305,11 +472,3 @@ def set_factor_cache(cache: FactorCache | None) -> None:
 
 def _active_cache() -> FactorCache | None:
     return _cache_holder[0]
-
-
-# Inline self-checks on import (cheap, catch regressions early).
-assert factorize(14640).factors == ((2, 4), (3, 1), (5, 1), (61, 1))
-assert factorize(1).factors == ()
-assert factorize(-12).value == -12 and factorize(-12).factors == ((2, 2), (3, 1))
-assert lcm_pow_minus_one(11, 4) == 14640
-assert lcm_pow_minus_one(2, 4) == 15

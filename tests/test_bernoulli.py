@@ -94,3 +94,12 @@ def test_numeric_lvalue_matches_zeta_and_euler_formula():
         lvalue_numeric(3, one)
     with pytest.raises(DomainError):
         lvalue_numeric(4, character_by_index(4, 1))
+
+
+def test_small_known_values():
+    # formerly checked on import of excprimes.bernoulli
+    assert bernoulli_classical(6) == Fraction(1, 42)
+    assert bernoulli_classical(0) == 1 and bernoulli_classical(3) == 0
+    assert bernoulli_classical(1) == Fraction(-1, 2)
+    assert bernoulli_polynomial(1, Fraction(1)) == Fraction(1, 2)  # B_1(1) = +1/2
+    assert von_staudt_denominator(6) == 42

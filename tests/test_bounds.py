@@ -29,12 +29,32 @@ FROZEN_SETS = {
     (2, 300): [2, 3, 5],
     (4, 176): [2, 3, 5, 11, 61],
     (6, 1): [2, 3, 5, 7],
+    (8, 1): [2, 3, 5, 7],
+}
+
+# Primes dividing the numerator of B_k/2k: the level-1 Eisenstein congruences
+# (691 is Ramanujan's congruence for Delta).
+LEVEL_ONE_PRIMES = {
+    12: [691],
+    16: [3617],
+    18: [43867],
+    20: [283, 617],
+    22: [131, 593],
+    26: [657931],
 }
 
 
 def test_frozen_reducible_sets():
     for (k, N), want in FROZEN_SETS.items():
         assert reducible_primes(k, N) == want, (k, N)
+
+
+def test_level_one_bernoulli_clause():
+    clause = "divides the numerator of B_k/2k"
+    for k, want in LEVEL_ONE_PRIMES.items():
+        pairs = reducible_candidates(k, 1)
+        assert sorted(p for p, c in pairs if c == clause) == want, k
+        assert reducible_primes(k, 1) == sorted(set(primes_up_to(k + 1)) | set(want)), k
 
 
 def test_unconditional_gates_always_present():

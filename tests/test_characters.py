@@ -11,6 +11,7 @@ from excprimes import (
     euler_phi,
     square_inverse_eps,
     trivial_character,
+    zeta,
 )
 
 
@@ -133,3 +134,19 @@ def test_trivial_character_is_the_modulus_one_character():
     assert one.modulus == 1 and one.order == 1
     assert one.is_primitive() and one.is_even()
     assert one.value(7).rational_value() == 1
+
+
+def test_small_modulus_tables():
+    # formerly checked on import of excprimes.characters
+    assert len(enumerate_characters(9, "all")) == 6
+    assert sorted(c.order for c in enumerate_characters(9, "primitive")) == [3, 3, 6, 6]
+    assert [c.order for c in enumerate_characters(1, "all")] == [1]
+    nu = character_by_index(9, 2)
+    assert nu.value(2) == zeta(3) and nu.order == 3 and nu.is_primitive()
+    assert nu.value(5) == zeta(3, 2)  # 2^5 = 5 mod 9
+    assert not nu.value(3)
+    assert nu.parity() == "even" and nu.conductor == 9
+    assert square_inverse_eps(nu) == nu  # nu^3 = 1 so (nu^2)^(-1) = nu
+    assert character_by_index(9, 3).conductor == 3  # quadratic factors through mod 3
+    assert trivial_character().is_primitive()
+    assert character_by_index(8, 1).conductor == 8 and character_by_index(8, 2).conductor == 4

@@ -126,3 +126,17 @@ def test_resultant_detects_common_root():
     f = [Fraction(-2), Fraction(-1), Fraction(1)]
     g = [Fraction(10), Fraction(-7), Fraction(1)]
     assert resultant(f, g) == 0
+
+
+def test_small_known_values():
+    # formerly checked on import of excprimes.cyclotomic
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert euler_phi(81) == 54 and euler_phi(1) == 1
+    assert zeta(3) + zeta(3, 2) == -1
+    assert zeta(6) == -zeta(3, 2)
+    assert (zeta(4) + 1).norm() == 2
+    assert (zeta(3) * 751 + 1172).norm() == 3 * 7 * 43 * 1171
+    assert (zeta(5) + 2) * (zeta(5) + 2).inverse() == 1
+    assert zeta(12).conj() * zeta(12) == 1
+    assert str(zeta(3) * Fraction(-31) - 32) == "-32-31*z"

@@ -107,3 +107,12 @@ def test_rejects_bad_weights_and_levels():
         dim_cusp_forms(0, 11)
     with pytest.raises(DomainError):
         level_invariants(0)
+
+
+def test_small_known_values():
+    # formerly checked on import of excprimes.dimensions
+    assert level_invariants(11).genus == 1 and level_invariants(23).genus == 2
+    assert dim_cusp_forms(2, 1) == 0 and dim_cusp_forms(2, 23) == 2
+    assert dim_new(6, 81) == 18 and dim_cusp_forms(6, 81) == 39
+    assert dim_new(4, 11) == 2 and dim_new(2, 23) == 2
+    assert sturm_bound(6, 81) == 54 and sturm_bound(2, 23) == 4 and sturm_bound(2, 1) == 1

@@ -113,11 +113,17 @@ def test_Up_on_E2_splits_into_E2u_and_pE2():
 
 
 def test_E2u_series_shape():
-    e = eisenstein_E2u(3, 9)
-    assert e.coefficient(0) == Fraction(2, 24)
-    for n in range(1, 10):
-        want = sum(m for m in range(1, n + 1) if n % m == 0 and m % 3)
-        assert e.coefficient(n) == want
+    # the divisor sums against plain trial division over every m <= n
+    for u in (2, 3, 6):
+        e = eisenstein_E2u(u, 60)
+        assert e.coefficient(0) == Fraction(u - 1, 24)
+        for n in range(1, 61):
+            want = sum(m for m in range(1, n + 1) if n % m == 0 and m % u)
+            assert e.coefficient(n) == want
+    e2 = _e2_series(60)
+    assert e2.coefficient(0) == Fraction(-1, 24)
+    for n in range(1, 61):
+        assert e2.coefficient(n) == sum(m for m in range(1, n + 1) if n % m == 0)
     with pytest.raises(DomainError):
         eisenstein_E2u(1, 5)
 

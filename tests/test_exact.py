@@ -1,4 +1,8 @@
+import math
 import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +14,71 @@ from excprimes import (
     is_prime,
     lcm_pow_minus_one,
     primes_up_to,
+    set_factor_cache,
 )
+from excprimes import exact
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# -- an independent reference: Miller-Rabin, trial division and Floyd rho ------
+
+
+def _ref_is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases; exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _ref_next_prime(n: int) -> int:
+    while not _ref_is_prime(n):
+        n += 1
+    return n
+
+
+def _ref_factor(n: int) -> Counter:
+    """Trial division below 1000, then Floyd-cycle rho; for cofactors below ~1e20."""
+    out = Counter()
+    for p in range(2, 1000):
+        while n % p == 0:
+            out[p] += 1
+            n //= p
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _ref_is_prime(m):
+            out[m] += 1
+            continue
+        c, g = 1, m
+        while g == m:
+            x = y = 2
+            g = 1
+            while g == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                g = math.gcd(x - y, m)
+            c += 1
+        stack += [g, m // g]
+    return out
 
 
 @settings(max_examples=300, deadline=None)
@@ -61,3 +129,145 @@ def test_factor_cache_roundtrip_and_corruption(tmp_path):
     assert poisoned.get(84) == ((2, 2), (3, 1), (7, 1))  # corrupt line rejected
     assert poisoned.get(60) is None and poisoned.get(90) is None
     assert len(poisoned.warnings) == 3
+
+
+def test_factorize_known_values():
+    # formerly checked on import of excprimes.exact
+    assert factorize(14640).factors == ((2, 4), (3, 1), (5, 1), (61, 1))
+    assert factorize(1).factors == ()
+    assert factorize(-12).value == -12 and factorize(-12).factors == ((2, 2), (3, 1))
+    assert lcm_pow_minus_one(11, 4) == 14640
+    assert lcm_pow_minus_one(2, 4) == 15
+
+
+_small = st.integers(2, 1 << 16).map(_ref_next_prime)
+_medium = st.integers(1 << 16, 10 ** 9).map(_ref_next_prime)
+_large = st.integers(10 ** 11, 10 ** 15).map(_ref_next_prime)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(_small, max_size=4),
+    st.lists(_medium, max_size=2),
+    st.lists(_large, min_size=2, max_size=2),
+)
+def test_factorize_mixed_sizes_matches_reference(small, medium, large):
+    # the two 12-15 digit primes are past the rho budget, so ECM splits them
+    n = math.prod(small + medium + large)
+    fac = factorize(n)
+    prod = 1
+    for p, e in fac.factors:
+        assert is_prime(p) and _ref_is_prime(p)
+        prod *= p ** e
+    assert prod == n == fac.value
+    want = _ref_factor(math.prod(small + medium)) + Counter(large)
+    assert fac.factors == tuple(sorted(want.items()))
+
+
+def test_ecm_stages_split_known_curves(monkeypatch):
+    p, q = 10 ** 12 + 39, 10 ** 12 + 61
+    # sigma = 28: the point's order mod p is 2000-smooth, so stage 1 splits;
+    # sigma = 7: that order has one prime above 2000, which stage 2 finds
+    assert exact._ecm_curve(p * q, 28, 2000) == p
+    assert exact._ecm_curve(p * q, 7, 2000) == p
+    monkeypatch.setattr(exact, "_ECM_B2_FACTOR", 0)  # no giant steps
+    assert exact._ecm_curve(p * q, 28, 2000) == p
+    assert exact._ecm_curve(p * q, 7, 2000) == 1
+
+
+def test_rho_budget_hands_large_factors_to_ecm():
+    p, q = 10 ** 12 + 39, 10 ** 12 + 61
+    assert exact._pollard_brent(p * q) is None
+    assert exact._ecm(p * q) in (p, q)
+    assert factorize(7 * p * q).factors == ((7, 1), (p, 1), (q, 1))
+
+
+def test_factorize_perfect_powers_of_large_primes():
+    p = _ref_next_prime(10 ** 20)
+    assert factorize(p ** 2).factors == ((p, 2),)
+    assert factorize(12 * p ** 3).factors == ((2, 2), (3, 1), (p, 3))
+
+
+def test_factorize_memo_keeps_the_sign():
+    n = 2 ** 4 * 3 * 1000000007
+    pos = factorize(n)
+    neg = factorize(-n)
+    assert pos.value == n and neg.value == -n
+    assert neg.factors == pos.factors == ((2, 4), (3, 1), (1000000007, 1))
+    assert str(neg) == "-" + str(pos)
+
+
+def test_memo_hit_still_fills_the_factor_cache(tmp_path):
+    n = 2 ** 5 * 10007
+    factorize(n)
+    cache = FactorCache(str(tmp_path))
+    set_factor_cache(cache)
+    try:
+        factorize(n)
+    finally:
+        set_factor_cache(None)
+    assert cache.get(n) == ((2, 5), (10007, 1))
+
+
+def test_factorization_checks_survive_python_O():
+    code = """
+import sys
+from excprimes.exact import DomainError, FactoredInteger
+print(sys.flags.optimize)
+for value, factors, error in (
+    (12, ((2, 1), (3, 1)), ArithmeticError),
+    (12, ((1, 1), (2, 2), (3, 1)), DomainError),
+    (12, ((2, 2), (3, 0)), DomainError),
+    (12, ((3, 1), (2, 2)), DomainError),
+    (12, ((2, 1), (2, 1), (3, 1)), DomainError),
+):
+    try:
+        FactoredInteger(value, factors)
+    except error:
+        print("raised")
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["raised"] * 5
+
+
+def test_factor_cache_rejects_a_prime_listed_twice(tmp_path):
+    # "12=2,2,3" re-multiplies, but read as exponents 1, 1, 1 it would give
+    # level 12 the index of level 18
+    with open(tmp_path / "factors.txt", "w", encoding="ascii") as fh:
+        fh.write("12=2,2,3\n")
+    cache = FactorCache(str(tmp_path))
+    assert cache.get(12) is None and len(cache.warnings) == 1
+    set_factor_cache(cache)
+    try:
+        assert factorize(12).factors == ((2, 2), (3, 1))
+    finally:
+        set_factor_cache(None)
+
+
+def test_factor_cache_flush_failure_keeps_the_old_file(tmp_path, monkeypatch):
+    d = str(tmp_path)
+    path = os.path.join(d, "factors.txt")
+    cache = FactorCache(d)
+    cache.put(84, ((2, 2), (3, 1), (7, 1)))
+    cache.flush()
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated failure")
+
+    cache.put(90, ((2, 1), (3, 2), (5, 1)))
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        cache.flush()
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(d) == ["factors.txt"]
+    cache.flush()
+    assert FactorCache(d).get(90) == ((2, 1), (3, 2), (5, 1))

@@ -235,6 +235,17 @@ def test_cli_bound_renders_a_bound_past_the_str_digit_limit():
     assert Decimal(line.rsplit(": ", 1)[1]) == bound
 
 
+def test_cli_bound_finishes_where_rho_alone_stalls():
+    # (22, 1089) factors Bernoulli norm numerators with 14- and 15-digit
+    # prime factors, which need the ECM stage
+    from excprimes import candidate_report
+
+    proc = run_cli("bound", "--weight", 22, "--level", 1089, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = candidate_report(22, 1089).reducible_primes()
+    assert _payload(proc)["outputs"]["reducible_primes"] == want
+
+
 def test_cli_bound_usage_errors():
     assert run_cli("bound", "--weight", 3, "--level", 11).returncode == 2
     assert run_cli("bound", "--weight", 4, "--level", 0).returncode == 2
