@@ -7,8 +7,8 @@ entirely in exact arithmetic:
   dihedral, or small exceptional projective image) -- see `candidate_report`;
 * for a concrete coefficient fixture, does the reducibility congruence
   against an explicit Eisenstein series actually hold through the Sturm
-  bound -- see `verify_reducible`, `verify_weight2_squarefree`, and
-  `frobenius_scan`.
+  bound -- see `verify_fixture`, which runs `verify_reducible`,
+  `verify_weight2_squarefree` and `frobenius_scan` under one verdict policy.
 """
 
 __version__ = "0.1.0"
@@ -78,6 +78,7 @@ from .verify import (
     VerificationResult,
     frobenius_scan,
     steinberg_consistency,
+    verify_fixture,
     verify_reducible,
     verify_weight2_squarefree,
 )
@@ -143,6 +144,7 @@ __all__ = [
     "VerificationResult",
     "frobenius_scan",
     "steinberg_consistency",
+    "verify_fixture",
     "verify_reducible",
     "verify_weight2_squarefree",
 ]

@@ -177,8 +177,7 @@ def cmd_verify(form, ell, char_modulus, char_index, mode, pmax, fmt, out, cache_
     }
     rep = Reporter("verify", inputs, fmt, out, cache_dir, timing)
     fixture = _load_fixture(form)
-    from .verify import frobenius_scan, verify_reducible, verify_weight2_squarefree
-    from .exact import factorize
+    from .verify import verify_fixture
 
     nu = None
     if char_modulus is not None:
@@ -187,60 +186,26 @@ def cmd_verify(form, ell, char_modulus, char_index, mode, pmax, fmt, out, cache_
         except DomainError as exc:
             raise click.UsageError(str(exc))
     try:
-        result = verify_reducible(fixture, ell, nu=nu, mode=mode)
+        result = verify_fixture(fixture, ell, nu=nu, mode=mode, p_max=pmax)
     except DomainError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
-    if (
-        nu is None
-        and fixture.weight == 2
-        and all(e == 1 for _, e in factorize(fixture.level).factors)
-        and fixture.steinberg_signs
-        and (6 * fixture.level) % ell != 0
-    ):
-        def decisiveness(res):
-            if res.verdict == "certified":
-                return 0
-            if res.verdict == "norm-certified":
-                return 1
-            if res.refuted:
-                return 2
-            return 3
-
-        w2 = verify_weight2_squarefree(fixture, ell)
-        if decisiveness(w2) < decisiveness(result):
-            result = w2
-    outputs = result.to_dict()
-    refuted = result.refuted
-    scan = None
-    if not result.certified:
-        # A Frobenius irreducibility witness at every residue point rules the
-        # congruence out even when the coefficient window alone is silent.
-        try:
-            scan = frobenius_scan(fixture, ell, pmax)
-            outputs["scan"] = scan.to_dict()
-        except Exception as exc:
-            outputs["scan_error"] = str(exc)
-        if scan is not None and not refuted and scan.points:
-            if all(pt["witness"] is not None for pt in scan.points):
-                refuted = True
-                outputs["verdict"] = "refuted-by-scan"
     lines = [
         f"verify {fixture.label} at ell = {ell}",
         f"eisenstein side: {result.eisenstein}",
         f"mode: {result.mode}",
         f"checked n <= {result.checked_up_to} (sturm bound {result.sturm})",
-        f"verdict: {outputs['verdict']}",
+        f"verdict: {result.verdict}",
     ]
     for w in result.witnesses:
         lines.append(f"  {w}")
     for w in result.warnings:
         lines.append(f"warning: {w}")
-    if scan is not None:
-        for pt in scan.points:
+    if result.scan is not None:
+        for pt in result.scan.points:
             lines.append(f"  scan {pt['point']}: witness {pt['witness']}")
-    rep.emit(outputs, lines)
-    if refuted:
+    rep.emit(result.to_dict(), lines)
+    if result.refuted:
         sys.exit(EXIT_REFUTED)
     if result.certified:
         sys.exit(EXIT_OK)

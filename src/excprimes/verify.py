@@ -6,11 +6,12 @@ ideal, coherent across all n) or through per-n norm divisibility (weaker,
 labeled norm-certified). It also runs the Frobenius irreducibility scan:
 the characteristic polynomial X^2 - a_p X + p^(k-1) being irreducible at a
 residue point certifies that no such congruence can exist there.
+`verify_fixture` is the entry point that combines both into one verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
@@ -36,20 +37,26 @@ from .residues import (
 VERDICT_CERTIFIED = "certified"
 VERDICT_NORM = "norm-certified"
 VERDICT_REFUTED_STRUCTURAL = "refuted-structural"
+VERDICT_REFUTED_SCAN = "refuted-by-scan"
 INSUFFICIENT = "inconclusive(insufficient coefficients)"
+NO_CANDIDATE = "inconclusive(no Eisenstein candidate for this level shape)"
+RESIDUE = "residue-point"
+NORM = "norm-divisibility"
 
 
 @dataclass(frozen=True)
 class VerificationResult:
     label: str
     ell: int
-    mode: str  # "residue-point" | "norm-divisibility"
+    mode: str  # RESIDUE | NORM
     eisenstein: str
     checked_up_to: int
     sturm: int
     verdict: str
     witnesses: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+    scan: ScanResult | None = None
+    scan_error: str | None = None
 
     @property
     def certified(self) -> bool:
@@ -60,7 +67,7 @@ class VerificationResult:
         return self.verdict.startswith("refuted")
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "label": self.label,
             "ell": self.ell,
             "mode": self.mode,
@@ -71,6 +78,24 @@ class VerificationResult:
             "witnesses": list(self.witnesses),
             "warnings": list(self.warnings),
         }
+        if self.scan is not None:
+            out["scan"] = self.scan.to_dict()
+        if self.scan_error is not None:
+            out["scan_error"] = self.scan_error
+        return out
+
+
+def rank(res: VerificationResult) -> int:
+    """Decisiveness of a verdict, lower first.
+
+    Certified, norm-certified, insufficient coefficients, other inconclusive,
+    refuted: refuted comes last, so a refutation stands only when every
+    candidate refutes.
+    """
+    order = (VERDICT_CERTIFIED, VERDICT_NORM, INSUFFICIENT)
+    if res.verdict in order:
+        return order.index(res.verdict)
+    return 3 if res.verdict.startswith("inconclusive") else 4
 
 
 def _divides_rational(ell: int, x: Fraction) -> bool:
@@ -127,17 +152,33 @@ def _eisenstein_candidates(fixture: NewformFixture, nu, window: int):
     return out
 
 
-def _compare_at_point(fixture, E: QExpansion, pt: ResiduePoint, ell: int, window: int):
-    """First n <= window (ell coprime) where the congruence fails, or None."""
+def _compared(fixture: NewformFixture, ell: int, window: int):
+    """The compared (n, a_n(f)): n <= window coprime to ell, and n = 0 at level 1.
+
+    At level 1 the congruence is between f and E itself, so Sturm's bound
+    counts the constant term, a_0(f) = 0 (Sturm, LNM 1240). At level N > 1
+    the form congruent to f is a level-N combination of E with constant term
+    0, so a_0(E) is not compared.
+    """
+    if fixture.level == 1:
+        yield 0, (0,) * fixture.degree()
     for n in range(1, window + 1):
-        if n % ell == 0:
-            continue
-        lhs = pt.reduce_vector(fixture.a(n))
+        if n % ell:
+            yield n, fixture.a(n)
+
+
+def _compare_at_point(fixture, E: QExpansion, pt: ResiduePoint, ell: int, window: int):
+    """First compared n where a_n(f) and a_n(E) differ at pt, or None."""
+    for n, a_n in _compared(fixture, ell, window):
+        lhs = pt.reduce_vector(a_n)
         target = E.coefficient(n)
-        if isinstance(target, CycloElement):
-            rhs = pt.reduce_cyclo(target)
-        else:
-            rhs = pt.field.from_fraction(Fraction(target), f"a_{n}(E)")
+        try:
+            if isinstance(target, CycloElement):
+                rhs = pt.reduce_cyclo(target)
+            else:
+                rhs = pt.field.from_fraction(Fraction(target), f"a_{n}(E)")
+        except DenominatorObstruction:
+            return n  # ell divides the denominator of a_n(E) but not of a_n(f)
         if lhs != rhs:
             return n
     return None
@@ -147,26 +188,53 @@ def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int
     """Per-n divisibility ell | N(a_n(f) - a_n(E)); first failing n or None."""
     phi = list(cyclotomic_polynomial(n_cyclo))
     f = list(fixture.field_poly)
-    for n in range(1, window + 1):
-        if n % ell == 0:
-            continue
+    for n, a_n in _compared(fixture, ell, window):
         target = E.coefficient(n)
         if isinstance(target, CycloElement):
-            target = target.embed(n_cyclo)
-            q_poly = list(target.coeffs)
+            q_poly = list(target.embed(n_cyclo).coeffs)
         else:
             q_poly = [Fraction(target)]
-        nrm = compositum_norm(list(fixture.a(n)), q_poly, f, phi)
+        nrm = compositum_norm(list(a_n), q_poly, f, phi)
         if not _divides_rational(ell, nrm):
             return n
     return None
+
+
+def _conclude(fixture, ell, mode, desc, window, sturm, outcomes, warnings=()):
+    """One candidate's result from (point name, first mismatch or None) pairs.
+
+    Some point passing certifies (norm-certifies in norm mode), or leaves the
+    verdict insufficient when the window stops short of the Sturm bound;
+    otherwise the candidate is refuted at the latest first mismatch.
+    """
+    held = [name for name, n in outcomes if n is None]
+    if held:
+        top = VERDICT_CERTIFIED if mode == RESIDUE else VERDICT_NORM
+        verdict = top if window >= sturm else INSUFFICIENT
+    else:
+        verdict = f"refuted-at-{max(n for _, n in outcomes)}"
+    if mode == NORM and held:
+        witnesses = (
+            f"ell | N(a_n - a_n(E)) for all n <= {window} coprime to {ell} "
+            "(per-n divisibility, no single-ideal coherence)",
+        )
+    elif mode == NORM:
+        witnesses = tuple(f"ell does not divide N(a_{n} - a_{n}(E))" for _, n in outcomes)
+    elif held:
+        witnesses = tuple(f"congruence holds at {name}" for name in held)
+    else:
+        witnesses = tuple(f"{name}: first mismatch at n = {n}" for name, n in outcomes)
+    return VerificationResult(
+        fixture.label, ell, mode, desc, window, sturm, verdict, witnesses, tuple(warnings),
+    )
 
 
 def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "auto") -> VerificationResult:
     """Check a_n(f) = a_n(E) mod ell for n up to the Sturm bound.
 
     nu omitted: the classical series (weight > 2) and every primitive nu mod c
-    with c^2 | N are tried; the best verdict across candidates is returned.
+    with c^2 | N are tried; the best verdict across candidates by `rank` is
+    returned.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
@@ -182,15 +250,14 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
     window = min(fixture.n_max, sturm)
     if window < 1:
         return VerificationResult(
-            fixture.label, ell, "residue-point", "(none)", 0, sturm,
+            fixture.label, ell, RESIDUE, "(none)", 0, sturm,
             INSUFFICIENT, (), tuple(warnings),
         )
     candidates = _eisenstein_candidates(fixture, nu, window)
     if not candidates:
         return VerificationResult(
-            fixture.label, ell, "residue-point", "(none)", window, sturm,
-            "inconclusive(no Eisenstein candidate for this level shape)",
-            (), tuple(warnings),
+            fixture.label, ell, RESIDUE, "(none)", window, sturm,
+            NO_CANDIDATE, (), tuple(warnings),
         )
 
     results = []
@@ -202,7 +269,7 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
             except DenominatorObstruction as exc:
                 if mode == "residue":
                     results.append(VerificationResult(
-                        fixture.label, ell, "residue-point", desc, 0, sturm,
+                        fixture.label, ell, RESIDUE, desc, 0, sturm,
                         f"inconclusive(denominator obstruction: {exc})",
                         (), tuple(warnings),
                     ))
@@ -212,63 +279,17 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
                     warnings.append(note)
                 use_norm = True
         if use_norm:
-            fail = _norm_mode_check(fixture, E, n_cyclo, ell, window)
-            if fail is None:
-                verdict = VERDICT_NORM if window >= sturm else INSUFFICIENT
-                witness = (
-                    f"ell | N(a_n - a_n(E)) for all n <= {window} coprime to {ell} "
-                    "(per-n divisibility, no single-ideal coherence)",
-                )
-                results.append(VerificationResult(
-                    fixture.label, ell, "norm-divisibility", desc, window, sturm,
-                    verdict, witness, tuple(warnings),
-                ))
-            else:
-                results.append(VerificationResult(
-                    fixture.label, ell, "norm-divisibility", desc, window, sturm,
-                    f"refuted-at-{fail}",
-                    (f"ell does not divide N(a_{fail} - a_{fail}(E))",),
-                    tuple(warnings),
-                ))
-            continue
-        passing = []
-        failures = []
-        for pt in points:
-            fail = _compare_at_point(fixture, E, pt, ell, window)
-            if fail is None:
-                passing.append(pt)
-            else:
-                failures.append((pt, fail))
-        if passing:
-            verdict = VERDICT_CERTIFIED if window >= sturm else INSUFFICIENT
-            witness = tuple(f"congruence holds at {_point_name(pt)}" for pt in passing)
-            results.append(VerificationResult(
-                fixture.label, ell, "residue-point", desc, window, sturm,
-                verdict, witness, tuple(warnings),
-            ))
+            outcomes = [(None, _norm_mode_check(fixture, E, n_cyclo, ell, window))]
         else:
-            worst = max(f for _, f in failures)
-            witness = tuple(
-                f"{_point_name(pt)}: first mismatch at n = {f}" for pt, f in failures
-            )
-            results.append(VerificationResult(
-                fixture.label, ell, "residue-point", desc, window, sturm,
-                f"refuted-at-{worst}", witness, tuple(warnings),
-            ))
-
-    def rank(res: VerificationResult) -> int:
-        if res.verdict == VERDICT_CERTIFIED:
-            return 0
-        if res.verdict == VERDICT_NORM:
-            return 1
-        if res.verdict == INSUFFICIENT:
-            return 2
-        if res.verdict.startswith("inconclusive"):
-            return 3
-        return 4
-
-    results.sort(key=lambda r: (rank(r), r.eisenstein))
-    return results[0]
+            outcomes = [
+                (_point_name(pt), _compare_at_point(fixture, E, pt, ell, window))
+                for pt in points
+            ]
+        results.append(_conclude(
+            fixture, ell, NORM if use_norm else RESIDUE, desc, window, sturm,
+            outcomes, warnings,
+        ))
+    return min(results, key=lambda r: (rank(r), r.eisenstein))
 
 
 def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> VerificationResult:
@@ -287,14 +308,14 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
     missing = [p for p in level_primes if p not in fixture.steinberg_signs]
     if missing:
         return VerificationResult(
-            fixture.label, ell, "residue-point", "Eprime(weight 2, steinberg)",
+            fixture.label, ell, RESIDUE, "Eprime(weight 2, steinberg)",
             0, sturm, f"inconclusive(missing steinberg signs for {missing})",
         )
     signs = [(p, fixture.steinberg_signs[p]) for p in level_primes]
     desc = "Eprime(weight 2, signs={" + ",".join(f"{p}:{s:+d}" for p, s in signs) + "})"
     if all(s == -1 for _, s in signs):
         return VerificationResult(
-            fixture.label, ell, "residue-point", desc, 0, sturm,
+            fixture.label, ell, RESIDUE, desc, 0, sturm,
             VERDICT_REFUTED_STRUCTURAL,
             ("all Atkin-Lehner style signs are -1: the constant-term clause "
              "makes the congruence impossible",),
@@ -304,37 +325,45 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
         points = find_residue_points(fixture, 1, ell)
     except DenominatorObstruction as exc:
         return VerificationResult(
-            fixture.label, ell, "residue-point", desc, 0, sturm,
+            fixture.label, ell, RESIDUE, desc, 0, sturm,
             f"inconclusive(denominator obstruction: {exc})",
         )
-    passing = []
-    failures = []
-    for pt in points:
-        first_fail = None
-        for n in range(1, window + 1):
-            if n % ell == 0:
-                continue
-            lhs = pt.reduce_vector(fixture.a(n))
-            rhs = pt.field.element(E.coefficient(n))
-            if lhs != rhs:
-                first_fail = n
-                break
-        if first_fail is None:
-            passing.append(pt)
-        else:
-            failures.append((pt, first_fail))
-    if passing:
-        verdict = VERDICT_CERTIFIED if window >= sturm else INSUFFICIENT
-        witness = tuple(f"congruence holds at {_point_name(pt)}" for pt in passing)
-        return VerificationResult(
-            fixture.label, ell, "residue-point", desc, window, sturm, verdict, witness,
-        )
-    worst = max(f for _, f in failures)
-    witness = tuple(f"{_point_name(pt)}: first mismatch at n = {f}" for pt, f in failures)
-    return VerificationResult(
-        fixture.label, ell, "residue-point", desc, window, sturm,
-        f"refuted-at-{worst}", witness,
-    )
+    outcomes = [(_point_name(pt), _compare_at_point(fixture, E, pt, ell, window)) for pt in points]
+    return _conclude(fixture, ell, RESIDUE, desc, window, sturm, outcomes)
+
+
+def verify_fixture(
+    fixture: NewformFixture, ell: int, nu=None, mode: str = "auto", p_max: int = 100
+) -> VerificationResult:
+    """The final verdict on ell for a fixture, with the Frobenius scan attached.
+
+    The Eisenstein candidates of `verify_reducible` are tried first. Where
+    there is none at weight 2, square-free level N > 1 and nu omitted, and
+    ell does not divide 6N, `verify_weight2_squarefree` answers instead. A
+    verdict short of certified carries `frobenius_scan` up to p_max (or the
+    scan's `scan_error`) and becomes refuted-by-scan when every residue point
+    has an irreducibility witness, which rules the congruence out there.
+    """
+    result = verify_reducible(fixture, ell, nu=nu, mode=mode)
+    N = fixture.level
+    if (
+        result.verdict == NO_CANDIDATE
+        and nu is None
+        and fixture.weight == 2
+        and N > 1  # level 1 has no Steinberg primes, so no sign clause to test
+        and all(e == 1 for _, e in factorize(N).factors)
+        and (6 * N) % ell
+    ):
+        result = verify_weight2_squarefree(fixture, ell)
+    if result.certified:
+        return result
+    try:
+        scan = frobenius_scan(fixture, ell, p_max)
+    except (DomainError, DenominatorObstruction) as exc:
+        return replace(result, scan_error=str(exc))
+    witnessed = scan.points and all(pt["witness"] is not None for pt in scan.points)
+    verdict = VERDICT_REFUTED_SCAN if witnessed and not result.refuted else result.verdict
+    return replace(result, verdict=verdict, scan=scan)
 
 
 @dataclass(frozen=True)

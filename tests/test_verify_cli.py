@@ -313,6 +313,8 @@ def test_cli_verify_scan_upgrade(tmp_path, fixture_json):
     assert proc.returncode == 1
     env = _payload(proc)
     assert env["outputs"]["verdict"] == "refuted-by-scan"
+    # the weight-2 family answers even without signs and says they are missing
+    assert env["outputs"]["eisenstein"] == "Eprime(weight 2, steinberg)"
     assert all(pt["witness"] is not None for pt in env["outputs"]["scan"]["points"])
 
 
