@@ -158,7 +158,8 @@ def _compared(fixture: NewformFixture, ell: int, window: int):
     At level 1 the congruence is between f and E itself, so Sturm's bound
     counts the constant term, a_0(f) = 0 (Sturm, LNM 1240). At level N > 1
     the form congruent to f is a level-N combination of E with constant term
-    0, so a_0(E) is not compared.
+    0, so a_0(E) is not compared. `verify_reducible` screens out an a_0(E)
+    with ell in its denominator before either comparison runs.
     """
     if fixture.level == 1:
         yield 0, (0,) * fixture.degree()
@@ -172,13 +173,10 @@ def _compare_at_point(fixture, E: QExpansion, pt: ResiduePoint, ell: int, window
     for n, a_n in _compared(fixture, ell, window):
         lhs = pt.reduce_vector(a_n)
         target = E.coefficient(n)
-        try:
-            if isinstance(target, CycloElement):
-                rhs = pt.reduce_cyclo(target)
-            else:
-                rhs = pt.field.from_fraction(Fraction(target), f"a_{n}(E)")
-        except DenominatorObstruction:
-            return n  # ell divides the denominator of a_n(E) but not of a_n(f)
+        if isinstance(target, CycloElement):
+            rhs = pt.reduce_cyclo(target)
+        else:
+            rhs = pt.field.from_fraction(Fraction(target), f"a_{n}(E)")
         if lhs != rhs:
             return n
     return None
@@ -200,32 +198,22 @@ def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int
     return None
 
 
-def _conclude(fixture, ell, mode, desc, window, sturm, outcomes, warnings=()):
-    """One candidate's result from (point name, first mismatch or None) pairs.
+def _conclude(fixture, ell, desc, window, sturm, outcomes, warnings=()):
+    """One candidate's residue-point result from (point name, first mismatch or None) pairs.
 
-    Some point passing certifies (norm-certifies in norm mode), or leaves the
-    verdict insufficient when the window stops short of the Sturm bound;
-    otherwise the candidate is refuted at the latest first mismatch.
+    Some point passing certifies, or leaves the verdict insufficient when the
+    window stops short of the Sturm bound; otherwise the candidate is refuted
+    at the latest first mismatch.
     """
     held = [name for name, n in outcomes if n is None]
     if held:
-        top = VERDICT_CERTIFIED if mode == RESIDUE else VERDICT_NORM
-        verdict = top if window >= sturm else INSUFFICIENT
-    else:
-        verdict = f"refuted-at-{max(n for _, n in outcomes)}"
-    if mode == NORM and held:
-        witnesses = (
-            f"ell | N(a_n - a_n(E)) for all n <= {window} coprime to {ell} "
-            "(per-n divisibility, no single-ideal coherence)",
-        )
-    elif mode == NORM:
-        witnesses = tuple(f"ell does not divide N(a_{n} - a_{n}(E))" for _, n in outcomes)
-    elif held:
+        verdict = VERDICT_CERTIFIED if window >= sturm else INSUFFICIENT
         witnesses = tuple(f"congruence holds at {name}" for name in held)
     else:
+        verdict = f"refuted-at-{max(n for _, n in outcomes)}"
         witnesses = tuple(f"{name}: first mismatch at n = {n}" for name, n in outcomes)
     return VerificationResult(
-        fixture.label, ell, mode, desc, window, sturm, verdict, witnesses, tuple(warnings),
+        fixture.label, ell, RESIDUE, desc, window, sturm, verdict, witnesses, tuple(warnings),
     )
 
 
@@ -263,6 +251,16 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
     results = []
     for desc, E, n_cyclo in candidates:
         use_norm = mode == "norm"
+        a0 = E.coefficient(0)
+        a0_coeffs = a0.coeffs if isinstance(a0, CycloElement) else (a0,)
+        if fixture.level == 1 and any(Fraction(c).denominator % ell == 0 for c in a0_coeffs):
+            # E has no ell-integral reduction, so Sturm's bound says nothing either way
+            results.append(VerificationResult(
+                fixture.label, ell, NORM if use_norm else RESIDUE, desc, 0, sturm,
+                f"inconclusive(denominator obstruction: a_0(E) = {a0} has denominator divisible by {ell})",
+                (), tuple(warnings),
+            ))
+            continue
         if not use_norm:
             try:
                 points = find_residue_points(fixture, n_cyclo, ell)
@@ -279,16 +277,26 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
                     warnings.append(note)
                 use_norm = True
         if use_norm:
-            outcomes = [(None, _norm_mode_check(fixture, E, n_cyclo, ell, window))]
-        else:
-            outcomes = [
-                (_point_name(pt), _compare_at_point(fixture, E, pt, ell, window))
-                for pt in points
-            ]
-        results.append(_conclude(
-            fixture, ell, NORM if use_norm else RESIDUE, desc, window, sturm,
-            outcomes, warnings,
-        ))
+            fail = _norm_mode_check(fixture, E, n_cyclo, ell, window)
+            if fail is None:
+                verdict = VERDICT_NORM if window >= sturm else INSUFFICIENT
+                witnesses = (
+                    f"ell | N(a_n - a_n(E)) for all n <= {window} coprime to {ell} "
+                    "(per-n divisibility, no single-ideal coherence)",
+                )
+            else:
+                verdict = f"refuted-at-{fail}"
+                witnesses = (f"ell does not divide N(a_{fail} - a_{fail}(E))",)
+            results.append(VerificationResult(
+                fixture.label, ell, NORM, desc, window, sturm,
+                verdict, witnesses, tuple(warnings),
+            ))
+            continue
+        outcomes = [
+            (_point_name(pt), _compare_at_point(fixture, E, pt, ell, window))
+            for pt in points
+        ]
+        results.append(_conclude(fixture, ell, desc, window, sturm, outcomes, warnings))
     return min(results, key=lambda r: (rank(r), r.eisenstein))
 
 
@@ -329,7 +337,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
             f"inconclusive(denominator obstruction: {exc})",
         )
     outcomes = [(_point_name(pt), _compare_at_point(fixture, E, pt, ell, window)) for pt in points]
-    return _conclude(fixture, ell, RESIDUE, desc, window, sturm, outcomes)
+    return _conclude(fixture, ell, desc, window, sturm, outcomes)
 
 
 def verify_fixture(
@@ -346,14 +354,9 @@ def verify_fixture(
     """
     result = verify_reducible(fixture, ell, nu=nu, mode=mode)
     N = fixture.level
-    if (
-        result.verdict == NO_CANDIDATE
-        and nu is None
-        and fixture.weight == 2
-        and N > 1  # level 1 has no Steinberg primes, so no sign clause to test
-        and all(e == 1 for _, e in factorize(N).factors)
-        and (6 * N) % ell
-    ):
+    # At weight 2 there is no candidate exactly when nu is omitted and N is
+    # square-free; level 1 has no Steinberg primes, so no sign clause to test.
+    if result.verdict == NO_CANDIDATE and fixture.weight == 2 and N > 1 and (6 * N) % ell:
         result = verify_weight2_squarefree(fixture, ell)
     if result.certified:
         return result

@@ -176,16 +176,33 @@ def test_tau_reference():
     assert tau(6) == [1, -24, 252, -1472, 4830, -6048]
 
 
+def obstructed(ell: int) -> str:
+    return f"inconclusive(denominator obstruction: a_0(E) = 691/65520 has denominator divisible by {ell})"
+
+
 @pytest.mark.parametrize("m", [1, 12])
 @pytest.mark.parametrize("mode", ["auto", "norm"])
 def test_delta_is_certified_only_at_691(m, mode):
-    from excprimes import NewformFixture, verify_fixture
+    from excprimes import NewformFixture, verify_fixture, verify_reducible
 
     fx = NewformFixture.from_dict(delta_fixture(m))
     assert verify_fixture(fx, 691, mode=mode).certified
-    for ell in (13, 17, 101, 1000003):
+    for ell in (17, 101, 1000003):
         result = verify_fixture(fx, ell, mode=mode)
         assert result.verdict == "refuted-at-0", ell
+    # ell | 65520, the denominator of a_0(E_12) = 691/65520: E_12 has no
+    # ell-integral reduction, so the comparison says nothing either way.
+    for ell in (2, 3, 5, 7, 13):
+        assert verify_reducible(fx, ell, mode=mode).verdict == obstructed(ell), ell
+    # Ramanujan: tau(n) = sigma_11(n) mod 2 for odd n and mod 3 for 3 not dividing n,
+    # so rho_Delta is reducible at 2 and 3 and nothing may refute them.
+    for ell in (2, 3):
+        result = verify_fixture(fx, ell, mode=mode)
+        assert not result.refuted and result.verdict == obstructed(ell), ell
+    # 13 is not exceptional for Delta: tau(2) = -24 gives an irreducible
+    # X^2 + 24 X + 2^11 mod 13 once the fixture has a_2.
+    expected = "refuted-by-scan" if m > 1 else obstructed(13)
+    assert verify_fixture(fx, 13, mode=mode).verdict == expected
 
 
 def test_cli_delta_exit_codes(tmp_path):
@@ -193,9 +210,11 @@ def test_cli_delta_exit_codes(tmp_path):
 
     path = tmp_path / "delta.json"
     path.write_text(json.dumps(delta_fixture(1)), encoding="utf-8")
-    for ell, code, verdict in ((691, 0, "certified"), (13, 1, "refuted-at-0"),
-                               (17, 1, "refuted-at-0"), (101, 1, "refuted-at-0"),
-                               (1000003, 1, "refuted-at-0")):
+    for ell, code, verdict in ((691, 0, "certified"), (17, 1, "refuted-at-0"),
+                               (101, 1, "refuted-at-0"), (1000003, 1, "refuted-at-0"),
+                               (2, 3, obstructed(2)),
+                               (3, 3, obstructed(3)),
+                               (13, 3, obstructed(13))):
         res = CliRunner().invoke(main, ["verify", "--form", str(path), "--ell", str(ell)])
         assert res.exit_code == code, ell
         assert json.loads(res.stdout)["outputs"]["verdict"] == verdict
