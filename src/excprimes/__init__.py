@@ -46,7 +46,6 @@ from .eisenstein import (
     constant_term_E,
     constant_term_Eprime,
     eisenstein_E,
-    eisenstein_E2u,
     eprime_twisted,
     eprime_weight2_steinberg,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "constant_term_E",
     "constant_term_Eprime",
     "eisenstein_E",
-    "eisenstein_E2u",
     "eprime_twisted",
     "eprime_weight2_steinberg",
     "DenominatorObstruction",

@@ -1,9 +1,7 @@
-"""Classical and character-twisted Bernoulli numbers, plus numeric L-values.
+"""Classical and character-twisted Bernoulli numbers.
 
 B_{k,chi} is computed through the Bernoulli-polynomial identity
 B_{k,chi} = f^(k-1) * sum_{a=1..f} chi(a) B_k(a/f), exact over Q(zeta_ord).
-The numeric L(k, chi) goes through per-class Hurwitz zeta values and serves
-as an independent cross-check of the exact route.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, FactoredInteger, factorize
+from .exact import DomainError, FactoredInteger, factorize, is_prime
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter
 
@@ -51,18 +49,9 @@ def von_staudt_denominator(m: int) -> int:
         raise DomainError(f"need a positive even index, got {m}")
     out = 1
     for p in range(2, m + 2):
-        if m % (p - 1) == 0 and _is_small_prime(p):
+        if m % (p - 1) == 0 and is_prime(p):
             out *= p
     return out
-
-
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, int(math.isqrt(p)) + 1):
-        if p % q == 0:
-            return False
-    return True
 
 
 def bernoulli_generalized(k: int, chi: DirichletCharacter) -> CycloElement:
@@ -87,37 +76,3 @@ def bernoulli_norm_numerator(k: int, eps: DirichletCharacter) -> FactoredInteger
         )
     norm = (b / (2 * k)).norm()
     return factorize(abs(norm.numerator))
-
-
-def lvalue_numeric(k: int, chi: DirichletCharacter, precision: int = 50):
-    """L(k, chi) by Hurwitz-zeta summation over residue classes (mpmath)."""
-    if k < 2 or k % 2:
-        raise DomainError(f"need even k >= 2, got {k}")
-    if not chi.is_even():
-        raise DomainError("numeric L-values implemented for even characters only")
-    import mpmath
-
-    with mpmath.workdps(precision):
-        f = chi.modulus
-        total = mpmath.mpc(0)
-        for a in range(1, f + 1):
-            if math.gcd(a, f) != 1:
-                continue
-            total += chi.value(a).embed_numeric(precision) * mpmath.zeta(
-                k, mpmath.mpf(a) / f
-            )
-        return total / mpmath.mpf(f) ** k
-
-
-def lvalue_functional_rhs(k: int, chi: DirichletCharacter, precision: int = 50):
-    """-W(chi) (2 i pi)^k / ((k-1)! f^k) * B_{k,chi^(-1)} / 2k, numerically."""
-    from .cyclotomic import gauss_sum_exact
-
-    import mpmath
-
-    with mpmath.workdps(precision):
-        f = chi.modulus
-        w = gauss_sum_exact(chi).embed_numeric(precision)
-        ck = (2j * mpmath.pi) ** k / mpmath.factorial(k - 1)
-        b = bernoulli_generalized(k, chi.inverse()).embed_numeric(precision)
-        return -w * ck / mpmath.mpf(f) ** k * b / (2 * k)

@@ -35,7 +35,8 @@ def _norm_primes(value) -> tuple[int, ...] | None:
     nrm = Fraction(nrm)
     if nrm == 0:
         return None
-    assert nrm.denominator == 1, nrm
+    if nrm.denominator != 1:
+        raise ArithmeticError(f"the norm {nrm} of an algebraic integer is not an integer")
     n = abs(nrm.numerator)
     if n == 1:
         return ()
@@ -99,7 +100,8 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
             eps_inv = eps.inverse()
             for p in factorize(c).primes():
                 primes = _norm_primes(p ** k - eps_inv.value(p))
-                assert primes is not None, "p^k - root of unity cannot vanish"
+                if primes is None:
+                    raise ArithmeticError("p^k minus a root of unity cannot vanish")
                 clause = f"norm of p^k - eps^(-1)(p) at p = {p}, nu = {_chi_name(nu)}"
                 for ell in primes:
                     pairs.add((ell, clause))
@@ -123,7 +125,8 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
             name = _chi_name(nu)
             for p in steinberg:
                 primes = _norm_primes(p * p - nu.value(p) ** 2)
-                assert primes is not None
+                if primes is None:
+                    raise ArithmeticError("p^2 minus a root of unity cannot vanish")
                 clause = f"norm of p^2 - nu^2(p) at p = {p}, nu = {name}"
                 for ell in primes:
                     pairs.add((ell, clause))
@@ -132,7 +135,8 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
                     pairs.add((ell, clause))
             for p in factorize(c).primes():
                 primes = _norm_primes(p * p - eps_inv.value(p))
-                assert primes is not None
+                if primes is None:
+                    raise ArithmeticError("p^2 minus a root of unity cannot vanish")
                 clause = f"norm of p^2 - eps^(-1)(p) at p = {p}, nu = {name}"
                 for ell in primes:
                     pairs.add((ell, clause))
@@ -317,12 +321,14 @@ def dihedral_bound_chain(k: int, N: int) -> dict:
     for p in factorize(2 * N).primes():
         prod_2N *= Fraction(p + 1, p)
     n_bound = 2 * k * N * N * prod_N
-    assert n_bound.denominator == 1
+    if n_bound.denominator != 1:
+        raise ArithmeticError(f"2kN^2 prod (p+1)/p = {n_bound} is not an integer")
     sharp = Fraction(4 * k, 3) * N * N * prod_2N
     with mpmath.workprec(120):
         q = mpmath.mpf("4.8") * k * mpmath.mpf(N) ** 2 * (1 + mpmath.log(mpmath.log(N)))
         q_bound = int(mpmath.ceil(q * (1 + mpmath.mpf(2) ** -100)))
-    assert sharp <= n_bound
+    if sharp > n_bound:
+        raise ArithmeticError(f"sharp bound {sharp} exceeds {n_bound}")
     return {
         "n_bound": int(n_bound),
         "n_bound_sharp": sharp,

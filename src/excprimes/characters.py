@@ -66,14 +66,16 @@ def _component_dlog(p: int, e: int) -> dict:
         for j in range(d):
             table[x] = (j,)
             x = x * g % pe
-        assert x == 1
+        if x != 1:
+            raise ArithmeticError(f"{g} does not have order {d} mod {pe}")
     else:
         (m1, d1), (g5, d5) = gens
         for s in range(d1):
             for j in range(d5):
                 x = pow(m1, s, pe) * pow(g5, j, pe) % pe
                 table[x] = (s, j)
-    assert len(table) == (pe // p) * (p - 1)
+    if len(table) != (pe // p) * (p - 1):
+        raise ArithmeticError(f"the generators do not reach every unit mod {pe}")
     return table
 
 
@@ -175,7 +177,8 @@ class DirichletCharacter:
         if math.gcd(a, self.modulus) != 1:
             return CycloElement(1, [Fraction(0)])
         t = self.value_exponent(a) * self.order
-        assert t.denominator == 1
+        if t.denominator != 1:
+            raise ArithmeticError(f"chi({a}) is not an order-{self.order} root of unity")
         return zeta(self.order, t.numerator)
 
     def __call__(self, a: int) -> CycloElement:
@@ -243,10 +246,12 @@ class DirichletCharacter:
             for g, d in gens:
                 x = self._lift_unit(g, pe)
                 t = self.value_exponent(x) * d
-                assert t.denominator == 1
+                if t.denominator != 1:
+                    raise ArithmeticError(f"chi({x}) is not a {d}-th root of unity")
                 exps.append(t.numerator % d)
         out = DirichletCharacter(f, tuple(exps))
-        assert out.conductor == f
+        if out.conductor != f:
+            raise ArithmeticError(f"the primitive associate has conductor {out.conductor}, not {f}")
         return out
 
     def _lift_unit(self, a: int, pe: int) -> int:
@@ -262,12 +267,15 @@ class DirichletCharacter:
         for p, e in factorize(m).factors:
             if pe % p == 0:
                 p_part = p ** e
-        assert p_part % pe == 0 and math.gcd(a, pe) == 1
+        if p_part % pe or math.gcd(a, pe) != 1:
+            raise ArithmeticError(f"{a} is not a unit mod {pe}, or {pe} is not in the modulus")
         # CRT: x = a (mod p_part works since value depends only on a mod conductor part)
         g, u, v = _egcd(p_part, rest)
-        assert g == 1
+        if g != 1:
+            raise ArithmeticError(f"gcd({p_part}, {rest}) = {g}, not 1")
         x = (a * rest * v + 1 * p_part * u) % (p_part * rest)
-        assert x % pe == a % pe and math.gcd(x, m) == 1
+        if x % pe != a % pe or math.gcd(x, m) != 1:
+            raise ArithmeticError(f"the CRT lift {x} of {a} is wrong")
         return x
 
 

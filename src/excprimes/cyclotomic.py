@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError
+from .exact import DomainError, factorize
 from . import polys
 
 
@@ -35,17 +35,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError(f"euler phi of non-positive {n}")
-    result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    out = n
+    for p in factorize(n).primes() if n > 1 else ():
+        out = out // p * (p - 1)
+    return out
 
 
 class CycloElement:
@@ -140,7 +133,8 @@ class CycloElement:
             q, r = polys.quo_rem(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
-        assert r1, "Phi_n and a nonzero reduced element must be coprime"
+        if not r1:
+            raise ArithmeticError("Phi_n and a nonzero reduced element must be coprime")
         inv = polys.scale(s1, Fraction(1) / r1[0])
         return CycloElement(self.n, inv)
 
@@ -194,25 +188,11 @@ class CycloElement:
 
     # -- field-theoretic maps ----------------------------------------------
 
-    def conj(self) -> "CycloElement":
-        """Complex conjugation, zeta_n -> zeta_n^(n-1)."""
-        if self.n <= 2:
-            return self
-        return polys.evaluate(self.coeffs, zeta(self.n, self.n - 1))
-
     def norm(self) -> Fraction:
         """Absolute norm from Q(zeta_n): the product over all conjugates."""
         if not self:
             return Fraction(0)
-        return polys.resultant(list(cyclotomic_polynomial(self.n)), list(self.coeffs))
-
-    def embed_numeric(self, prec: int = 50):
-        """Complex value with zeta_n = exp(2 pi i / n), via mpmath."""
-        import mpmath
-
-        with mpmath.workdps(prec):
-            coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in self.coeffs]
-            return polys.evaluate(coeffs, mpmath.expjpi(mpmath.mpf(2) / self.n))
+        return polys.resultant(cyclotomic_polynomial(self.n), self.coeffs)
 
     # -- display -------------------------------------------------------------
 
@@ -249,10 +229,6 @@ def zeta(n: int, power: int = 1) -> CycloElement:
     power %= n
     mono = [Fraction(0)] * power + [Fraction(1)]
     return CycloElement(n, mono)
-
-
-def from_rational(q) -> CycloElement:
-    return CycloElement(1, [Fraction(q)])
 
 
 def gauss_sum_exact(psi) -> CycloElement:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclotomic import euler_phi
 from .exact import DomainError, factorize
 
 
@@ -39,12 +40,12 @@ def level_invariants(N: int) -> LevelInvariants:
 
     nu_inf = 0
     for d in _divisors(N):
-        nu_inf += _phi(math.gcd(d, N // d))
+        nu_inf += euler_phi(math.gcd(d, N // d))
 
     genus_frac = 1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
-    assert genus_frac.denominator == 1, (N, genus_frac)
+    if genus_frac.denominator != 1 or genus_frac < 0:
+        raise ArithmeticError(f"genus of X_0({N}) came out as {genus_frac}")
     genus = int(genus_frac)
-    assert genus >= 0
     return LevelInvariants(N, index, nu2, nu3, nu_inf, genus)
 
 
@@ -82,13 +83,6 @@ def _divisors(N: int) -> list[int]:
     return sorted(divs)
 
 
-def _phi(n: int) -> int:
-    out = n
-    for p, _ in factorize(n).factors if n > 1 else []:
-        out = out // p * (p - 1)
-    return out
-
-
 def dim_cusp_forms(k: int, N: int) -> int:
     """dim S_k(Gamma_0(N)) for even k >= 2."""
     if k % 2 or k < 2:
@@ -102,7 +96,8 @@ def dim_cusp_forms(k: int, N: int) -> int:
         + (k // 4) * inv.nu2
         + (k // 3) * inv.nu3
     )
-    assert dim >= 0
+    if dim < 0:
+        raise ArithmeticError(f"dim S_{k}(Gamma_0({N})) came out as {dim}")
     return dim
 
 
@@ -127,7 +122,8 @@ def dim_new(k: int, N: int) -> int:
         b = _beta(N // M)
         if b:
             total += b * dim_cusp_forms(k, M)
-    assert total >= 0, (k, N, total)
+    if total < 0:
+        raise ArithmeticError(f"dim S_{k}^new(Gamma_0({N})) came out as {total}")
     return total
 
 

@@ -108,42 +108,6 @@ def apply_Up(f: QExpansion, p: int) -> QExpansion:
     return QExpansion([f.coeffs[p * n] for n in range(out_trunc + 1)], f.weight, f.level)
 
 
-def apply_Vm(f: QExpansion, m: int) -> QExpansion:
-    """a_n -> coefficient at mn (i.e. tau -> m tau)."""
-    if m < 1:
-        raise DomainError(f"V_m needs m >= 1, got {m}")
-    coeffs = [0] * (f.truncation * m + 1)
-    for n, c in enumerate(f.coeffs):
-        coeffs[m * n] = c
-    return QExpansion(coeffs, f.weight, f.level * m)
-
-
-def apply_Tr(f: QExpansion, r: int, k: int | None = None) -> QExpansion:
-    """T_r for prime r not dividing the level: a_n -> a_{rn} + r^(k-1) a_{n/r}."""
-    k = f.weight if k is None else k
-    out_trunc = f.truncation // r
-    if out_trunc < 1:
-        raise TruncationError(f"T_{r} needs truncation >= {r}, have {f.truncation}")
-    coeffs = []
-    for n in range(out_trunc + 1):
-        c = f.coeffs[r * n]
-        if n % r == 0:
-            c = c + r ** (k - 1) * f.coeffs[n // r]
-        coeffs.append(c)
-    return QExpansion(coeffs, f.weight, f.level)
-
-
-def twist(f: QExpansion, psi: DirichletCharacter) -> QExpansion:
-    """a_n -> a_n psi(n); level becomes lcm(level, conductor-modulus^2)."""
-    coeffs = [psi.value(n) * c for n, c in enumerate(f.coeffs)]
-    return QExpansion(coeffs, f.weight, math.lcm(f.level, psi.modulus ** 2))
-
-
-def theta_operator(f: QExpansion) -> QExpansion:
-    """q d/dq on coefficients (intended for series already reduced mod ell)."""
-    return QExpansion([n * c for n, c in enumerate(f.coeffs)], f.weight, f.level)
-
-
 def reduce_mod(f: QExpansion, ell: int) -> QExpansion:
     """Rational coefficients to F_ell as small ints; denominators must be units."""
     out = []
@@ -194,18 +158,6 @@ def _sigma1_sieve(truncation: int) -> list[int]:
         for j in range(m, truncation + 1, m):
             sig[j] += m
     return sig
-
-
-def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
-    """E_2(tau) - u E_2(u tau): constant term (u-1)/24, a_n = sum of m | n, u not | m."""
-    if u < 2:
-        raise DomainError(f"E_2^(u) needs u >= 2, got {u}")
-    sig = _sigma1_sieve(truncation)
-    coeffs: list = [Fraction(u - 1, 24)]
-    for n in range(1, truncation + 1):
-        # the divisors m = u m' of n sum to u sigma_1(n/u)
-        coeffs.append(Fraction(sig[n] - (u * sig[n // u] if n % u == 0 else 0)))
-    return QExpansion(coeffs, 2, u)
 
 
 def _e2_series(truncation: int) -> QExpansion:
@@ -307,44 +259,3 @@ def constant_term_Eprime(nu: DirichletCharacter, steinberg_primes) -> ConstantTe
     for p in sorted(set(steinberg_primes)):
         value = value * Fraction(p - 1, p)
     return ConstantTerm((1, nu.modulus), value)
-
-
-def lattice_sum_oracle(
-    nu: DirichletCharacter, k: int, M_max: int, precision: int = 50, u: int = 1
-):
-    """Truncated double sum: over classes j mod c, then integers m with
-    m = j/u (mod c) and 0 < |m| <= M_max, of nu^2(m)/m^k, scaled by nu(-u)/2.
-
-    Converges to nu(-u) L(k, nu^2) at rate O(M_max^(1-k)); serves as a brute
-    numeric oracle against the Hurwitz-zeta route and the exact formula.
-    """
-    if k < 4 or k % 2:
-        raise DomainError("lattice oracle needs even k >= 4 (k = 2 excluded)")
-    if M_max < 10 ** 3:
-        raise DomainError("lattice oracle needs M_max >= 1000")
-    import mpmath
-
-    c = nu.modulus
-    if math.gcd(u, c) != 1:
-        raise DomainError(f"cusp numerator {u} must be a unit mod {c}")
-    nusq = nu * nu
-    with mpmath.workdps(precision):
-        vals = [
-            nusq.value(r).embed_numeric(precision)
-            if math.gcd(r, c) == 1
-            else mpmath.mpc(0)
-            for r in range(c)
-        ]
-        u_inv = pow(u, -1, c) if c > 1 else 1
-        total = mpmath.mpc(0)
-        for j in range(c):
-            r = j * u_inv % c
-            # every m in the class has nu^2(m) = vals[r]; with k even the
-            # negative m contribute through |m| = -r (mod c)
-            parts = []
-            for sign_class in (r, (-r) % c):
-                start = sign_class if sign_class > 0 else c
-                for m in range(start, M_max + 1, c):
-                    parts.append(mpmath.mpf(m) ** (-k))
-            total += vals[r] * mpmath.fsum(parts)
-        return nu.value(-u).embed_numeric(precision) * total / 2

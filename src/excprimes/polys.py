@@ -2,21 +2,19 @@
 
 Polynomials are lists indexed by degree (lowest degree first), trimmed so the
 last entry is nonzero; the zero polynomial is the empty list. The routines use
-only the coefficients' own arithmetic (+, -, *, / and truth value), so the same
-code serves Fraction coefficients (Q, and Q(zeta_n) through CycloElement) and
+only the coefficients' own arithmetic (+, -, *, /, ** and truth value), so the
+same code serves Fraction coefficients (Q, and Q(zeta_n) through CycloElement) and
 FieldElement coefficients (F_q, with F_p as a field of degree one). Division
 needs field coefficients; int coefficients are divided as Fractions, so a
 non-monic int divisor gives Fraction, never float, coefficients.
 
-Over Q and Z the module also has the resultant, which follows the
-fraction-free subresultant PRS to keep intermediate integers small (rational
-inputs are cleared to integer polynomials first), Lagrange interpolation and
-Horner evaluation.
+The one resultant follows the Euclidean remainder sequence in the same
+coefficient arithmetic, so it serves Q (cyclotomic norms, `CycloElement.norm`),
+Q(zeta_n) (`residues.compositum_norm`) and F_q alike.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .exact import DomainError
@@ -147,115 +145,22 @@ def evaluate(f: list, x):
     return acc
 
 
-def content(f: list[int]) -> int:
-    g = 0
-    for c in f:
-        g = math.gcd(g, abs(c))
-    return g if g else 1
+def resultant(f: list, g: list):
+    """Res(f, g) over any field, by the Euclidean remainder sequence.
 
-
-def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
-    """prem(f, g): remainder of lc(g)^(deg f - deg g + 1) * f by g over Z."""
-    f = list(f)
-    d = len(f) - len(g)
-    lc = g[-1]
-    e = d + 1
-    while len(f) >= len(g) and trim(f):
-        f = trim(f)
-        if len(f) < len(g):
-            break
-        k = len(f) - len(g)
-        top = f[-1]
-        f = [lc * c for c in f]
-        for i, b in enumerate(g):
-            f[k + i] -= top * b
-        f = trim(f[:-1])
-        e -= 1
-    # normalize remaining scaling so the total factor is exactly lc^(d+1)
-    if e > 0:
-        f = [lc ** e * c for c in f]
-    return trim(f)
-
-
-def _resultant_int(f: list[int], g: list[int]) -> int:
-    """Resultant of nonzero integer polynomials via subresultant PRS."""
+    Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) Res(g, r) with
+    r = f mod g, and Res(f, c) = c^(deg f) for a nonzero constant c.
+    """
     f, g = trim(list(f)), trim(list(g))
     if not f or not g:
         raise DomainError("resultant of the zero polynomial")
-    if degree(f) == 0:
-        return f[0] ** degree(g)
-    if degree(g) == 0:
-        return g[0] ** degree(f)
-    s = 1
-    if degree(f) < degree(g):
-        if degree(f) % 2 == 1 and degree(g) % 2 == 1:
-            s = -s
-        f, g = g, f
-    a, b = content(f), content(g)
-    f = [c // a for c in f]
-    g = [c // b for c in g]
-    t = a ** degree(g) * b ** degree(f)
-    gg = 1  # running leading-coefficient product
-    h = 1
-    while True:
-        dF, dG = degree(f), degree(g)
-        delta = dF - dG
-        if dF % 2 == 1 and dG % 2 == 1:
-            s = -s
-        r = _pseudo_rem(f, g)
+    acc = 1
+    while len(g) > 1:
+        r = rem(f, g)
         if not r:
-            return 0  # nontrivial common factor
-        f = g
-        divisor = gg * h ** delta
-        g = [c // divisor for c in r]
-        gg = f[-1]
-        if delta == 0:
-            h = h  # unchanged when degrees drop by 0 via gg**0
-        else:
-            h = gg ** delta // h ** (delta - 1)
-        if degree(g) == 0:
-            break
-    dF = degree(f)
-    h = g[0] ** dF // h ** (dF - 1) if dF >= 1 else h
-    return s * t * h
-
-
-def _clear_denominators(f: list) -> tuple[list[int], int]:
-    """Return (integer polynomial, d) with int_poly = d * f."""
-    d = 1
-    for c in f:
-        d = math.lcm(d, Fraction(c).denominator)
-    out = []
-    for c in f:
-        q = Fraction(c) * d
-        assert q.denominator == 1
-        out.append(q.numerator)
-    return out, d
-
-
-def resultant(f: list, g: list) -> Fraction:
-    """Res(f, g) for rational polynomials (fraction-free PRS underneath)."""
-    f, g = trim(list(f)), trim(list(g))
-    if not f or not g:
-        raise DomainError("resultant of the zero polynomial")
-    fi, df = _clear_denominators(f)
-    gi, dg = _clear_denominators(g)
-    r = _resultant_int(fi, gi)
-    return Fraction(r, df ** degree(g) * dg ** degree(f))
-
-
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """The unique polynomial of degree < len(points) through the points."""
-    n = len(points)
-    result: list[Fraction] = []
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = mul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        result = add(result, scale(basis, yi / denom))
-    out = [Fraction(c) for c in result] + [Fraction(0)] * (n - len(result))
-    return out[:n]
+            return g[0] * 0  # a common factor; the coefficients' own zero
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            acc = -acc
+        acc = acc * g[-1] ** (len(f) - len(r))
+        f, g = g, r
+    return acc * g[0] ** (len(f) - 1)

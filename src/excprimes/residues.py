@@ -349,39 +349,23 @@ def _split_linear_product(h, out: list, rng: random.Random):
             return
 
 
-# -- resultants and compositum norms --------------------------------------------
+# -- compositum norms ------------------------------------------------------------
 
 
-def compositum_norm(P, Q, f, Phi) -> Fraction:
-    """Product of P(alpha_i) - Q(zeta_j) over all root pairs of f and Phi.
+def compositum_norm(P, Q, f, n: int) -> Fraction:
+    """Product of P(alpha_i) - Q(zeta_j) over the roots alpha_i of the monic f
+    and the primitive n-th roots of unity zeta_j.
 
-    Computed as Res_x(f(x), R(x)) with R(x) = Res_z(Phi(z), P(x) - Q(z)),
-    where R is recovered by evaluation and Lagrange interpolation.
+    Res_x(f(x), P(x) - Q(zeta_n)), taken over Q(zeta_n), is the product over
+    the alpha_i; its norm from Q(zeta_n) to Q is the product over the zeta_j.
     """
-    P = polys.trim([Fraction(c) for c in P])
-    Q = polys.trim([Fraction(c) for c in Q])
     f = polys.trim(list(f))
-    Phi = polys.trim(list(Phi))
-    if polys.degree(f) < 1 or polys.degree(Phi) < 1:
-        raise DomainError("minimal polynomials must have positive degree")
-    e = polys.degree(Phi)
-
-    def sample(t: Fraction) -> Fraction:
-        pt = polys.evaluate(P, t) if P else Fraction(0)
-        zpoly = polys.trim([pt - (Q[0] if Q else Fraction(0))] + [-c for c in Q[1:]])
-        if not zpoly:
-            return Fraction(0)
-        return polys.resultant(Phi, zpoly)
-
-    deg_P = max(polys.degree(P), 0)
-    n_points = e * deg_P + 1
-    pts = [(Fraction(t), sample(Fraction(t))) for t in range(n_points)]
-    R = polys.trim(polys.lagrange_interpolate(pts))
-    if not R:
+    if polys.degree(f) < 1:
+        raise DomainError("the minimal polynomial must have positive degree")
+    g = polys.sub([CycloElement(n, [c]) for c in P], [CycloElement(n, Q)])
+    if not g:
         return Fraction(0)
-    if polys.degree(R) == 0:
-        return R[0] ** polys.degree(f)
-    return polys.resultant(f, R)
+    return polys.resultant([CycloElement(n, [c]) for c in f], g).norm()
 
 
 # -- newform fixtures -------------------------------------------------------------

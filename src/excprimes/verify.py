@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
 from .characters import DirichletCharacter, enumerate_characters, trivial_character
-from .cyclotomic import CycloElement, cyclotomic_polynomial
+from .cyclotomic import CycloElement
 from .dimensions import sturm_bound
 from .eisenstein import (
     QExpansion,
@@ -184,7 +184,6 @@ def _compare_at_point(fixture, E: QExpansion, pt: ResiduePoint, ell: int, window
 
 def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int):
     """Per-n divisibility ell | N(a_n(f) - a_n(E)); first failing n or None."""
-    phi = list(cyclotomic_polynomial(n_cyclo))
     f = list(fixture.field_poly)
     for n, a_n in _compared(fixture, ell, window):
         target = E.coefficient(n)
@@ -192,7 +191,7 @@ def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int
             q_poly = list(target.embed(n_cyclo).coeffs)
         else:
             q_poly = [Fraction(target)]
-        nrm = compositum_norm(list(a_n), q_poly, f, phi)
+        nrm = compositum_norm(list(a_n), q_poly, f, n_cyclo)
         if not _divides_rational(ell, nrm):
             return n
     return None
@@ -305,6 +304,8 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
     if fixture.weight != 2:
         raise DomainError(f"weight must be 2, got {fixture.weight}")
     N = fixture.level
+    if N == 1:
+        raise DomainError("level 1 has no Steinberg primes, so no sign-twisted E2 combination")
     fac = factorize(N)
     if any(e > 1 for _, e in fac.factors):
         raise DomainError(f"level {N} is not square-free")

@@ -1,0 +1,157 @@
+"""Reference implementations that only the tests use.
+
+Numeric L-values and a lattice double sum (mpmath) cross-check the exact
+Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
+and theta, and E_2 - u E_2(u tau), check identities of the series the
+package builds. None of this is on the package's runtime path.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import mpmath
+
+from excprimes import DomainError, DirichletCharacter, QExpansion, polys
+from excprimes.bernoulli import bernoulli_generalized
+from excprimes.cyclotomic import CycloElement, gauss_sum_exact, zeta
+from excprimes.eisenstein import TruncationError, _sigma1_sieve
+
+
+# -- Q(zeta_n) in C ----------------------------------------------------------------
+
+
+def embed_numeric(x: CycloElement, prec: int = 50):
+    """Complex value with zeta_n = exp(2 pi i / n), via mpmath."""
+    with mpmath.workdps(prec):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in x.coeffs]
+        return polys.evaluate(coeffs, mpmath.expjpi(mpmath.mpf(2) / x.n))
+
+
+def conj(x: CycloElement) -> CycloElement:
+    """Complex conjugation, zeta_n -> zeta_n^(n-1)."""
+    if x.n <= 2:
+        return x
+    return polys.evaluate(x.coeffs, zeta(x.n, x.n - 1))
+
+
+# -- numeric L-values ----------------------------------------------------------------
+
+
+def lvalue_numeric(k: int, chi: DirichletCharacter, precision: int = 50):
+    """L(k, chi) by Hurwitz-zeta summation over residue classes (mpmath)."""
+    if k < 2 or k % 2:
+        raise DomainError(f"need even k >= 2, got {k}")
+    if not chi.is_even():
+        raise DomainError("numeric L-values implemented for even characters only")
+    with mpmath.workdps(precision):
+        f = chi.modulus
+        total = mpmath.mpc(0)
+        for a in range(1, f + 1):
+            if math.gcd(a, f) != 1:
+                continue
+            total += embed_numeric(chi.value(a), precision) * mpmath.zeta(
+                k, mpmath.mpf(a) / f
+            )
+        return total / mpmath.mpf(f) ** k
+
+
+def lvalue_functional_rhs(k: int, chi: DirichletCharacter, precision: int = 50):
+    """-W(chi) (2 i pi)^k / ((k-1)! f^k) * B_{k,chi^(-1)} / 2k, numerically."""
+    with mpmath.workdps(precision):
+        f = chi.modulus
+        w = embed_numeric(gauss_sum_exact(chi), precision)
+        ck = (2j * mpmath.pi) ** k / mpmath.factorial(k - 1)
+        b = embed_numeric(bernoulli_generalized(k, chi.inverse()), precision)
+        return -w * ck / mpmath.mpf(f) ** k * b / (2 * k)
+
+
+def lattice_sum_oracle(
+    nu: DirichletCharacter, k: int, M_max: int, precision: int = 50, u: int = 1
+):
+    """Truncated double sum: over classes j mod c, then integers m with
+    m = j/u (mod c) and 0 < |m| <= M_max, of nu^2(m)/m^k, scaled by nu(-u)/2.
+
+    Converges to nu(-u) L(k, nu^2) at rate O(M_max^(1-k)); serves as a brute
+    numeric oracle against the Hurwitz-zeta route and the exact formula.
+    """
+    if k < 4 or k % 2:
+        raise DomainError("lattice oracle needs even k >= 4 (k = 2 excluded)")
+    if M_max < 10 ** 3:
+        raise DomainError("lattice oracle needs M_max >= 1000")
+    c = nu.modulus
+    if math.gcd(u, c) != 1:
+        raise DomainError(f"cusp numerator {u} must be a unit mod {c}")
+    nusq = nu * nu
+    with mpmath.workdps(precision):
+        vals = [
+            embed_numeric(nusq.value(r), precision)
+            if math.gcd(r, c) == 1
+            else mpmath.mpc(0)
+            for r in range(c)
+        ]
+        u_inv = pow(u, -1, c) if c > 1 else 1
+        total = mpmath.mpc(0)
+        for j in range(c):
+            r = j * u_inv % c
+            # every m in the class has nu^2(m) = vals[r]; with k even the
+            # negative m contribute through |m| = -r (mod c)
+            parts = []
+            for sign_class in (r, (-r) % c):
+                start = sign_class if sign_class > 0 else c
+                for m in range(start, M_max + 1, c):
+                    parts.append(mpmath.mpf(m) ** (-k))
+            total += vals[r] * mpmath.fsum(parts)
+        return embed_numeric(nu.value(-u), precision) * total / 2
+
+
+# -- q-expansion operators -------------------------------------------------------------
+
+
+def apply_Vm(f: QExpansion, m: int) -> QExpansion:
+    """a_n -> coefficient at mn (i.e. tau -> m tau)."""
+    if m < 1:
+        raise DomainError(f"V_m needs m >= 1, got {m}")
+    coeffs = [0] * (f.truncation * m + 1)
+    for n, c in enumerate(f.coeffs):
+        coeffs[m * n] = c
+    return QExpansion(coeffs, f.weight, f.level * m)
+
+
+def apply_Tr(f: QExpansion, r: int, k: int | None = None) -> QExpansion:
+    """T_r for prime r not dividing the level: a_n -> a_{rn} + r^(k-1) a_{n/r}."""
+    k = f.weight if k is None else k
+    out_trunc = f.truncation // r
+    if out_trunc < 1:
+        raise TruncationError(f"T_{r} needs truncation >= {r}, have {f.truncation}")
+    coeffs = []
+    for n in range(out_trunc + 1):
+        c = f.coeffs[r * n]
+        if n % r == 0:
+            c = c + r ** (k - 1) * f.coeffs[n // r]
+        coeffs.append(c)
+    return QExpansion(coeffs, f.weight, f.level)
+
+
+def twist(f: QExpansion, psi: DirichletCharacter) -> QExpansion:
+    """a_n -> a_n psi(n); level becomes lcm(level, conductor-modulus^2)."""
+    coeffs = [psi.value(n) * c for n, c in enumerate(f.coeffs)]
+    return QExpansion(coeffs, f.weight, math.lcm(f.level, psi.modulus ** 2))
+
+
+def theta_operator(f: QExpansion) -> QExpansion:
+    """q d/dq on coefficients (intended for series already reduced mod ell)."""
+    return QExpansion([n * c for n, c in enumerate(f.coeffs)], f.weight, f.level)
+
+
+def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
+    """E_2(tau) - u E_2(u tau): constant term (u-1)/24, a_n = sum of m | n, u not | m."""
+    if u < 2:
+        raise DomainError(f"E_2^(u) needs u >= 2, got {u}")
+    sig = _sigma1_sieve(truncation)
+    coeffs: list = [Fraction(u - 1, 24)]
+    for n in range(1, truncation + 1):
+        # the divisors m = u m' of n sum to u sigma_1(n/u)
+        coeffs.append(Fraction(sig[n] - (u * sig[n // u] if n % u == 0 else 0)))
+    return QExpansion(coeffs, 2, u)

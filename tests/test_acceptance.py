@@ -146,14 +146,9 @@ def test_criterion_10_property_suite():
     import mpmath
 
     from excprimes import enumerate_characters, gauss_sum_exact
-    from excprimes.bernoulli import (
-        bernoulli_classical,
-        lvalue_functional_rhs,
-        lvalue_numeric,
-        von_staudt_denominator,
-    )
+    from excprimes.bernoulli import bernoulli_classical, von_staudt_denominator
     from excprimes.cyclotomic import euler_phi
-    from excprimes.eisenstein import lattice_sum_oracle
+    from oracles import conj, embed_numeric, lattice_sum_oracle, lvalue_functional_rhs, lvalue_numeric
 
     # von Staudt-Clausen: exact denominator of B_m for even m <= 30.
     for m in range(2, 31, 2):
@@ -186,9 +181,9 @@ def test_criterion_10_property_suite():
         for f in range(2, 13):
             for psi in enumerate_characters(f, "primitive"):
                 w = gauss_sum_exact(psi)
-                ww = w * w.conj()
+                ww = w * conj(w)
                 assert ww.is_rational() and ww.rational_value() == f, (f, psi.index)
-                numeric = abs(w.embed_numeric(40)) ** 2
+                numeric = abs(embed_numeric(w, 40)) ** 2
                 assert abs(numeric - f) < 1e-10
 
     # Functional-equation identity for L(k, chi), conductor <= 12, k <= 8.
@@ -205,7 +200,7 @@ def test_criterion_10_property_suite():
     nu = character_by_index(9, 2)
     val = lattice_sum_oracle(nu, 6, 10 ** 5)
     with mpmath.workdps(50):
-        target = nu.value(-1).embed_numeric(50) * lvalue_numeric(6, (nu * nu).primitive_associate(), 50)
+        target = embed_numeric(nu.value(-1), 50) * lvalue_numeric(6, (nu * nu).primitive_associate(), 50)
     assert abs(val - target) < 1e-4
 
 

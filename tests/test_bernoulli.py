@@ -14,7 +14,8 @@ from excprimes import (
     trivial_character,
     von_staudt_denominator,
 )
-from excprimes.bernoulli import bernoulli_polynomial, lvalue_numeric
+from excprimes.bernoulli import bernoulli_polynomial
+from oracles import lvalue_numeric
 
 
 def test_classical_values_and_odd_vanishing():

@@ -11,21 +11,12 @@ from excprimes import (
     constant_term_E,
     constant_term_Eprime,
     eisenstein_E,
-    eisenstein_E2u,
     eprime_twisted,
     eprime_weight2_steinberg,
     trivial_character,
 )
-from excprimes.eisenstein import (
-    _e2_series,
-    apply_Tr,
-    apply_Up,
-    apply_Vm,
-    reduce_mod,
-    sigma_nu,
-    theta_operator,
-    twist,
-)
+from excprimes.eisenstein import _e2_series, apply_Up, reduce_mod, sigma_nu
+from oracles import apply_Tr, apply_Vm, eisenstein_E2u, theta_operator, twist
 
 
 NU9 = character_by_index(9, 2)

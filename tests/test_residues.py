@@ -352,13 +352,12 @@ def test_residue_points_input_validation(fx11_4):
 def test_compositum_norm_known_value():
     # product over roots of x^2 - 2 and z^2 + 1 of (alpha - zeta) = 9
     f = [-2, 0, 1]
-    phi = [1, 0, 1]
-    assert compositum_norm([0, 1], [0, 1], f, phi) == 9
+    assert compositum_norm([0, 1], [0, 1], f, 4) == 9
 
 
 def test_compositum_norm_zero_when_images_collide():
     # P(alpha) = 1 for alpha = 1; Q(zeta) = -zeta^2 = 1 for zeta = +-i
-    assert compositum_norm([0, 0, 1], [0, 0, -1], [-1, 1], [1, 0, 1]) == 0
+    assert compositum_norm([0, 0, 1], [0, 0, -1], [-1, 1], 4) == 0
 
 
 def test_compositum_norm_against_numeric_product():
@@ -366,7 +365,7 @@ def test_compositum_norm_against_numeric_product():
     phi = [1, 1, 1]  # zeta_3
     P = [Fraction(0), Fraction(1)]  # alpha itself
     Q = [Fraction(-1), Fraction(2)]  # 2 zeta - 1
-    exact = compositum_norm(P, Q, f, phi)
+    exact = compositum_norm(P, Q, f, 3)
     with mpmath.workdps(40):
         alphas = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)], maxsteps=200)
         zetas = mpmath.polyroots([mpmath.mpf(c) for c in reversed(phi)], maxsteps=200)
@@ -380,7 +379,7 @@ def test_compositum_norm_against_numeric_product():
 
 def test_compositum_norm_rejects_constant_minimal_polys():
     with pytest.raises(DomainError):
-        compositum_norm([0, 1], [0, 1], [5], [1, 0, 1])
+        compositum_norm([0, 1], [0, 1], [5], 4)
 
 
 # -- fixture validation ---------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""The runtime package: no asserts, no test-only imports, one resultant.
+
+The CLI runs in a fresh interpreter on the bundled fixtures and must leave
+the test-only packages (and this directory's oracle module) unloaded; checks
+must survive `python -O`, so `src/excprimes` holds no `assert`; and the one
+Euclidean resultant of `polys` agrees with a Sylvester determinant over Q,
+Q(zeta_n) and F_q.
+"""
+
+import ast
+import glob
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import ROOT, fixture_path
+from excprimes import CycloElement, DomainError, FiniteField, euler_phi, polys
+
+SRC = os.path.join(ROOT, "src")
+TEST_ONLY = ("sympy", "hypothesis", "pytest", "oracles")
+
+
+def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "excprimes", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_checks_survive_python_O():
+    done = _python(
+        "from fractions import Fraction\n"
+        "from excprimes import bounds\n"
+        "try:\n"
+        "    bounds._norm_primes(Fraction(1, 2))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised:', exc)\n",
+        "-O",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised:")
+
+
+def test_cli_commands_load_no_test_only_module():
+    f81 = fixture_path("81-6c.json")
+    runs = [
+        ["bound", "--weight", "6", "--level", "81"],
+        ["verify", "--form", f81, "--ell", "7"],
+        ["verify", "--form", f81, "--ell", "2", "--mode", "norm"],
+        ["dims", "--weight", "6", "--level", "81"],
+        ["eisenstein", "--weight", "4", "--char-modulus", "5", "--char-index", "1", "--terms", "10"],
+        ["scan", "--form", f81, "--ell", "7", "--pmax", "30"],
+        ["characters", "--modulus", "9"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from excprimes.cli import main\n"
+        "codes = []\n"
+        f"for argv in {runs!r}:\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            main(args=argv, prog_name='excprimes')\n"
+        "    except SystemExit as exc:\n"
+        "        codes.append(exc.code)\n"
+        f"loaded = sorted(m for m in sys.modules if m.split('.')[0] in {TEST_ONLY!r})\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    done = _python(code)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0] * len(runs)
+    assert report["loaded"] == []
+
+
+# -- the one resultant against a Sylvester determinant --------------------------------
+
+
+def sylvester_resultant(f, g, one):
+    """det of the Sylvester matrix of f and g, by Gaussian elimination over the field."""
+    zero = one - one
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[zero] * i + f[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + g[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    det = one
+    for c in range(m + n):
+        pivot = next((r for r in range(c, m + n) if rows[r][c]), None)
+        if pivot is None:
+            return zero
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = one / rows[c][c]
+        for r in range(c + 1, m + n):
+            if rows[r][c]:
+                factor = rows[r][c] * inv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def _check(f, g, one):
+    f, g = polys.trim(f), polys.trim(g)
+    if not f or not g:
+        with pytest.raises(DomainError):
+            polys.resultant(f, g)
+        return
+    assert polys.resultant(f, g) == sylvester_resultant(f, g, one)
+
+
+_coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=7)  # degree <= 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_lists, _coeff_lists, st.lists(st.integers(1, 5), min_size=14, max_size=14))
+def test_resultant_over_q(f, g, dens):
+    f = [Fraction(c, d) for c, d in zip(f, dens)]
+    g = [Fraction(c, d) for c, d in zip(g, dens[7:])]
+    _check(f, g, Fraction(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 3), (5, 1), (7, 2), (43, 3)]), st.data())
+def test_resultant_over_finite_fields(params, data):
+    F = FiniteField(*params)
+    element = st.lists(st.integers(0, F.p - 1), min_size=F.d, max_size=F.d).map(F.element)
+    f = data.draw(st.lists(element, min_size=1, max_size=7))
+    g = data.draw(st.lists(element, min_size=1, max_size=7))
+    _check(f, g, F.one())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_resultant_over_cyclotomic_fields(n, data):
+    phi = euler_phi(n)
+    element = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi).map(
+        lambda cs: CycloElement(n, cs)
+    )
+    f = data.draw(st.lists(element, min_size=1, max_size=5))
+    g = data.draw(st.lists(element, min_size=1, max_size=5))
+    _check(f, g, CycloElement(n, [1]))

@@ -138,7 +138,7 @@ def test_scan_upgrade_is_the_library_verdict(fixture_json):
 
 
 def test_weight2_level1_has_no_sign_family():
-    from excprimes import NewformFixture, verify_fixture
+    from excprimes import DomainError, NewformFixture, verify_fixture, verify_weight2_squarefree
 
     fx = NewformFixture.from_dict({
         "label": "w2-level1", "weight": 2, "level": 1, "field_poly": [0, 1],
@@ -147,6 +147,9 @@ def test_weight2_level1_has_no_sign_family():
     result = verify_fixture(fx, 5)
     assert result.verdict == "inconclusive(no Eisenstein candidate for this level shape)"
     assert result.eisenstein == "(none)"
+    # a direct call is out of the family's domain, not refuted-structural
+    with pytest.raises(DomainError, match="level 1"):
+        verify_weight2_squarefree(fx, 5)
 
 
 # -- level 1: the constant term counts ---------------------------------------------
