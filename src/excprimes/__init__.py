@@ -63,10 +63,8 @@ from .bounds import (
     DihedralReport,
     Weight2SignReport,
     candidate_report,
-    dihedral_bound_chain,
     dihedral_candidates,
     exceptional_image_candidates,
-    fundamental_orders,
     reducible_candidates,
     reducible_primes,
     reducible_weight2_signs,
@@ -76,7 +74,6 @@ from .verify import (
     ScanResult,
     VerificationResult,
     frobenius_scan,
-    steinberg_consistency,
     verify_fixture,
     verify_reducible,
     verify_weight2_squarefree,
@@ -130,10 +127,8 @@ __all__ = [
     "DihedralReport",
     "Weight2SignReport",
     "candidate_report",
-    "dihedral_bound_chain",
     "dihedral_candidates",
     "exceptional_image_candidates",
-    "fundamental_orders",
     "reducible_candidates",
     "reducible_primes",
     "reducible_weight2_signs",
@@ -141,7 +136,6 @@ __all__ = [
     "ScanResult",
     "VerificationResult",
     "frobenius_scan",
-    "steinberg_consistency",
     "verify_fixture",
     "verify_reducible",
     "verify_weight2_squarefree",

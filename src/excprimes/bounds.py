@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .exact import (
     DomainError, decimal_string, factorize, is_prime, lcm_pow_minus_one, primes_up_to,
 )
@@ -256,6 +254,45 @@ class DihedralReport:
         return out
 
 
+def _ln_upper(num: int, den: int, prec: int) -> int:
+    """An integer u with u / 2^prec >= ln(num/den), for num >= den >= 1.
+
+    ln x = e ln 2 + 2 atanh(z), where 2^e <= x < 2^(e+1), z = (m - 1)/(m + 1)
+    for m = x / 2^e, and ln 2 = 2 atanh(1/3). Both z are at most 1/3, so each
+    series term is at most a ninth of the one before; every term rounds up,
+    and the tail after the last term t (t <= 1 ulp) is at most (9/8) t.
+    """
+    e = (num // den).bit_length() - 1
+    total = 0
+    for count, a, b in ((e, 1, 3), (1, num - (den << e), num + (den << e))):
+        t, j, s = -(-(a << prec) // b), 1, 0
+        while t > 1:
+            s += -(-t // j)
+            t = -(-t * a * a // (b * b))
+            j += 2
+        total += count * 2 * (s + 2)
+    return total
+
+
+def _dihedral_bound(k: int, N: int, D: int) -> int:
+    """An integer >= (2 q^((k-1)/2))^D with q = 4.8 k N^2 (1 + ln ln N), for N >= 3.
+
+    Fixed point at 2^-prec, rounding up at every step: q from `_ln_upper`,
+    sqrt(q) from `math.isqrt`, then a ceiling shift of B^D. The relative
+    excess is about D k prec 2^-prec.
+    """
+    prec = 128 + (D * k).bit_length()
+    one = 1 << prec
+    q = -(-24 * k * N * N * (one + _ln_upper(_ln_upper(N, 1, prec), one, prec)) // 5)
+    root = math.isqrt(q << prec)
+    if root * root < q << prec:
+        root += 1
+    half = (k - 2) // 2  # k is even: q^((k-1)/2) = q^half sqrt(q)
+    # -(-x >> s) is the ceiling of x / 2^s
+    b = -(-2 * q ** half * root >> prec * half)
+    return -(-(b ** D) >> prec * D)
+
+
 def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralReport:
     """Square-free levels: explicit prime set. Otherwise an integer upper bound."""
     if k < 2 or k % 2:
@@ -273,11 +310,7 @@ def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralRe
     D = degree if degree is not None else dim_new(k, N)
     if D < 1:
         raise DomainError(f"field degree must be >= 1, got {D}")
-    with mpmath.workprec(240):
-        q = mpmath.mpf("4.8") * k * mpmath.mpf(N) ** 2 * (1 + mpmath.log(mpmath.log(N)))
-        total = (2 * q ** (mpmath.mpf(k - 1) / 2)) ** D
-        # directed rounding: nudge up before taking the ceiling
-        bound = int(mpmath.ceil(total * (1 + mpmath.mpf(2) ** -200)))
+    bound = _dihedral_bound(k, N, D)
     return DihedralReport(k, N, False, None, bound, D, assumptions)
 
 
@@ -290,50 +323,6 @@ def exceptional_image_candidates(k: int, N: int) -> list[int]:
     primes = set(factorize(N).primes())
     primes.update(primes_up_to(4 * k - 3))
     return sorted(primes)
-
-
-def fundamental_orders(ell: int, k: int) -> tuple[int, int]:
-    """Orders of the mod-ell cyclotomic character data attached to weight k.
-
-    n = (ell-1)/gcd(ell-1, k-1) and m = (ell+1)/gcd(ell+1, k-1);
-    n = 2 iff ell = 2k-1, m = 2 iff ell = 2k-3, and both exceed 5
-    once ell > 4k-3.
-    """
-    if not is_prime(ell):
-        raise DomainError(f"{ell} is not prime")
-    if ell <= k:
-        raise DomainError(f"need ell > k, got ell = {ell}, k = {k}")
-    n = (ell - 1) // math.gcd(ell - 1, k - 1)
-    m = (ell + 1) // math.gcd(ell + 1, k - 1)
-    return n, m
-
-
-def dihedral_bound_chain(k: int, N: int) -> dict:
-    """All three intermediate bounds of the dihedral argument, for audit output."""
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
-    if k < 2 or k % 2:
-        raise DomainError(f"weight must be even and >= 2, got {k}")
-    prod_N = Fraction(1)
-    for p in factorize(N).primes():
-        prod_N *= Fraction(p + 1, p)
-    prod_2N = Fraction(1)
-    for p in factorize(2 * N).primes():
-        prod_2N *= Fraction(p + 1, p)
-    n_bound = 2 * k * N * N * prod_N
-    if n_bound.denominator != 1:
-        raise ArithmeticError(f"2kN^2 prod (p+1)/p = {n_bound} is not an integer")
-    sharp = Fraction(4 * k, 3) * N * N * prod_2N
-    with mpmath.workprec(120):
-        q = mpmath.mpf("4.8") * k * mpmath.mpf(N) ** 2 * (1 + mpmath.log(mpmath.log(N)))
-        q_bound = int(mpmath.ceil(q * (1 + mpmath.mpf(2) ** -100)))
-    if sharp > n_bound:
-        raise ArithmeticError(f"sharp bound {sharp} exceeds {n_bound}")
-    return {
-        "n_bound": int(n_bound),
-        "n_bound_sharp": sharp,
-        "q_bound": q_bound,
-    }
 
 
 @dataclass(frozen=True)

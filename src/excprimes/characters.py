@@ -257,38 +257,19 @@ class DirichletCharacter:
     def _lift_unit(self, a: int, pe: int) -> int:
         """x = a mod pe, x = 1 mod (other prime powers of modulus), unit mod m."""
         m = self.modulus
-        rest = 1
-        for p, e in factorize(m).factors:
-            q = p ** e
-            if pe % p != 0:
-                rest *= q
-        # pe divides the p-part of m; lift a through that p-part directly
-        p_part = 1
+        p_part = rest = 1
         for p, e in factorize(m).factors:
             if pe % p == 0:
-                p_part = p ** e
+                p_part = p ** e  # pe divides the p-part of m; lift a through it
+            else:
+                rest *= p ** e
         if p_part % pe or math.gcd(a, pe) != 1:
             raise ArithmeticError(f"{a} is not a unit mod {pe}, or {pe} is not in the modulus")
-        # CRT: x = a (mod p_part works since value depends only on a mod conductor part)
-        g, u, v = _egcd(p_part, rest)
-        if g != 1:
-            raise ArithmeticError(f"gcd({p_part}, {rest}) = {g}, not 1")
-        x = (a * rest * v + 1 * p_part * u) % (p_part * rest)
+        # CRT: x = a mod p_part, x = 1 mod rest
+        x = (1 + rest * ((a - 1) * pow(rest, -1, p_part))) % (p_part * rest)
         if x % pe != a % pe or math.gcd(x, m) != 1:
             raise ArithmeticError(f"the CRT lift {x} of {a} is wrong")
         return x
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def character_count(m: int) -> int:

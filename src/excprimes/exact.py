@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, is_prime, factorize
+from .exact import DomainError, factorize, is_prime, primes_up_to
 from . import polys
 from .cyclotomic import CycloElement, cyclotomic_polynomial
 
@@ -492,8 +492,6 @@ def _is_irreducible_over_q(coeffs: list[int]) -> bool:
     deg = len(coeffs) - 1
     if deg == 1:
         return True
-    from .exact import primes_up_to
-
     for p in primes_up_to(200):
         if coeffs[0] % p == 0:
             continue
@@ -505,8 +503,13 @@ def _is_irreducible_over_q(coeffs: list[int]) -> bool:
             continue  # lost degree mod p, not usable
         if degs == [(deg, 1)]:
             return True
-    import sympy
-
+    try:
+        import sympy
+    except ImportError:
+        raise FixtureError(
+            f"no prime below 200 shows field_poly {coeffs} irreducible, and the "
+            "fallback test needs sympy, which is not installed"
+        ) from None
     x = sympy.Symbol("x")
     poly = sum(c * x ** i for i, c in enumerate(coeffs))
     return sympy.Poly(poly, x).is_irreducible
@@ -537,10 +540,8 @@ class ResiduePoint:
             )
         x = x.embed(self.cyclo_index)
         z = self.zeta_image if self.zeta_image is not None else self.field.one()
-        acc = self.field.zero()
-        for c in reversed(x.coeffs):
-            acc = acc * z + self.field.from_fraction(c, "cyclotomic coordinate")
-        return acc
+        coeffs = [self.field.from_fraction(c, "cyclotomic coordinate") for c in x.coeffs]
+        return polys.evaluate(coeffs, z)
 
     def sort_key(self):
         zkey = self.zeta_image.sort_key() if self.zeta_image is not None else ()

@@ -30,7 +30,6 @@ from .residues import (
     ResiduePoint,
     compositum_norm,
     find_residue_points,
-    is_square_in_field,
     quadratic_irreducible,
 )
 
@@ -379,9 +378,6 @@ class ScanResult:
     partial: bool
     warnings: tuple[str, ...] = ()
 
-    def witnesses(self) -> list:
-        return [pt["witness"] for pt in self.points]
-
     def to_dict(self) -> dict:
         return {
             "label": self.label,
@@ -435,45 +431,9 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int) -> ScanResult:
         for p in usable:
             a_bar = pt.reduce_vector(fixture.a(p))
             pk = pt.field.element(pow(p, k - 1, ell))
-            if ell == 2:
-                irred = quadratic_irreducible(a_bar, pk)
-            else:
-                disc = a_bar * a_bar - 4 * pk
-                irred = not is_square_in_field(disc)
+            irred = quadratic_irreducible(a_bar, pk)
             tested[p] = irred
             if irred and witness is None:
                 witness = p
         out.append({"point": _point_name(pt), "tested": tested, "witness": witness})
     return ScanResult(fixture.label, ell, p_max, tuple(out), partial, tuple(warnings))
-
-
-def steinberg_consistency(fixture: NewformFixture) -> dict:
-    """Check a_p^2 = p^(k-2) at p || N and a_p = 0 at p^2 | N; emit the sign vector."""
-    from .residues import FixtureError
-
-    k, N = fixture.weight, fixture.level
-    signs = {}
-    missing = []
-    for p, e in factorize(N).factors:
-        if p not in fixture.an:
-            missing.append(p)
-            continue
-        vec = fixture.a(p)
-        if e >= 2:
-            if any(vec):
-                raise FixtureError(f"a_{p} must vanish since {p}^2 | {N}")
-            continue
-        expected_sq = Fraction(p) ** (k - 2)
-        if any(vec[1:]) or vec[0] ** 2 != expected_sq:
-            raise FixtureError(
-                f"a_{p} = {vec} violates a_p^2 = p^(k-2) for p || N"
-            )
-        signs[p] = 1 if vec[0] > 0 else -1
-    return {
-        "label": fixture.label,
-        "weight": k,
-        "level": N,
-        "signs": signs,
-        "missing": missing,
-        "weight2_sign_vector": signs if k == 2 else None,
-    }

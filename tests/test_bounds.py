@@ -1,13 +1,17 @@
+import contextlib
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from excprimes import (
     DomainError,
     candidate_report,
-    dihedral_bound_chain,
     dihedral_candidates,
+    dim_new,
     exceptional_image_candidates,
     factorize,
-    fundamental_orders,
     is_prime,
     lcm_pow_minus_one,
     primes_up_to,
@@ -15,6 +19,7 @@ from excprimes import (
     reducible_primes,
     reducible_weight2_signs,
 )
+from excprimes.bounds import _dihedral_bound, _ln_upper
 
 
 FROZEN_SETS = {
@@ -149,15 +154,42 @@ def test_dihedral_bound_for_non_squarefree_levels():
     assert d["bound"] == str(rep.bound) and d["degree"] == 5
 
 
-def test_dihedral_bound_chain_frozen():
-    chain = dihedral_bound_chain(2, 2)
-    assert chain["n_bound"] == 24
-    assert chain["n_bound_sharp"] == 16
-    assert chain["q_bound"] == 25
-    with pytest.raises(DomainError):
-        dihedral_bound_chain(2, 1)
-    with pytest.raises(DomainError):
-        dihedral_bound_chain(3, 4)
+# The non-square-free points of the benchmark's bound grid.
+NON_SQUAREFREE_GRID = [(k, n) for k in (2, 4, 6, 8, 12, 16, 20, 22) for n in (81, 121, 225, 441, 1089)]
+
+
+@contextlib.contextmanager
+def _iv_prec(bits):
+    saved, iv.prec = iv.prec, bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+@pytest.mark.parametrize("k, N, D", [(k, n, dim_new(k, n)) for k, n in NON_SQUAREFREE_GRID]
+                         + [(2, 1888, D) for D in range(1, 6)])
+def test_exact_dihedral_bound_is_a_tight_upper_bound(k, N, D):
+    # V = (2 q^((k-1)/2))^D, q = 4.8 k N^2 (1 + ln ln N), compared in log space
+    # with mpmath interval arithmetic: outward rounding makes each assertion a
+    # proof of V <= bound <= (1 + 2^-50) V + 1
+    bound = dihedral_candidates(k, N, D).bound
+    assert bound == _dihedral_bound(k, N, D)
+    with _iv_prec(300):
+        q = iv.mpf(24) / 5 * k * iv.mpf(N) ** 2 * (1 + iv.log(iv.log(N)))
+        log_v = D * (iv.log(2) + (k - 1) * iv.log(q) / 2)
+        assert iv.log(bound).a >= log_v.b
+        assert iv.log(bound - 1).b <= (log_v + iv.log(1 + iv.mpf(2) ** -50)).a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10 ** 30), st.integers(0, 10 ** 30), st.sampled_from([8, 64, 200]))
+def test_ln_upper_brackets_log(den, extra, prec):
+    num = den + extra
+    u = _ln_upper(num, den, prec)
+    with _iv_prec(prec + 64):
+        scaled = iv.log(iv.mpf(num) / den) * 2 ** prec
+        assert scaled.b <= u <= scaled.a + 2 * (num // den).bit_length() * (prec + 8)
 
 
 def test_exceptional_image_candidates():
@@ -169,20 +201,23 @@ def test_exceptional_image_candidates():
 
 
 def test_fundamental_orders_characterizations():
+    # n = (ell-1)/gcd(ell-1, k-1) and m = (ell+1)/gcd(ell+1, k-1): n = 2 iff
+    # ell = 2k-1 and m = 2 iff ell = 2k-3, and an ell with n <= 5 or m <= 5
+    # must be an exceptional-image candidate
     for k in (2, 4, 6, 8, 10, 12):
+        exceptional = exceptional_image_candidates(k, 11)
+        dihedral = dihedral_candidates(k, 11).primes
         for ell in primes_up_to(300):
             if ell <= k:
                 continue
-            n, m = fundamental_orders(ell, k)
-            assert (ell - 1) % n == 0 and (ell + 1) % m == 0
+            n = (ell - 1) // math.gcd(ell - 1, k - 1)
+            m = (ell + 1) // math.gcd(ell + 1, k - 1)
             assert (n == 2) == (ell == 2 * k - 1)
             assert (m == 2) == (ell == 2 * k - 3)
-            if ell > 4 * k - 3:
-                assert n > 5 and m > 5
-    with pytest.raises(DomainError):
-        fundamental_orders(4, 2)
-    with pytest.raises(DomainError):
-        fundamental_orders(5, 6)
+            if n <= 5 or m <= 5:
+                assert ell in exceptional, (k, ell, n, m)
+            if ell == 2 * k - 1:
+                assert ell in dihedral, (k, ell)
 
 
 def test_candidate_report_round_trip():

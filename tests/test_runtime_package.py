@@ -1,10 +1,11 @@
-"""The runtime package: no asserts, no test-only imports, one resultant.
+"""The runtime package: no asserts, no unused imports, no test-only imports, one resultant.
 
 The CLI runs in a fresh interpreter on the bundled fixtures and must leave
-the test-only packages (and this directory's oracle module) unloaded; checks
-must survive `python -O`, so `src/excprimes` holds no `assert`; and the one
-Euclidean resultant of `polys` agrees with a Sylvester determinant over Q,
-Q(zeta_n) and F_q.
+the test-only packages (and this directory's oracle module) unloaded, and
+without sympy it must exit with a usage error rather than a verdict; checks
+must survive `python -O`, so `src/excprimes` holds no `assert`; every name
+imported under `src/excprimes` is used; and the one Euclidean resultant of
+`polys` agrees with a Sylvester determinant over Q, Q(zeta_n) and F_q.
 """
 
 import ast
@@ -22,7 +23,7 @@ from conftest import ROOT, fixture_path
 from excprimes import CycloElement, DomainError, FiniteField, euler_phi, polys
 
 SRC = os.path.join(ROOT, "src")
-TEST_ONLY = ("sympy", "hypothesis", "pytest", "oracles")
+TEST_ONLY = ("sympy", "mpmath", "hypothesis", "pytest", "oracles")
 
 
 def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
@@ -33,14 +34,38 @@ def _python(code: str, *flags: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_no_assert_statements_in_the_package():
-    found = []
+def _package_modules():
     for path in sorted(glob.glob(os.path.join(SRC, "excprimes", "*.py"))):
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), path)
-        found += [f"{os.path.basename(path)}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+            yield os.path.basename(path), ast.parse(fh.read(), path)
+
+
+def test_no_assert_statements_in_the_package():
+    found = []
+    for name, tree in _package_modules():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    # a name counts as used when the module loads it or lists it in __all__
+    unused = []
+    for module, tree in _package_modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(elt.value for elt in node.value.elts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}:{node.lineno}:{name}")
+    assert unused == []
 
 
 def test_checks_survive_python_O():
@@ -86,6 +111,26 @@ def test_cli_commands_load_no_test_only_module():
     report = json.loads(done.stdout)
     assert report["codes"] == [0] * len(runs)
     assert report["loaded"] == []
+
+
+@pytest.mark.parametrize("field_poly", [[1, 0, -10, 0, 1], [1, 0, 1, 0, 1]])
+def test_undecided_field_poly_without_sympy_is_a_usage_error(tmp_path, field_poly):
+    # x^4 - 10x^2 + 1 and x^4 + x^2 + 1 factor mod every prime, so only the
+    # sympy fallback decides them; without it the CLI must not answer refuted
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps({
+        "label": "toy", "weight": 2, "level": 11, "field_poly": field_poly,
+        "an": {"1": ["1", "0", "0", "0"]},
+    }))
+    done = _python(
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from excprimes.cli import main\n"
+        f"main(args=['verify', '--form', {str(path)!r}, '--ell', '5'], prog_name='excprimes')\n"
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "sympy" in done.stderr
 
 
 # -- the one resultant against a Sylvester determinant --------------------------------

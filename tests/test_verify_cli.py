@@ -5,13 +5,11 @@ import pytest
 
 from excprimes import (
     DomainError,
-    FixtureError,
     INSUFFICIENT,
     NewformFixture,
     character_by_index,
     frobenius_scan,
     reducible_primes,
-    steinberg_consistency,
     sturm_bound,
     trivial_character,
     verify_reducible,
@@ -168,34 +166,6 @@ def test_scan_validation(fx11_2):
         frobenius_scan(fx11_2, 4, 10)
     with pytest.raises(DomainError):
         frobenius_scan(fx11_2, 5, 1)
-
-
-# -- library: steinberg consistency -------------------------------------------------
-
-
-def test_steinberg_consistency_reports(fx11_2, fx11_4, fx81):
-    r = steinberg_consistency(fx11_2)
-    assert r["signs"] == {11: 1} and r["missing"] == []
-    assert r["weight2_sign_vector"] == {11: 1}
-
-    r = steinberg_consistency(fx81)
-    assert r["signs"] == {} and r["missing"] == []
-    assert r["weight2_sign_vector"] is None
-
-    r = steinberg_consistency(fx11_4)
-    assert r["missing"] == [11]
-
-
-def test_steinberg_consistency_rejects_bad_ap():
-    fx = NewformFixture.from_dict({
-        "label": "toy",
-        "weight": 4,
-        "level": 7,
-        "field_poly": [0, 1],
-        "an": {"1": ["1"], "7": ["1"]},  # a_7^2 = 1 != 7^2
-    })
-    with pytest.raises(FixtureError, match="violates"):
-        steinberg_consistency(fx)
 
 
 # -- CLI ----------------------------------------------------------------------------
