@@ -19,7 +19,7 @@ from . import __version__
 from .exact import DomainError, FactorCache, decimal_string, set_factor_cache  # noqa: F401
 from .characters import character_by_index, enumerate_characters
 from .cyclotomic import CycloElement
-from .residues import FixtureError, NewformFixture
+from .residues import DenominatorObstruction, FixtureError, NewformFixture
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -298,7 +298,7 @@ def cmd_scan(form, ell, pmax, fmt, out, cache_dir, timing):
 
     try:
         result = frobenius_scan(fixture, ell, pmax)
-    except DomainError as exc:
+    except (DomainError, DenominatorObstruction) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     lines = [f"scan {fixture.label} at ell = {ell}, p <= {pmax}"]

@@ -143,26 +143,28 @@ def eisenstein_E(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
     c = nu.modulus
     if k == 2 and c == 1:
         raise DomainError("(k, c) = (2, 1) is excluded: no such Eisenstein series")
-    if c == 1:
+    if c == 1:  # nu trivial: a_n = sigma_{k-1}(n), from one integer sieve
+        sig = _divisor_power_sums(k - 1, truncation)
         a0 = CycloElement(1, [-bernoulli_classical(k) / (2 * k)])
-    else:
-        a0 = CycloElement(1, [Fraction(0)])
-    coeffs = [a0] + [sigma_nu(k, nu, n) for n in range(1, truncation + 1)]
+        return QExpansion([a0] + [CycloElement(1, [s]) for s in sig[1:]], k, 1)
+    coeffs = [CycloElement(1, [Fraction(0)])]
+    coeffs += [sigma_nu(k, nu, n) for n in range(1, truncation + 1)]
     return QExpansion(coeffs, k, c * c)
 
 
-def _sigma1_sieve(truncation: int) -> list[int]:
-    """sigma_1(n) for 0 <= n <= truncation (entry 0 is 0), in O(T log T)."""
+def _divisor_power_sums(e: int, truncation: int) -> list[int]:
+    """sigma_e(n) for 0 <= n <= truncation (entry 0 is 0), in O(T log T) adds."""
     sig = [0] * (truncation + 1)
     for m in range(1, truncation + 1):
+        m_e = m ** e
         for j in range(m, truncation + 1, m):
-            sig[j] += m
+            sig[j] += m_e
     return sig
 
 
 def _e2_series(truncation: int) -> QExpansion:
     """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used mod ell only)."""
-    sig = _sigma1_sieve(truncation)
+    sig = _divisor_power_sums(1, truncation)
     return QExpansion([Fraction(-1, 24)] + [Fraction(s) for s in sig[1:]], 2, 1)
 
 

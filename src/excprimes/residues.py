@@ -2,11 +2,11 @@
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
 hides its tuple of integer coordinates: its add, multiply and reduction mod
-the modulus are the only code here that works on that format. All polynomial
-work over F_p and F_q (factor degrees, the irreducibility test behind the
-modulus search, and root finding by Cantor-Zassenhaus splitting) runs on
-lists of FieldElements through the one polynomial core in `polys`, with F_p
-as the field of degree one.
+the modulus, and the field's integer linear combination, are the only code
+here that works on that format. All polynomial work over F_p and F_q (factor
+degrees, the irreducibility test behind the modulus search, and root finding
+by Cantor-Zassenhaus splitting) runs on lists of FieldElements through the
+one polynomial core in `polys`, with F_p as the field of degree one.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
 from . import polys
@@ -146,13 +147,26 @@ class FiniteField:
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def from_fraction(self, x: Fraction, context: str = "coefficient") -> "FieldElement":
+    def residue(self, x: Fraction, context: str = "coefficient") -> int:
+        """x mod p as an int in [0, p) for rational x with a denominator prime to p."""
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise DenominatorObstruction(
                 f"{context}: denominator {x.denominator} is divisible by {self.p}"
             )
-        return self.element(x.numerator * pow(x.denominator, -1, self.p))
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+
+    def from_fraction(self, x: Fraction, context: str = "coefficient") -> "FieldElement":
+        return self.element(self.residue(x, context))
+
+    def linear_combination(self, scalars, elements) -> "FieldElement":
+        """sum c_i e_i for ints c_i, as integer dot products reduced mod p once."""
+        acc = [0] * self.d
+        for c, e in zip(scalars, elements):
+            if c:
+                for j, a in enumerate(e.coeffs):
+                    acc[j] += c * a
+        return FieldElement(self, tuple(a % self.p for a in acc))
 
     def __eq__(self, other):
         return (
@@ -527,10 +541,18 @@ class ResiduePoint:
     cyclo_index: int
     degree: int
 
+    @cached_property
+    def _alpha_powers(self) -> list[FieldElement]:
+        """alpha^0, alpha^1, ... in F_q; reduce_vector extends it as far as a vector needs."""
+        return [self.field.one()]
+
     def reduce_vector(self, vec) -> FieldElement:
         """Power-basis coordinates in alpha down to the residue field."""
-        coeffs = [self.field.from_fraction(v, "coefficient of alpha") for v in vec]
-        return polys.evaluate(coeffs, self.alpha_image)
+        residues = [self.field.residue(v, "coefficient of alpha") for v in vec]
+        powers = self._alpha_powers
+        while len(powers) < len(residues):
+            powers.append(powers[-1] * self.alpha_image)
+        return self.field.linear_combination(residues, powers)
 
     def reduce_cyclo(self, x: CycloElement) -> FieldElement:
         """Image of an element of Q(zeta_m), for m dividing the point's index."""

@@ -16,7 +16,7 @@ import mpmath
 from excprimes import DomainError, DirichletCharacter, QExpansion, polys
 from excprimes.bernoulli import bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, gauss_sum_exact, zeta
-from excprimes.eisenstein import TruncationError, _sigma1_sieve
+from excprimes.eisenstein import TruncationError, _divisor_power_sums
 
 
 # -- Q(zeta_n) in C ----------------------------------------------------------------
@@ -149,7 +149,7 @@ def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
     """E_2(tau) - u E_2(u tau): constant term (u-1)/24, a_n = sum of m | n, u not | m."""
     if u < 2:
         raise DomainError(f"E_2^(u) needs u >= 2, got {u}")
-    sig = _sigma1_sieve(truncation)
+    sig = _divisor_power_sums(1, truncation)
     coeffs: list = [Fraction(u - 1, 24)]
     for n in range(1, truncation + 1):
         # the divisors m = u m' of n sum to u sigma_1(n/u)

@@ -1,7 +1,10 @@
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from excprimes import (
     DomainError,
@@ -20,6 +23,13 @@ from oracles import apply_Tr, apply_Vm, eisenstein_E2u, theta_operator, twist
 
 
 NU9 = character_by_index(9, 2)
+
+# stdout and exit code of `eisenstein --weight k --char-modulus c --char-index i
+# --terms T`, keyed "k c i T", recorded while every coefficient still came from
+# sigma_nu; the trivial-character series must reproduce them byte for byte.
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "eisenstein_golden.json")
+with open(GOLDEN, encoding="utf-8") as _fh:
+    GOLDEN_ENVELOPES = json.load(_fh)
 
 
 def test_classical_E4_coefficients():
@@ -184,3 +194,58 @@ def test_constant_term_Eprime_euler_ratio():
     base = constant_term_E(NU9, 2, (1, 9)).value
     got = constant_term_Eprime(NU9, [2, 5]).value
     assert got == base * Fraction(1, 2) * Fraction(4, 5)
+
+
+def test_trivial_character_series_is_sigma_nu():
+    nu = trivial_character()
+    for k in range(4, 27, 2):
+        E = eisenstein_E(k, nu, 300)
+        assert (E.weight, E.level, E.truncation) == (k, 1, 300)
+        for n in range(1, 301):
+            assert E.coefficient(n) == sigma_nu(k, nu, n), (k, n)
+
+
+def test_e2_series_is_sigma_1():
+    E2 = _e2_series(300)
+    assert (E2.weight, E2.level, E2.coefficient(0)) == (2, 1, Fraction(-1, 24))
+    for n in range(1, 301):
+        a_n = E2.coefficient(n)
+        assert isinstance(a_n, Fraction)
+        assert a_n == sum(m for m in range(1, n + 1) if n % m == 0)
+
+
+def _tau_mod(p: int, T: int) -> list[int]:
+    """tau(n) mod p for 0 <= n <= T, from Delta = q (sum (-1)^m (2m+1) q^(m(m+1)/2))^8 (Jacobi)."""
+    cube = []
+    m = 0
+    while m * (m + 1) // 2 < T:
+        cube.append((m * (m + 1) // 2, (-1) ** m * (2 * m + 1)))
+        m += 1
+    series = [1] + [0] * (T - 1)  # coefficients of q^0 .. q^(T-1)
+    for _ in range(8):
+        acc = [0] * T
+        for e, c in cube:
+            acc[e:] = [a + c * b for a, b in zip(acc[e:], series)]
+        series = [a % p for a in acc]
+    return [0] + series
+
+
+def test_ramanujan_691_over_a_long_window():
+    T = 2000
+    tau = _tau_mod(691, T)
+    assert tau[1:4] == [1, -24 % 691, 252]
+    E12 = eisenstein_E(12, trivial_character(), T)
+    a0 = E12.coefficient(0).rational_value()  # tau(0) = 0 and 691 | num(B_12)
+    assert a0.numerator % 691 == 0 and a0.denominator % 691
+    for n in range(1, T + 1):
+        assert tau[n] == E12.coefficient(n).rational_value() % 691, n
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN_ENVELOPES))
+def test_eisenstein_envelope_matches_golden(job):
+    from excprimes.cli import main
+
+    k, c, i, terms = job.split()
+    argv = ["eisenstein", "--weight", k, "--char-modulus", c, "--char-index", i, "--terms", terms]
+    res = CliRunner().invoke(main, argv)
+    assert {"exit": res.exit_code, "stdout": res.stdout} == GOLDEN_ENVELOPES[job]

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import fixture_path
 from excprimes import (
     DenominatorObstruction,
     DomainError,
@@ -17,6 +18,7 @@ from excprimes import (
     compositum_norm,
     cyclotomic_polynomial,
     find_residue_points,
+    polys,
 )
 from excprimes.residues import (
     FieldElement,
@@ -332,6 +334,58 @@ def test_reduce_vector_is_a_ring_map(fx11_4, fx81):
     # and the prime-power recurrence a_4 = a_2^2 - 2^(k-1)
     a4 = pt81.reduce_vector(fx81.a(4))
     assert a4 == a2 * a2 - 32
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_points() -> tuple:
+    """(fixture, point) for every residue point of the bundled fixtures at their candidate primes.
+
+    Cyclotomic indices 1, 3 and 6 cover the characters mod 9 that 81.6c
+    meets; 81.6c at 43 with index 3 lands in F_{43^3}.
+    """
+    from excprimes import candidate_report
+
+    out = []
+    for name in ("11-2a", "11-4a", "81-6c", "81-6c-printed"):
+        fx = NewformFixture.from_json_file(fixture_path(f"{name}.json"))
+        indices = (1, 3, 6) if fx.level == 81 else (1,)
+        for ell in candidate_report(fx.weight, fx.level).reducible_primes():
+            for n in indices:
+                try:
+                    out += [(fx, pt) for pt in find_residue_points(fx, n, ell)]
+                except DenominatorObstruction:
+                    continue
+    return tuple(out)
+
+
+def _horner(pt, vec):
+    return polys.evaluate([pt.field.from_fraction(v) for v in vec], pt.alpha_image)
+
+
+def test_reduce_vector_matches_horner_on_every_fixture_coefficient():
+    points = _bundled_points()
+    assert any(pt.field.q == 43 ** 3 for _, pt in points)
+    for fx, pt in points:
+        for n in sorted(fx.an):
+            assert pt.reduce_vector(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, pt.describe(), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_vector_matches_horner(data):
+    fx, pt = data.draw(st.sampled_from(_bundled_points()))
+    denominators = st.integers(1, 10 ** 6).filter(lambda d: d % pt.ell)
+    rationals = st.builds(Fraction, st.integers(-(10 ** 12), 10 ** 12), denominators)
+    vec = data.draw(st.lists(rationals, min_size=1, max_size=fx.degree() + 2))
+    assert pt.reduce_vector(vec) == _horner(pt, vec)
+
+
+def test_reduce_vector_denominator_obstruction_message(fx81):
+    pt = find_residue_points(fx81, 1, 7)[0]
+    with pytest.raises(
+        DenominatorObstruction, match=r"^coefficient of alpha: denominator 14 is divisible by 7$"
+    ):
+        pt.reduce_vector([Fraction(1), Fraction(3, 14), Fraction(0), Fraction(0)])
 
 
 def test_denominator_obstruction_routes_to_norm_mode(fx81):

@@ -1,5 +1,9 @@
 """The runtime package: no asserts, no unused imports, no test-only imports, one resultant.
 
+The benchmark's tracer names package functions and their parameters as
+strings, so every name it wraps must still resolve here, with each counter
+reading the parameter it names.
+
 The CLI runs in a fresh interpreter on the bundled fixtures and must leave
 the test-only packages (and this directory's oracle module) unloaded, and
 without sympy it must exit with a usage error rather than a verdict; checks
@@ -10,10 +14,14 @@ imported under `src/excprimes` is used; and the one Euclidean resultant of
 
 import ast
 import glob
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -131,6 +139,47 @@ def test_undecided_field_poly_without_sympy_is_a_usage_error(tmp_path, field_pol
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "sympy" in done.stderr
+
+
+# -- the benchmark tracer's targets ----------------------------------------------------
+
+
+def _bench_spans():
+    """bench/spans.py, loaded read-only: its TARGETS name package functions by string."""
+    spec = importlib.util.spec_from_file_location("_bench_spans", os.path.join(ROOT, "bench", "spans.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _arg_reads(counter) -> list:
+    """(position, name) of every _arg(position, name) through which a counter reads a call."""
+    code = counter.__code__
+    if set(code.co_freevars) == {"pos", "name"}:  # the closure _arg returns
+        cells = dict(zip(code.co_freevars, counter.__closure__))
+        return [(cells["pos"].cell_contents, cells["name"].cell_contents)]
+    tree = ast.parse(textwrap.dedent(inspect.getsource(counter)))
+    return [
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arg"
+    ]
+
+
+def test_bench_tracer_targets_resolve_and_read_the_right_parameters():
+    # a renamed function or a moved parameter should fail here, not in the benchmark
+    checked = []
+    for mod_name, attr, span, counter in _bench_spans().TARGETS:
+        target = importlib.import_module(mod_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        if counter is None:
+            continue
+        params = list(inspect.signature(target).parameters)
+        for pos, name in _arg_reads(counter):
+            assert pos < len(params) and params[pos] == name, (mod_name, attr, pos, name, params)
+            checked.append(attr)
+    assert {"eisenstein_E", "poly_roots_in_field", "factorize"} <= set(checked)
 
 
 # -- the one resultant against a Sylvester determinant --------------------------------

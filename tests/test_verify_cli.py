@@ -352,6 +352,16 @@ def test_cli_scan_frozen_table():
     assert any("divides the level" in w for w in env["outputs"]["warnings"])
 
 
+@pytest.mark.parametrize("name", ["81-6c", "81-6c-printed"])
+def test_cli_scan_denominator_obstruction_is_a_usage_error(name):
+    # a_5 of 81.6c has a denominator divisible by 2, so there is no residue point
+    proc = run_cli("scan", "--form", fixture_path(f"{name}.json"), "--ell", 2, "--pmax", 50)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: a_5 has denominator divisible by 2")
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_characters_table():
     proc = run_cli("characters", "--modulus", 9)
     assert proc.returncode == 0
