@@ -543,7 +543,7 @@ class ResiduePoint:
 
     @cached_property
     def _alpha_powers(self) -> list[FieldElement]:
-        """alpha^0, alpha^1, ... in F_q; reduce_vector extends it as far as a vector needs."""
+        """alpha^i in F_q, grown by reduce_vector to the fixture's degree, not the orbit size `degree`."""
         return [self.field.one()]
 
     def reduce_vector(self, vec) -> FieldElement:
