@@ -23,7 +23,7 @@ from .exact import (
     primes_up_to,
     set_factor_cache,
 )
-from .cyclotomic import CycloElement, cyclotomic_polynomial, euler_phi, gauss_sum_exact, zeta
+from .cyclotomic import CycloElement, cyclotomic_polynomial, euler_phi, zeta
 from .characters import (
     DirichletCharacter,
     character_by_index,
@@ -37,14 +37,11 @@ from .bernoulli import (
     bernoulli_classical,
     bernoulli_generalized,
     bernoulli_norm_numerator,
-    von_staudt_denominator,
 )
 from .dimensions import dim_cusp_forms, dim_new, level_invariants, sturm_bound
 from .eisenstein import (
     QExpansion,
     TruncationError,
-    constant_term_E,
-    constant_term_Eprime,
     eisenstein_E,
     eprime_twisted,
     eprime_weight2_steinberg,
@@ -92,7 +89,6 @@ __all__ = [
     "CycloElement",
     "cyclotomic_polynomial",
     "euler_phi",
-    "gauss_sum_exact",
     "zeta",
     "DirichletCharacter",
     "character_by_index",
@@ -104,15 +100,12 @@ __all__ = [
     "bernoulli_classical",
     "bernoulli_generalized",
     "bernoulli_norm_numerator",
-    "von_staudt_denominator",
     "dim_cusp_forms",
     "dim_new",
     "level_invariants",
     "sturm_bound",
     "QExpansion",
     "TruncationError",
-    "constant_term_E",
-    "constant_term_Eprime",
     "eisenstein_E",
     "eprime_twisted",
     "eprime_weight2_steinberg",

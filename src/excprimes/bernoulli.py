@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, FactoredInteger, factorize, is_prime
+from .exact import DomainError, FactoredInteger, factorize
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter
 
@@ -41,17 +41,6 @@ def bernoulli_polynomial(m: int, x: Fraction) -> Fraction:
     for j in range(m + 1):
         acc += math.comb(m, j) * bernoulli_classical(j) * x ** (m - j)
     return acc
-
-
-def von_staudt_denominator(m: int) -> int:
-    """Product of primes p with (p-1) | m; the exact denominator of B_m, m even."""
-    if m <= 0 or m % 2:
-        raise DomainError(f"need a positive even index, got {m}")
-    out = 1
-    for p in range(2, m + 2):
-        if m % (p - 1) == 0 and is_prime(p):
-            out *= p
-    return out
 
 
 def bernoulli_generalized(k: int, chi: DirichletCharacter) -> CycloElement:

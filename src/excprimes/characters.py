@@ -181,9 +181,6 @@ class DirichletCharacter:
             raise ArithmeticError(f"chi({a}) is not an order-{self.order} root of unity")
         return zeta(self.order, t.numerator)
 
-    def __call__(self, a: int) -> CycloElement:
-        return self.value(a)
-
     def parity(self) -> str:
         return "even" if self.value_exponent(self.modulus - 1) == 0 else "odd"
 
@@ -293,7 +290,7 @@ def character_by_index(m: int, index: int) -> DirichletCharacter:
 
 def enumerate_characters(m: int, which: str = "all") -> list[DirichletCharacter]:
     """All characters mod m in index order, optionally filtered."""
-    if which not in ("all", "even", "primitive", "even-primitive"):
+    if which not in ("all", "even", "primitive"):
         raise DomainError(f"unknown character filter {which!r}")
     out = []
     for i in range(character_count(m)):
@@ -301,8 +298,6 @@ def enumerate_characters(m: int, which: str = "all") -> list[DirichletCharacter]
         if which == "even" and not chi.is_even():
             continue
         if which == "primitive" and not chi.is_primitive():
-            continue
-        if which == "even-primitive" and not (chi.is_primitive() and chi.is_even()):
             continue
         out.append(chi)
     return out

@@ -2,7 +2,8 @@
 
 Reports are JSON envelopes with sorted keys and canonical number strings, so
 identical inputs produce byte-identical output. Exit codes: 0 success (verify:
-certified), 1 refuted, 2 bad arguments or malformed fixture, 3 inconclusive.
+certified), 1 refuted, 2 bad arguments or malformed fixture, 3 inconclusive,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _canonical(obj):
@@ -115,7 +117,23 @@ def _check_weight(k: int) -> None:
         raise click.UsageError(f"--weight must be even and >= 2, got {k}")
 
 
-@click.group()
+class _Group(click.Group):
+    """An Exception escaping a command exits EXIT_INTERNAL, never 1 (refuted).
+
+    Click's own errors keep their codes; a BaseException passes through.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="excprimes")
 def main():
     """Candidate primes and congruence certificates for newform residual data."""

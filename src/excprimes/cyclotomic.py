@@ -229,19 +229,3 @@ def zeta(n: int, power: int = 1) -> CycloElement:
     power %= n
     mono = [Fraction(0)] * power + [Fraction(1)]
     return CycloElement(n, mono)
-
-
-def gauss_sum_exact(psi) -> CycloElement:
-    """W(psi) = sum of psi(a) zeta_f^a over a mod f, for primitive psi.
-
-    `psi` needs .modulus, .is_primitive() and .value(a) -> CycloElement.
-    """
-    if not psi.is_primitive():
-        raise DomainError(f"gauss sum requires a primitive character, modulus {psi.modulus}")
-    f = psi.modulus
-    total = CycloElement(1, [Fraction(0)])
-    for a in range(1, f + 1):
-        if math.gcd(a, f) != 1:
-            continue
-        total = total + psi.value(a) * zeta(f, a)
-    return total

@@ -1,21 +1,19 @@
 """Truncated exact q-expansions and the Eisenstein series used for congruences.
 
-A QExpansion stores coefficients 0..truncation; reading past the truncation
-raises, and operators that consume coefficients (U_p, T_r) shrink the
-truncation rather than zero-fill. Coefficients are CycloElement, Fraction,
-or small ints (mod-ell series).
+A QExpansion is read-only and stores coefficients 0..truncation; reading past
+the truncation raises rather than zero-fill. Coefficients are CycloElement,
+Fraction, or ints in [0, ell) (mod-ell series).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, factorize
+from .exact import DomainError
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter
-from .bernoulli import bernoulli_classical, bernoulli_generalized
+from .bernoulli import bernoulli_classical
+from .residues import FiniteField
 
 
 class TruncationError(ValueError):
@@ -50,29 +48,6 @@ class QExpansion:
             )
         return self.coeffs[n]
 
-    def truncate(self, new_truncation: int) -> "QExpansion":
-        if new_truncation > self.truncation:
-            raise TruncationError(
-                f"cannot extend truncation {self.truncation} to {new_truncation}"
-            )
-        return QExpansion(self.coeffs[: new_truncation + 1], self.weight, self.level)
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise DomainError("weight mismatch in q-expansion sum")
-        t = min(self.truncation, other.truncation)
-        return QExpansion(
-            [self.coeffs[n] + other.coeffs[n] for n in range(t + 1)],
-            self.weight,
-            math.lcm(self.level, other.level),
-        )
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "QExpansion":
-        return QExpansion([scalar * c for c in self.coeffs], self.weight, self.level)
-
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -87,36 +62,6 @@ class QExpansion:
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QExpansion(w={self.weight}, N={self.level}, [{head}, ...])"
-
-
-@dataclass(frozen=True)
-class ConstantTerm:
-    cusp: tuple
-    value: CycloElement
-
-
-# -- Hecke-type operators ------------------------------------------------------
-
-
-def apply_Up(f: QExpansion, p: int) -> QExpansion:
-    """a_n -> a_{pn}; truncation divides by p."""
-    out_trunc = f.truncation // p
-    if out_trunc < 1:
-        raise TruncationError(
-            f"U_{p} needs truncation >= {p}, have {f.truncation}"
-        )
-    return QExpansion([f.coeffs[p * n] for n in range(out_trunc + 1)], f.weight, f.level)
-
-
-def reduce_mod(f: QExpansion, ell: int) -> QExpansion:
-    """Rational coefficients to F_ell as small ints; denominators must be units."""
-    out = []
-    for c in f.coeffs:
-        c = Fraction(c) if not isinstance(c, Fraction) else c
-        if c.denominator % ell == 0:
-            raise DomainError(f"denominator {c.denominator} not invertible mod {ell}")
-        out.append(c.numerator * pow(c.denominator, -1, ell) % ell)
-    return QExpansion(out, f.weight, f.level)
 
 
 # -- Eisenstein series ---------------------------------------------------------
@@ -188,12 +133,11 @@ def eprime_weight2_steinberg(signs, ell: int, truncation: int) -> QExpansion:
     need = truncation
     for p in primes:
         need *= p
-    g = _e2_series(max(need, 1))
-    for p, s in signs:
-        g = s * apply_Up(g, p) - p * g.truncate(g.truncation // p)
-    g = g.truncate(truncation)
-    out = reduce_mod(g, ell)
-    return QExpansion(out.coeffs, 2, N)
+    g = list(_e2_series(need).coeffs)
+    for p, s in signs:  # a_n -> s a_{pn} - p a_n, for every n with pn still known
+        g = [s * g[p * n] - p * g[n] for n in range((len(g) - 1) // p + 1)]
+    F = FiniteField(ell, 1)
+    return QExpansion([F.residue(c) for c in g[: truncation + 1]], 2, N)
 
 
 def eprime_twisted(nu: DirichletCharacter, steinberg_primes, truncation: int) -> QExpansion:
@@ -226,38 +170,3 @@ def eprime_twisted(nu: DirichletCharacter, steinberg_primes, truncation: int) ->
     for p in primes:
         level *= p
     return QExpansion(coeffs, 2, level)
-
-
-# -- Constant terms at cusps ---------------------------------------------------
-
-
-def constant_term_E(nu: DirichletCharacter, k: int, cusp: tuple) -> ConstantTerm:
-    """Constant term of E at the cusp u/v of Gamma_0(c^2); nonzero iff v = c."""
-    from .cyclotomic import gauss_sum_exact
-
-    c = nu.modulus
-    if c <= 1 or not nu.is_primitive():
-        raise DomainError("constant terms need a primitive character of modulus > 1")
-    u, v = cusp
-    if v <= 0 or math.gcd(u, v) != 1 or (c * c) % v != 0:
-        raise DomainError(f"({u}, {v}) is not a cusp label for level {c * c}")
-    if v != c:
-        return ConstantTerm((u, v), CycloElement(1, [Fraction(0)]))
-    nusq0 = (nu * nu).primitive_associate()
-    c0 = nusq0.modulus
-    w_ratio = gauss_sum_exact(nusq0) / gauss_sum_exact(nu)
-    b_part = bernoulli_generalized(k, nusq0.inverse()) / (2 * k)
-    euler = CycloElement(1, [Fraction(1)])
-    for p, _ in factorize(c).factors:
-        euler = euler * (1 - nusq0.value(p) * Fraction(1, p ** k))
-    value = -1 * nu.value(-u) * Fraction(c, c0) ** k * w_ratio * b_part * euler
-    return ConstantTerm((u, v), value)
-
-
-def constant_term_Eprime(nu: DirichletCharacter, steinberg_primes) -> ConstantTerm:
-    """Constant term of the twisted weight-2 E' at the cusp 1/c."""
-    base = constant_term_E(nu, 2, (1, nu.modulus))
-    value = base.value
-    for p in sorted(set(steinberg_primes)):
-        value = value * Fraction(p - 1, p)
-    return ConstantTerm((1, nu.modulus), value)

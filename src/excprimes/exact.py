@@ -31,6 +31,8 @@ def decimal_string(n: int) -> str:
 # n < 3,317,044,064,679,887,385,961,981 (~3.3e24).
 _MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+# Above the limit, this many random bases drawn from an n-seeded RNG.
+_MR_RANDOM_ROUNDS = 20
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -52,12 +54,12 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
     return True
 
 
-def is_prime(n: int, rounds: int = 20) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test.
 
     Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that,
-    probabilistic with `rounds` random bases drawn from an n-seeded RNG so
-    results stay reproducible. Use is_proven_prime to know which regime
+    probabilistic with _MR_RANDOM_ROUNDS random bases drawn from an n-seeded
+    RNG so results stay reproducible. Use is_proven_prime to know which regime
     applied.
     """
     if n < 2:
@@ -71,7 +73,7 @@ def is_prime(n: int, rounds: int = 20) -> bool:
         bases = _MR_DETERMINISTIC_BASES
     else:
         rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return not any(_miller_rabin_witness(n, a) for a in bases)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
+from .bounds import _square_part_root, reducible_weight2_signs
 from .characters import DirichletCharacter, enumerate_characters, trivial_character
 from .cyclotomic import CycloElement
 from .dimensions import sturm_bound
@@ -117,7 +118,8 @@ def _point_name(pt: ResiduePoint) -> str:
 def _eisenstein_candidates(fixture: NewformFixture, nu, window: int):
     """(description, q-expansion, cyclotomic index) triples to test against."""
     k, N = fixture.weight, fixture.level
-    steinberg = sorted(p for p, e in factorize(N).factors if e == 1)
+    fac = factorize(N)
+    steinberg = sorted(p for p, e in fac.factors if e == 1)
     out = []
 
     def series_for(nu_: DirichletCharacter):
@@ -140,10 +142,7 @@ def _eisenstein_candidates(fixture: NewformFixture, nu, window: int):
         return out
     if k > 2:
         out.append(series_for(trivial_character()))
-    c_max = 1
-    fac = factorize(N)
-    for p, e in fac.factors:
-        c_max *= p ** (e // 2)
+    c_max = _square_part_root(fac)
     for c in range(2, c_max + 1):
         if c_max % c == 0:
             for nu_ in enumerate_characters(c, "primitive"):
@@ -321,7 +320,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
         )
     signs = [(p, fixture.steinberg_signs[p]) for p in level_primes]
     desc = "Eprime(weight 2, signs={" + ",".join(f"{p}:{s:+d}" for p, s in signs) + "})"
-    if all(s == -1 for _, s in signs):
+    if reducible_weight2_signs(signs).impossible:
         return VerificationResult(
             fixture.label, ell, RESIDUE, desc, 0, sturm,
             VERDICT_REFUTED_STRUCTURAL,

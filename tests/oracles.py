@@ -3,7 +3,9 @@
 Numeric L-values and a lattice double sum (mpmath) cross-check the exact
 Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
 and theta, and E_2 - u E_2(u tau), check identities of the series the
-package builds. None of this is on the package's runtime path.
+package builds; Gauss sums and the von Staudt-Clausen denominator check
+the character and Bernoulli layers. None of this is on the package's
+runtime path.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, QExpansion, polys
+from excprimes import DomainError, DirichletCharacter, QExpansion, is_prime, polys
 from excprimes.bernoulli import bernoulli_generalized
-from excprimes.cyclotomic import CycloElement, gauss_sum_exact, zeta
+from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError, _divisor_power_sums
 
 
@@ -34,6 +36,29 @@ def conj(x: CycloElement) -> CycloElement:
     if x.n <= 2:
         return x
     return polys.evaluate(x.coeffs, zeta(x.n, x.n - 1))
+
+
+def gauss_sum_exact(psi: DirichletCharacter) -> CycloElement:
+    """W(psi) = sum of psi(a) zeta_f^a over a mod f, for primitive psi."""
+    if not psi.is_primitive():
+        raise DomainError(f"gauss sum requires a primitive character, modulus {psi.modulus}")
+    f = psi.modulus
+    total = CycloElement(1, [Fraction(0)])
+    for a in range(1, f + 1):
+        if math.gcd(a, f) == 1:
+            total = total + psi.value(a) * zeta(f, a)
+    return total
+
+
+def von_staudt_denominator(m: int) -> int:
+    """Product of primes p with (p-1) | m; the exact denominator of B_m, m even."""
+    if m <= 0 or m % 2:
+        raise DomainError(f"need a positive even index, got {m}")
+    out = 1
+    for p in range(2, m + 2):
+        if m % (p - 1) == 0 and is_prime(p):
+            out *= p
+    return out
 
 
 # -- numeric L-values ----------------------------------------------------------------

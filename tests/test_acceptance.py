@@ -145,10 +145,13 @@ def test_criterion_10_property_suite():
 
     import mpmath
 
-    from excprimes import enumerate_characters, gauss_sum_exact
-    from excprimes.bernoulli import bernoulli_classical, von_staudt_denominator
+    from excprimes import enumerate_characters
+    from excprimes.bernoulli import bernoulli_classical
     from excprimes.cyclotomic import euler_phi
-    from oracles import conj, embed_numeric, lattice_sum_oracle, lvalue_functional_rhs, lvalue_numeric
+    from oracles import (
+        conj, embed_numeric, gauss_sum_exact, lattice_sum_oracle, lvalue_functional_rhs,
+        lvalue_numeric, von_staudt_denominator,
+    )
 
     # von Staudt-Clausen: exact denominator of B_m for even m <= 30.
     for m in range(2, 31, 2):

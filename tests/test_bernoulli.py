@@ -12,10 +12,9 @@ from excprimes import (
     character_by_index,
     enumerate_characters,
     trivial_character,
-    von_staudt_denominator,
 )
 from excprimes.bernoulli import bernoulli_polynomial
-from oracles import lvalue_numeric
+from oracles import lvalue_numeric, von_staudt_denominator
 
 
 def test_classical_values_and_odd_vanishing():

@@ -65,11 +65,9 @@ def test_enumeration_filters():
         allc = enumerate_characters(m, "all")
         even = enumerate_characters(m, "even")
         prim = enumerate_characters(m, "primitive")
-        both = enumerate_characters(m, "even-primitive")
         assert len(allc) == character_count(m)
         assert [c for c in allc if c.is_even()] == even
         assert [c for c in allc if c.is_primitive()] == prim
-        assert [c for c in prim if c.is_even()] == both
         # a character mod m is induced by a unique primitive character
         total = sum(
             len(enumerate_characters(f, "primitive"))

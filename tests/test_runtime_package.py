@@ -1,4 +1,5 @@
-"""The runtime package: no asserts, no unused imports, no test-only imports, one resultant.
+"""The runtime package: no asserts, no unused imports or definitions, no test-only imports,
+one resultant.
 
 The benchmark's tracer names package functions and their parameters as
 strings, so every name it wraps must still resolve here, with each counter
@@ -8,8 +9,11 @@ The CLI runs in a fresh interpreter on the bundled fixtures and must leave
 the test-only packages (and this directory's oracle module) unloaded, and
 without sympy it must exit with a usage error rather than a verdict; checks
 must survive `python -O`, so `src/excprimes` holds no `assert`; every name
-imported under `src/excprimes` is used; and the one Euclidean resultant of
-`polys` agrees with a Sylvester determinant over Q, Q(zeta_n) and F_q.
+imported under `src/excprimes` is used, and every module-level function and
+class is named by package code other than its own body and `__init__.py`
+(test-only code lives in `tests/oracles.py`); and the one Euclidean
+resultant of `polys` agrees with a Sylvester determinant over Q, Q(zeta_n)
+and F_q.
 """
 
 import ast
@@ -74,6 +78,40 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.append(f"{module}:{node.lineno}:{name}")
     assert unused == []
+
+
+def _is_cli_command(decorator) -> bool:
+    """@main.command(...): the click group reaches these by registration, not by name."""
+    func = getattr(decorator, "func", None)
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "command"
+        and isinstance(func.value, ast.Name) and func.value.id == "main"
+    )
+
+
+def _unreferenced_definitions() -> list[str]:
+    """module:name of each module-level def or class that no other package code names."""
+    trees = {module: tree for module, tree in _package_modules() if module != "__init__.py"}
+    # the names each top-level statement mentions, as a Name or an Attribute
+    mentions = [
+        (stmt, {getattr(n, "id", None) or getattr(n, "attr", None)
+                for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))})
+        for tree in trees.values() for stmt in tree.body
+    ]
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if any(_is_cli_command(d) for d in node.decorator_list):
+                continue
+            if not any(node.name in names for stmt, names in mentions if stmt is not node):
+                unreferenced.append(f"{module}:{node.name}")
+    return unreferenced
+
+
+def test_every_definition_is_reachable_from_the_package():
+    assert _unreferenced_definitions() == []
 
 
 def test_checks_survive_python_O():

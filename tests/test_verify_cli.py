@@ -306,6 +306,22 @@ def test_cli_verify_composite_ell():
     assert "not prime" in proc.stderr
 
 
+def test_cli_internal_error_lets_a_base_exception_through(monkeypatch):
+    # a deadline raised as a BaseException (as the benchmark's is) still stops the command
+    import excprimes.verify
+    from excprimes.cli import main
+
+    class Deadline(BaseException):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Deadline()
+
+    monkeypatch.setattr(excprimes.verify, "frobenius_scan", stop)
+    with pytest.raises(Deadline):
+        main(args=["verify", "--form", fixture_path("11-4a.json"), "--ell", "2"], prog_name="excprimes")
+
+
 def test_cli_dims():
     proc = run_cli("dims", "--weight", 6, "--level", 81)
     assert proc.returncode == 0

@@ -121,9 +121,11 @@ def test_scan_failure_outside_its_contract_propagates(monkeypatch, fx11_4):
     monkeypatch.setattr(excprimes.verify, "frobenius_scan", broken)
     with pytest.raises(RuntimeError, match="scan broke"):
         verify_fixture(fx11_4, 2)
+    # the library lets it propagate; the CLI exits 4, never 1 (refuted)
     res = CliRunner().invoke(main, ["verify", "--form", fixture_path("11-4a.json"), "--ell", "2"])
-    assert isinstance(res.exception, RuntimeError)
-    assert "scan_error" not in res.stdout
+    assert res.exit_code == 4
+    assert res.stdout == ""
+    assert res.stderr == "internal error: RuntimeError: scan broke\n"
 
 
 def test_scan_upgrade_is_the_library_verdict(fixture_json):
