@@ -2,8 +2,8 @@
 
 Reports are JSON envelopes with sorted keys and canonical number strings, so
 identical inputs produce byte-identical output. Exit codes: 0 success (verify:
-certified), 1 refuted, 2 bad arguments or malformed fixture, 3 inconclusive,
-4 internal error.
+certified), 1 refuted, 2 usage error, malformed fixture or a value outside a
+function's domain, 3 inconclusive, 4 internal error.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class Reporter:
     def emit(self, outputs: dict, text_lines: list[str]) -> None:
         if self.cache is not None:
             self.cache.flush()
-            set_factor_cache(None)
         if self.fmt == "json":
             envelope = {
                 "tool": "excprimes",
@@ -101,26 +100,14 @@ def _common_options(fn):
     return fn
 
 
-def _load_fixture(path: str) -> NewformFixture:
-    try:
-        return NewformFixture.from_json_file(path)
-    except FixtureError as exc:
-        click.echo(f"error: malformed fixture: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except OSError as exc:
-        click.echo(f"error: cannot read fixture: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-
-def _check_weight(k: int) -> None:
-    if k < 2 or k % 2:
-        raise click.UsageError(f"--weight must be even and >= 2, got {k}")
-
-
 class _Group(click.Group):
-    """An Exception escaping a command exits EXIT_INTERNAL, never 1 (refuted).
+    """The one place where an exception from a command becomes an exit code.
 
-    Click's own errors keep their codes; a BaseException passes through.
+    The library makes every value check: a malformed fixture, or a value
+    outside a function's domain, exits EXIT_USAGE with the library's message.
+    Any other Exception exits EXIT_INTERNAL, never 1 (refuted). Click's own
+    errors keep their codes; a BaseException passes through. The factor
+    cache a command installed is released however the command ends.
     """
 
     def invoke(self, ctx):
@@ -128,9 +115,17 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except FixtureError as exc:
+            click.echo(f"error: malformed fixture: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        except (DomainError, DenominatorObstruction) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
+        finally:
+            set_factor_cache(None)
 
 
 @click.group(cls=_Group)
@@ -149,9 +144,6 @@ def main():
 @_common_options
 def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
     """Candidate primes: reducible, dihedral, and exceptional projective image."""
-    _check_weight(weight)
-    if level < 1:
-        raise click.UsageError(f"--level must be >= 1, got {level}")
     inputs = {"weight": weight, "level": level, "degree": degree, "non_cm": non_cm}
     rep = Reporter("bound", inputs, fmt, out, cache_dir, timing)
     from .bounds import candidate_report
@@ -176,7 +168,8 @@ def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
 
 
 @main.command("verify")
-@click.option("--form", type=click.Path(exists=False), required=True, help="Fixture JSON file.")
+@click.option("--form", type=click.Path(exists=True, dir_okay=False), required=True,
+              help="Fixture JSON file.")
 @click.option("--ell", type=int, required=True, help="Prime ell to verify.")
 @click.option("--char-modulus", type=int, default=None, help="Modulus of nu (with --char-index).")
 @click.option("--char-index", type=int, default=None, help="Index of nu (with --char-modulus).")
@@ -194,20 +187,11 @@ def cmd_verify(form, ell, char_modulus, char_index, mode, pmax, fmt, out, cache_
         "char_index": char_index, "mode": mode,
     }
     rep = Reporter("verify", inputs, fmt, out, cache_dir, timing)
-    fixture = _load_fixture(form)
+    fixture = NewformFixture.from_json_file(form)
     from .verify import verify_fixture
 
-    nu = None
-    if char_modulus is not None:
-        try:
-            nu = character_by_index(char_modulus, char_index)
-        except DomainError as exc:
-            raise click.UsageError(str(exc))
-    try:
-        result = verify_fixture(fixture, ell, nu=nu, mode=mode, p_max=pmax)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    nu = None if char_modulus is None else character_by_index(char_modulus, char_index)
+    result = verify_fixture(fixture, ell, nu=nu, mode=mode, p_max=pmax)
     lines = [
         f"verify {fixture.label} at ell = {ell}",
         f"eisenstein side: {result.eisenstein}",
@@ -236,9 +220,6 @@ def cmd_verify(form, ell, char_modulus, char_index, mode, pmax, fmt, out, cache_
 @_common_options
 def cmd_dims(weight, level, fmt, out, cache_dir, timing):
     """Dimensions and the Sturm bound for weight k on Gamma_0(N)."""
-    _check_weight(weight)
-    if level < 1:
-        raise click.UsageError(f"--level must be >= 1, got {level}")
     inputs = {"weight": weight, "level": level}
     rep = Reporter("dims", inputs, fmt, out, cache_dir, timing)
     from .dimensions import dim_cusp_forms, dim_new, level_invariants, sturm_bound
@@ -267,13 +248,11 @@ def cmd_dims(weight, level, fmt, out, cache_dir, timing):
 @click.option("--weight", type=int, required=True, help="Even weight k.")
 @click.option("--char-modulus", type=int, required=True, help="Modulus of the character nu.")
 @click.option("--char-index", type=int, required=True, help="Index of nu (see 'characters').")
-@click.option("--terms", type=int, required=True, help="Number of q-expansion terms (through q^terms).")
+@click.option("--terms", type=click.IntRange(min=1), required=True,
+              help="Number of q-expansion terms (through q^terms).")
 @_common_options
 def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir, timing):
     """q-expansion of the Eisenstein series attached to nu at the given weight."""
-    _check_weight(weight)
-    if terms < 1:
-        raise click.UsageError(f"--terms must be >= 1, got {terms}")
     inputs = {
         "weight": weight, "char_modulus": char_modulus,
         "char_index": char_index, "terms": terms,
@@ -281,12 +260,8 @@ def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir,
     rep = Reporter("eisenstein", inputs, fmt, out, cache_dir, timing)
     from .eisenstein import eisenstein_E
 
-    try:
-        nu = character_by_index(char_modulus, char_index)
-        E = eisenstein_E(weight, nu, terms)
-    except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    nu = character_by_index(char_modulus, char_index)
+    E = eisenstein_E(weight, nu, terms)
     coeffs = {str(n): E.coefficient(n) for n in range(terms + 1)}
     outputs = {
         "weight": weight,
@@ -303,7 +278,8 @@ def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir,
 
 
 @main.command("scan")
-@click.option("--form", type=click.Path(exists=False), required=True, help="Fixture JSON file.")
+@click.option("--form", type=click.Path(exists=True, dir_okay=False), required=True,
+              help="Fixture JSON file.")
 @click.option("--ell", type=int, required=True, help="Prime ell.")
 @click.option("--pmax", type=int, required=True, help="Scan primes p <= pmax.")
 @_common_options
@@ -311,14 +287,10 @@ def cmd_scan(form, ell, pmax, fmt, out, cache_dir, timing):
     """Frobenius irreducibility scan of X^2 - a_p X + p^(k-1) at each residue point."""
     inputs = {"form": form, "ell": ell, "pmax": pmax}
     rep = Reporter("scan", inputs, fmt, out, cache_dir, timing)
-    fixture = _load_fixture(form)
+    fixture = NewformFixture.from_json_file(form)
     from .verify import frobenius_scan
 
-    try:
-        result = frobenius_scan(fixture, ell, pmax)
-    except (DomainError, DenominatorObstruction) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+    result = frobenius_scan(fixture, ell, pmax)
     lines = [f"scan {fixture.label} at ell = {ell}, p <= {pmax}"]
     for pt in result.points:
         tested = ", ".join(f"{p}:{'irr' if v else 'red'}" for p, v in pt["tested"].items())
@@ -336,8 +308,6 @@ def cmd_scan(form, ell, pmax, fmt, out, cache_dir, timing):
 @_common_options
 def cmd_characters(modulus, fmt, out, cache_dir, timing):
     """Index / order / conductor / parity table for characters mod m."""
-    if modulus < 1:
-        raise click.UsageError(f"--modulus must be >= 1, got {modulus}")
     inputs = {"modulus": modulus}
     rep = Reporter("characters", inputs, fmt, out, cache_dir, timing)
     rows = []

@@ -386,11 +386,27 @@ def compositum_norm(P, Q, f, n: int) -> Fraction:
 
 
 def _parse_rational(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
+    try:
+        if isinstance(s, str) or type(s) is int:
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise FixtureError(f"coefficient entries must be decimal strings, got {s!r}")
+
+
+def _integer(x, what: str, key: bool = False) -> int:
+    """x as an int; a digit string without leading zeros counts only as a JSON object key."""
+    if key and isinstance(x, str) and x.isascii() and x.isdigit() and (x[0] != "0" or x == "0"):
+        return int(x)
+    if type(x) is not int:
+        raise FixtureError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _typed(x, kind: type, what: str):
+    if not isinstance(x, kind):
+        raise FixtureError(f"{what} must be a {kind.__name__}, got {type(x).__name__}")
+    return x
 
 
 class NewformFixture:
@@ -409,17 +425,22 @@ class NewformFixture:
 
     def __init__(self, label, weight, level, field_poly, an, non_cm=False, steinberg_signs=None):
         self.label = str(label)
-        self.weight = int(weight)
-        self.level = int(level)
-        self.field_poly = tuple(int(c) for c in field_poly)
+        self.weight = _integer(weight, "weight")
+        self.level = _integer(level, "level")
+        self.field_poly = tuple(_integer(c, "a field_poly coefficient")
+                                for c in _typed(field_poly, list, "field_poly"))
         self.non_cm = bool(non_cm)
-        self.steinberg_signs = {int(p): int(s) for p, s in (steinberg_signs or {}).items()}
+        signs = _typed({} if steinberg_signs is None else steinberg_signs, dict, "steinberg_signs")
+        self.steinberg_signs = {_integer(p, "a steinberg prime", key=True): _integer(s, "a steinberg sign")
+                                for p, s in signs.items()}
         deg = len(self.field_poly) - 1
         parsed = {}
-        for key, vec in an.items():
-            n = int(key)
+        for key, vec in _typed(an, dict, "an").items():
+            n = _integer(key, "a coefficient index", key=True)
             if n < 1:
                 raise FixtureError(f"coefficient index {n} out of range")
+            if not isinstance(vec, list):
+                raise FixtureError(f"a_{n} must be a list, got {type(vec).__name__}")
             if len(vec) > deg:
                 raise FixtureError(
                     f"a_{n} has {len(vec)} coordinates, field degree is {deg}"
@@ -467,6 +488,7 @@ class NewformFixture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NewformFixture":
+        _typed(data, dict, "a fixture")
         try:
             return cls(
                 data["label"],
@@ -485,7 +507,7 @@ class NewformFixture:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
                 raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -457,6 +457,15 @@ def test_fixture_short_vectors_are_zero_padded():
     assert fx.n_max == 2 and fx.degree() == 2
 
 
+def test_fixture_accepts_the_documented_number_forms():
+    data = _base_fixture_dict()
+    data["an"]["3"] = ["-3/2", "-2.0"]
+    assert NewformFixture.from_dict(data).a(3) == (Fraction(-3, 2), Fraction(-2))
+    # Python callers may use int keys and int coordinates
+    fx = NewformFixture("t", 4, 11, [-2, -2, 1], {1: [1], 2: [0, 1]}, steinberg_signs={11: 1})
+    assert fx.a(2) == (Fraction(0), Fraction(1)) and fx.steinberg_signs == {11: 1}
+
+
 def test_fixture_rejections():
     bad = _base_fixture_dict()
     bad["field_poly"] = [-2, -2, 3]
@@ -539,6 +548,10 @@ def test_fixture_from_json_file_errors(tmp_path):
     p.write_text("{not json", encoding="utf-8")
     with pytest.raises(FixtureError, match="JSON"):
         NewformFixture.from_json_file(p)
+    for raw in (b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000):  # not UTF-8; nested too deep
+        p.write_bytes(raw)
+        with pytest.raises(FixtureError, match="JSON"):
+            NewformFixture.from_json_file(p)
     p2 = tmp_path / "ok.json"
     p2.write_text(json.dumps(_base_fixture_dict()), encoding="utf-8")
     fx = NewformFixture.from_json_file(p2)

@@ -11,9 +11,9 @@ without sympy it must exit with a usage error rather than a verdict; checks
 must survive `python -O`, so `src/excprimes` holds no `assert`; every name
 imported under `src/excprimes` is used, and every module-level function and
 class is named by package code other than its own body and `__init__.py`
-(test-only code lives in `tests/oracles.py`); and the one Euclidean
-resultant of `polys` agrees with a Sylvester determinant over Q, Q(zeta_n)
-and F_q.
+(test-only code lives in `tests/oracles.py`); `cli.py` turns exceptions
+into exit codes in `_Group.invoke` only; and the one Euclidean resultant of
+`polys` agrees with a Sylvester determinant over Q, Q(zeta_n) and F_q.
 """
 
 import ast
@@ -112,6 +112,27 @@ def _unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_reachable_from_the_package():
     assert _unreferenced_definitions() == []
+
+
+def test_cli_turns_exceptions_into_exit_codes_in_one_place():
+    # _Group.invoke holds the one exit-code policy: no other try in cli.py,
+    # and no other sys.exit with the usage or the internal-error code
+    tree = dict(_package_modules())["cli.py"]
+    group = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Group")
+    invoke = next(n for n in group.body if isinstance(n, ast.FunctionDef) and n.name == "invoke")
+    inside = {id(n) for n in ast.walk(invoke)}
+
+    def decides_an_exit(node) -> bool:
+        if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try))):
+            return True
+        return (
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"
+            and any(ast.unparse(arg) in ("EXIT_USAGE", "EXIT_INTERNAL") for arg in node.args)
+        )
+
+    outside = [f"cli.py:{n.lineno}" for n in ast.walk(tree) if decides_an_exit(n) and id(n) not in inside]
+    assert outside == []
+    assert sum(isinstance(n, ast.Try) for n in ast.walk(invoke)) == 1
 
 
 def test_checks_survive_python_O():

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from click.testing import CliRunner
 
 from excprimes import (
     DomainError,
@@ -15,8 +16,9 @@ from excprimes import (
     verify_reducible,
     verify_weight2_squarefree,
 )
+from excprimes.cli import main
 
-from conftest import fixture_path, run_cli
+from conftest import FIXTURE_DIR, fixture_path, run_cli
 
 
 # -- library: verify_reducible ----------------------------------------------------
@@ -216,11 +218,6 @@ def test_cli_bound_finishes_where_rho_alone_stalls():
     assert _payload(proc)["outputs"]["reducible_primes"] == want
 
 
-def test_cli_bound_usage_errors():
-    assert run_cli("bound", "--weight", 3, "--level", 11).returncode == 2
-    assert run_cli("bound", "--weight", 4, "--level", 0).returncode == 2
-
-
 def test_cli_verify_certified_exits_zero():
     proc = run_cli("verify", "--form", fixture_path("81-6c.json"), "--ell", 43)
     assert proc.returncode == 0
@@ -309,7 +306,6 @@ def test_cli_verify_composite_ell():
 def test_cli_internal_error_lets_a_base_exception_through(monkeypatch):
     # a deadline raised as a BaseException (as the benchmark's is) still stops the command
     import excprimes.verify
-    from excprimes.cli import main
 
     class Deadline(BaseException):
         pass
@@ -347,14 +343,6 @@ def test_cli_eisenstein_frozen_series():
         "4": "31+1023*z",
         "5": "-1+3124*z",
     }
-
-
-def test_cli_eisenstein_rejects_excluded_weight2():
-    proc = run_cli(
-        "eisenstein", "--weight", 2, "--char-modulus", 1, "--char-index", 0,
-        "--terms", 5,
-    )
-    assert proc.returncode == 2
 
 
 def test_cli_scan_frozen_table():
@@ -416,3 +404,83 @@ def test_cli_out_file_and_text_format(tmp_path):
     assert text.stdout.startswith("dimensions for weight 2, level 11")
     with pytest.raises(json.JSONDecodeError):
         json.loads(text.stdout)
+
+
+# -- CLI error contract ------------------------------------------------------------
+
+F11_2, F81 = fixture_path("11-2a.json"), fixture_path("81-6c.json")
+
+BAD_ARGUMENTS = {
+    "bound-degree-0": ["bound", "--weight", "6", "--level", "81", "--degree", "0"],
+    "bound-weight-3": ["bound", "--weight", "3", "--level", "11"],
+    "bound-level-0": ["bound", "--weight", "4", "--level", "0"],
+    "dims-weight-3": ["dims", "--weight", "3", "--level", "11"],
+    "dims-level-0": ["dims", "--weight", "4", "--level", "0"],
+    "eisenstein-weight-3": ["eisenstein", "--weight", "3", "--char-modulus", "1",
+                            "--char-index", "0", "--terms", "5"],
+    "eisenstein-weight-2-trivial-character": ["eisenstein", "--weight", "2", "--char-modulus", "1",
+                                              "--char-index", "0", "--terms", "5"],
+    "eisenstein-terms-0": ["eisenstein", "--weight", "6", "--char-modulus", "9",
+                           "--char-index", "2", "--terms", "0"],
+    "eisenstein-char-index": ["eisenstein", "--weight", "6", "--char-modulus", "9",
+                              "--char-index", "6", "--terms", "5"],
+    "characters-modulus-0": ["characters", "--modulus", "0"],
+    "verify-char-index": ["verify", "--form", F81, "--ell", "7", "--char-modulus", "9",
+                          "--char-index", "6"],
+    "verify-composite-ell": ["verify", "--form", F11_2, "--ell", "6"],
+    "verify-missing-form": ["verify", "--form", fixture_path("no-such.json"), "--ell", "5"],
+    "verify-directory-form": ["verify", "--form", FIXTURE_DIR, "--ell", "5"],
+    "scan-composite-ell": ["scan", "--form", F11_2, "--ell", "6", "--pmax", "10"],
+    "scan-missing-form": ["scan", "--form", fixture_path("no-such.json"), "--ell", "5", "--pmax", "10"],
+    "scan-directory-form": ["scan", "--form", FIXTURE_DIR, "--ell", "5", "--pmax", "10"],
+    "scan-ell-2-on-81-6c": ["scan", "--form", F81, "--ell", "2", "--pmax", "50"],
+}
+
+# (fixture, mutation of its raw dict): each breaks a rule of the documented format
+MALFORMED = {
+    "top-level-list": ("11-4a", lambda d: [d]),
+    "an-as-a-list": ("11-4a", lambda d: {**d, "an": list(d["an"].values())}),
+    "coefficient-abc": ("11-4a", lambda d: {**d, "an": {**d["an"], "2": ["abc", "1"]}}),
+    "coefficient-1-over-0": ("11-4a", lambda d: {**d, "an": {**d["an"], "2": ["1/0", "1"]}}),
+    "coefficient-index-x": ("11-4a", lambda d: {**d, "an": {**d["an"], "x": ["1"]}}),
+    "coefficient-index-02": ("11-4a", lambda d: {**d, "an": {**d["an"], "02": ["5"]}}),
+    "steinberg-key-x": ("11-2a", lambda d: {**d, "steinberg_signs": {"x": 1}}),
+    "weight-six": ("11-4a", lambda d: {**d, "weight": "six"}),
+    "field_poly-float": ("11-2a", lambda d: {**d, "field_poly": [0.5, 1]}),
+    "vector-as-a-string": ("11-4a", lambda d: {**d, "an": {**d["an"], "2": "35"}}),
+    "weight-4.9": ("11-4a", lambda d: {**d, "weight": 4.9}),
+}
+
+
+def _assert_usage_exit(res):
+    assert res.exit_code == 2, (res.exit_code, res.output)
+    assert res.stdout == ""
+    assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+def test_cli_bad_argument_exits_2(argv):
+    _assert_usage_exit(CliRunner().invoke(main, argv))
+
+
+@pytest.mark.parametrize("name, mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_cli_malformed_fixture_exits_2(tmp_path, fixture_json, name, mutate):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(fixture_json(f"{name}.json"))), encoding="utf-8")
+    res = CliRunner().invoke(main, ["verify", "--form", str(path), "--ell", "5"])
+    _assert_usage_exit(res)
+    assert res.stderr.startswith("error: malformed fixture: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (BAD_ARGUMENTS["bound-degree-0"], 2),
+    (BAD_ARGUMENTS["verify-composite-ell"], 2),
+    (["bound", "--weight", "4", "--level", "11"], 0),
+])
+def test_cli_releases_the_factor_cache_however_a_command_ends(tmp_path, argv, code):
+    from excprimes import exact
+
+    res = CliRunner().invoke(main, [*argv, "--cache-dir", str(tmp_path)])
+    assert res.exit_code == code, res.output
+    assert exact._active_cache() is None
+    assert (tmp_path / "factors.txt").exists() == (code == 0)
