@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -88,13 +89,30 @@ class Reporter:
             click.echo(payload, nl=False)
 
 
+def _under_a_directory(ctx, param, path):
+    """Reject, before any work, a path that nothing could be written to.
+
+    The cache directory is created on flush; the report file's directory must exist.
+    """
+    if path is not None:
+        parent = os.path.dirname(os.path.abspath(path))
+        if param.name == "cache_dir":
+            while not os.path.exists(parent):
+                parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"{parent} is not an existing directory")
+    return path
+
+
 def _common_options(fn):
     fn = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
                       default="json", show_default=True, help="Report format.")(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                      default=None, help="Write the report to this file instead of stdout.")(fn)
+                      default=None, callback=_under_a_directory,
+                      help="Write the report to this file instead of stdout.")(fn)
     fn = click.option("--cache-dir", type=click.Path(file_okay=False),
-                      default=None, help="Directory for the persistent factorization cache.")(fn)
+                      default=None, callback=_under_a_directory,
+                      help="Directory for the persistent factorization cache.")(fn)
     fn = click.option("--timing", is_flag=True, default=False,
                       help="Include elapsed time (breaks byte-for-byte determinism).")(fn)
     return fn
@@ -262,7 +280,7 @@ def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir,
 
     nu = character_by_index(char_modulus, char_index)
     E = eisenstein_E(weight, nu, terms)
-    coeffs = {str(n): E.coefficient(n) for n in range(terms + 1)}
+    coeffs = {str(n): str(E.coefficient(n)) for n in range(terms + 1)}
     outputs = {
         "weight": weight,
         "character": f"chi({char_modulus},{char_index})",

@@ -2,11 +2,12 @@
 
 A QExpansion is read-only and stores coefficients 0..truncation; reading past
 the truncation raises rather than zero-fill. Coefficients are CycloElement,
-Fraction, or ints in [0, ell) (mod-ell series).
+exact int (sigma_{k-1}(n) in E_k for trivial nu), or int in [0, ell) (mod ell).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import DomainError
@@ -88,10 +89,10 @@ def eisenstein_E(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
     c = nu.modulus
     if k == 2 and c == 1:
         raise DomainError("(k, c) = (2, 1) is excluded: no such Eisenstein series")
-    if c == 1:  # nu trivial: a_n = sigma_{k-1}(n), from one integer sieve
-        sig = _divisor_power_sums(k - 1, truncation)
-        a0 = CycloElement(1, [-bernoulli_classical(k) / (2 * k)])
-        return QExpansion([a0] + [CycloElement(1, [s]) for s in sig[1:]], k, 1)
+    if c == 1:  # nu trivial: a_n = sigma_{k-1}(n) as ints, from one integer sieve
+        coeffs = _divisor_power_sums(k - 1, truncation)
+        coeffs[0] = CycloElement(1, [-bernoulli_classical(k) / (2 * k)])
+        return QExpansion(coeffs, k, 1)
     coeffs = [CycloElement(1, [Fraction(0)])]
     coeffs += [sigma_nu(k, nu, n) for n in range(1, truncation + 1)]
     return QExpansion(coeffs, k, c * c)
@@ -107,37 +108,36 @@ def _divisor_power_sums(e: int, truncation: int) -> list[int]:
     return sig
 
 
-def _e2_series(truncation: int) -> QExpansion:
-    """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used mod ell only)."""
-    sig = _divisor_power_sums(1, truncation)
-    return QExpansion([Fraction(-1, 24)] + [Fraction(s) for s in sig[1:]], 2, 1)
-
-
 def eprime_weight2_steinberg(signs, ell: int, truncation: int) -> QExpansion:
-    """[prod_i (a_{p_i} U_{p_i} - p_i Id)] E_2 reduced mod ell; signs = [(p, +-1)].
+    """[prod_i (s_i U_{p_i} - p_i Id)] E_2 reduced mod ell; signs = [(p_i, s_i)], N = prod p_i.
 
-    Constant term comes out to (-1/24) prod (a_p - p) exactly, which reduces
-    to (-1)^(t+1) prod(p_i - 1)/24 mod ell when all signs are +1.
+    a_n = sum over d | N of c_d sigma_1(n d), c_d = prod_{p | d} s_p prod_{p | N/d} (-p),
+    for n >= 1; as sigma_1 is multiplicative, with n = m prod p^e and m prime
+    to N this is sigma_1(m) prod_p (s_p + (s_p - 1) p sigma_1(p^e)).
+    The constant term is (-1/24) prod (s_p - p).
     """
-    signs = sorted(signs)
     primes = [p for p, _ in signs]
     if len(set(primes)) != len(primes):
         raise DomainError("steinberg primes must be distinct")
-    N = 1
-    for p, s in signs:
+    for _, s in signs:
         if s not in (1, -1):
             raise DomainError(f"steinberg sign must be +-1, got {s}")
-        N *= p
+    N = math.prod(primes)
     if (6 * N) % ell == 0:
         raise DomainError(f"ell = {ell} divides 6N = {6 * N}")
-    need = truncation
-    for p in primes:
-        need *= p
-    g = list(_e2_series(need).coeffs)
-    for p, s in signs:  # a_n -> s a_{pn} - p a_n, for every n with pn still known
-        g = [s * g[p * n] - p * g[n] for n in range((len(g) - 1) // p + 1)]
     F = FiniteField(ell, 1)
-    return QExpansion([F.residue(c) for c in g[: truncation + 1]], 2, N)
+    sig = _divisor_power_sums(1, truncation)
+    coeffs = [F.residue(Fraction(-1, 24) * math.prod(s - p for p, s in signs))]
+    for n in range(1, truncation + 1):
+        m, a_n = n, 1
+        for p, s in signs:
+            sigma_pe = 1  # sigma_1(p^e) for p^e exactly dividing n
+            while m % p == 0:
+                m //= p
+                sigma_pe = p * sigma_pe + 1
+            a_n *= s + (s - 1) * p * sigma_pe
+        coeffs.append(a_n * sig[m] % ell)
+    return QExpansion(coeffs, 2, N)
 
 
 def eprime_twisted(nu: DirichletCharacter, steinberg_primes, truncation: int) -> QExpansion:

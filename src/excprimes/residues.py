@@ -2,11 +2,11 @@
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
 hides its tuple of integer coordinates: its add, multiply and reduction mod
-the modulus, and the field's integer linear combination, are the only code
-here that works on that format. All polynomial work over F_p and F_q (factor
-degrees, the irreducibility test behind the modulus search, and root finding
-by Cantor-Zassenhaus splitting) runs on lists of FieldElements through the
-one polynomial core in `polys`, with F_p as the field of degree one.
+the modulus, the field's integer linear combination and embedding of F_p are
+the only code here that works on that format. All polynomial work over F_p and
+F_q (factor degrees, the irreducibility test behind the modulus search, and
+root finding by Cantor-Zassenhaus splitting) runs on lists of FieldElements
+through the one polynomial core in `polys`, with F_p as the field of degree one.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -147,17 +147,17 @@ class FiniteField:
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def residue(self, x: Fraction, context: str = "coefficient") -> int:
-        """x mod p as an int in [0, p) for rational x with a denominator prime to p."""
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
+    def residue(self, x: int | Fraction, context: str = "coefficient") -> int:
+        """x mod p as an int in [0, p) for an int or Fraction x with a denominator prime to p."""
+        den = x.denominator
+        if den % self.p == 0:
             raise DenominatorObstruction(
-                f"{context}: denominator {x.denominator} is divisible by {self.p}"
+                f"{context}: denominator {den} is divisible by {self.p}"
             )
-        return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return x.numerator * pow(den, -1, self.p) % self.p
 
-    def from_fraction(self, x: Fraction, context: str = "coefficient") -> "FieldElement":
-        return self.element(self.residue(x, context))
+    def from_fraction(self, x: int | Fraction, context: str = "coefficient") -> "FieldElement":
+        return FieldElement(self, (self.residue(x, context),) + (0,) * (self.d - 1))
 
     def linear_combination(self, scalars, elements) -> "FieldElement":
         """sum c_i e_i for ints c_i, as integer dot products reduced mod p once."""
@@ -385,12 +385,13 @@ def compositum_norm(P, Q, f, n: int) -> Fraction:
 # -- newform fixtures -------------------------------------------------------------
 
 
-def _parse_rational(s) -> Fraction:
-    try:
-        if isinstance(s, str) or type(s) is int:
-            return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        pass
+def _parse_rational(s) -> int | Fraction:
+    """An int where int() takes s (a subset of what Fraction() takes, same value), else a Fraction."""
+    for parse in (int, Fraction) if isinstance(s, str) or type(s) is int else ():
+        try:
+            return parse(s)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise FixtureError(f"coefficient entries must be decimal strings, got {s!r}")
 
 
@@ -401,6 +402,16 @@ def _integer(x, what: str, key: bool = False) -> int:
     if type(x) is not int:
         raise FixtureError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, where a repeated key is an error and not last-one-wins."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise FixtureError(f"key {key!r} appears twice in one JSON object")
+        out[key] = value
+    return out
 
 
 def _typed(x, kind: type, what: str):
@@ -466,7 +477,7 @@ class NewformFixture:
             raise FixtureError("field_poly must be monic")
         if not _is_irreducible_over_q(list(self.field_poly)):
             raise FixtureError("field_poly is reducible over Q")
-        one = tuple([Fraction(1)] + [Fraction(0)] * (deg - 1))
+        one = (1,) + (0,) * (deg - 1)
         if self.an.get(1) != one:
             raise FixtureError("a_1 != 1: fixture is not a normalized eigenform")
         for p, e in factorize(self.level).factors:
@@ -479,7 +490,7 @@ class NewformFixture:
             if self.level % p != 0 or (self.level // p) % p == 0:
                 raise FixtureError(f"{p} does not exactly divide the level {self.level}")
             if p in self.an:
-                expected = Fraction(s) * p ** (self.weight // 2 - 1)
+                expected = s * p ** (self.weight // 2 - 1)
                 vec = self.an[p]
                 if vec[0] != expected or any(vec[1:]):
                     raise FixtureError(
@@ -506,7 +517,7 @@ class NewformFixture:
     def from_json_file(cls, path) -> "NewformFixture":
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, object_pairs_hook=_unique_keys)
             except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting too deep
                 raise FixtureError(f"fixture is not valid JSON: {exc}") from exc
         return cls.from_dict(data)

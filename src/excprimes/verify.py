@@ -166,18 +166,26 @@ def _compared(fixture: NewformFixture, ell: int, window: int):
             yield n, fixture.a(n)
 
 
-def _compare_at_point(fixture, E: QExpansion, pt: ResiduePoint, ell: int, window: int):
-    """First compared n where a_n(f) and a_n(E) differ at pt, or None."""
+def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> list:
+    """(point name, first compared n where a_n(f) and a_n(E) differ there, or None) per point.
+
+    The points, all in one field, are compared together n by n, so an int
+    a_n(E) is reduced once per n; the walk ends when every point has a mismatch.
+    """
+    mismatch = [None] * len(points)
     for n, a_n in _compared(fixture, ell, window):
-        lhs = pt.reduce_vector(a_n)
+        live = [i for i, m in enumerate(mismatch) if m is None]
+        if not live:
+            break
         target = E.coefficient(n)
-        if isinstance(target, CycloElement):
-            rhs = pt.reduce_cyclo(target)
-        else:
-            rhs = pt.field.from_fraction(Fraction(target), f"a_{n}(E)")
-        if lhs != rhs:
-            return n
-    return None
+        if not isinstance(target, CycloElement):
+            target = points[0].field.from_fraction(target)
+        for i in live:
+            pt = points[i]
+            rhs = pt.reduce_cyclo(target) if isinstance(target, CycloElement) else target
+            if pt.reduce_vector(a_n) != rhs:
+                mismatch[i] = n
+    return [(_point_name(pt), n) for pt, n in zip(points, mismatch)]
 
 
 def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int):
@@ -185,10 +193,7 @@ def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int
     f = list(fixture.field_poly)
     for n, a_n in _compared(fixture, ell, window):
         target = E.coefficient(n)
-        if isinstance(target, CycloElement):
-            q_poly = list(target.embed(n_cyclo).coeffs)
-        else:
-            q_poly = [Fraction(target)]
+        q_poly = list(target.embed(n_cyclo).coeffs) if isinstance(target, CycloElement) else [target]
         nrm = compositum_norm(list(a_n), q_poly, f, n_cyclo)
         if not _divides_rational(ell, nrm):
             return n
@@ -289,10 +294,7 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
                 verdict, witnesses, tuple(warnings),
             ))
             continue
-        outcomes = [
-            (_point_name(pt), _compare_at_point(fixture, E, pt, ell, window))
-            for pt in points
-        ]
+        outcomes = _point_outcomes(fixture, E, points, ell, window)
         results.append(_conclude(fixture, ell, desc, window, sturm, outcomes, warnings))
     return min(results, key=lambda r: (rank(r), r.eisenstein))
 
@@ -335,7 +337,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
             fixture.label, ell, RESIDUE, desc, 0, sturm,
             f"inconclusive(denominator obstruction: {exc})",
         )
-    outcomes = [(_point_name(pt), _compare_at_point(fixture, E, pt, ell, window)) for pt in points]
+    outcomes = _point_outcomes(fixture, E, points, ell, window)
     return _conclude(fixture, ell, desc, window, sturm, outcomes)
 
 

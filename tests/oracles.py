@@ -3,7 +3,8 @@
 Numeric L-values and a lattice double sum (mpmath) cross-check the exact
 Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
 and theta, and E_2 - u E_2(u tau), check identities of the series the
-package builds; Gauss sums and the von Staudt-Clausen denominator check
+package builds; E_2 and the weight-2 E' built from it by U_p operators check
+the sigma_1(n d) construction of `eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
 the character and Bernoulli layers. None of this is on the package's
 runtime path.
 """
@@ -180,3 +181,22 @@ def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
         # the divisors m = u m' of n sum to u sigma_1(n/u)
         coeffs.append(Fraction(sig[n] - (u * sig[n // u] if n % u == 0 else 0)))
     return QExpansion(coeffs, 2, u)
+
+
+def e2_series(truncation: int) -> QExpansion:
+    """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used mod ell only)."""
+    sig = _divisor_power_sums(1, truncation)
+    return QExpansion([Fraction(-1, 24)] + [Fraction(s) for s in sig[1:]], 2, 1)
+
+
+def eprime_weight2_by_operators(signs, truncation: int) -> list[Fraction]:
+    """[prod_i (s_i U_{p_i} - p_i Id)] E_2, coefficients 0..truncation, before reduction mod ell.
+
+    Applies each operator to E_2 itself, built out to truncation * N with a
+    Fraction per coefficient; signs = [(p, s)] with distinct p.
+    """
+    need = truncation * math.prod(p for p, _ in signs)
+    g = list(e2_series(need).coeffs)
+    for p, s in signs:  # a_n -> s a_{pn} - p a_n, for every n with pn still known
+        g = [s * g[p * n] - p * g[n] for n in range((len(g) - 1) // p + 1)]
+    return g[: truncation + 1]

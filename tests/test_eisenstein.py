@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,15 @@ from excprimes import (
     eprime_weight2_steinberg,
     trivial_character,
 )
-from excprimes.eisenstein import _e2_series, sigma_nu
-from oracles import apply_Tr, eisenstein_E2u, theta_operator, twist
+from excprimes.eisenstein import sigma_nu
+from oracles import (
+    apply_Tr,
+    e2_series,
+    eisenstein_E2u,
+    eprime_weight2_by_operators,
+    theta_operator,
+    twist,
+)
 
 
 NU9 = character_by_index(9, 2)
@@ -36,7 +45,7 @@ def test_classical_E4_coefficients():
     sigma3 = [1, 9, 28, 73, 126, 252]
     for n, want in enumerate(sigma3, start=1):
         got = e4.coefficient(n)
-        assert got.is_rational() and got.rational_value() == want
+        assert type(got) is int and got == want
 
 
 def test_eisenstein_E_input_validation():
@@ -98,8 +107,8 @@ def test_Up_on_E2_splits_into_E2u_and_pE2():
     # U_p E_2 = E_2^(p) + p E_2, coefficientwise: sigma_1(pn) decomposes
     for p in (2, 3, 5):
         T = 30
-        lhs = _e2_series(T).coeffs[::p]
-        rhs = [a + p * b for a, b in zip(eisenstein_E2u(p, T // p).coeffs, _e2_series(T // p).coeffs)]
+        lhs = e2_series(T).coeffs[::p]
+        rhs = [a + p * b for a, b in zip(eisenstein_E2u(p, T // p).coeffs, e2_series(T // p).coeffs)]
         assert list(lhs) == rhs
 
 
@@ -111,7 +120,7 @@ def test_E2u_series_shape():
         for n in range(1, 61):
             want = sum(m for m in range(1, n + 1) if n % m == 0 and m % u)
             assert e.coefficient(n) == want
-    e2 = _e2_series(60)
+    e2 = e2_series(60)
     assert e2.coefficient(0) == Fraction(-1, 24)
     for n in range(1, 61):
         assert e2.coefficient(n) == sum(m for m in range(1, n + 1) if n % m == 0)
@@ -142,6 +151,44 @@ def test_weight2_steinberg_frozen_series():
         eprime_weight2_steinberg([(11, 2)], 7, 5)
     with pytest.raises(DomainError):
         eprime_weight2_steinberg([(11, 1), (11, -1)], 7, 5)
+
+
+@pytest.mark.parametrize("primes, T, sign_vectors, ells", [
+    ((11,), 60, [(1,), (-1,)], (5, 7, 13, 101)),
+    ((41, 43), 30, list(itertools.product((1, -1), repeat=2)), (5, 7, 11, 13, 1009)),
+    ((2, 3, 5, 7, 11), 15, [(1,) * 5, (-1,) * 5, (1, -1, 1, -1, 1), (-1, -1, 1, 1, -1)],
+     (13, 17, 19, 1009)),
+])
+def test_weight2_steinberg_matches_the_operator_construction(primes, T, sign_vectors, ells):
+    N = math.prod(primes)
+    for vector in sign_vectors:
+        signs = list(zip(primes, vector))
+        exact = eprime_weight2_by_operators(signs, T)
+        for ell in ells:
+            want = tuple(c.numerator * pow(c.denominator, -1, ell) % ell for c in exact)
+            E = eprime_weight2_steinberg(signs, ell, T)
+            assert (E.coeffs, E.weight, E.level) == (want, 2, N), (signs, ell)
+
+
+def _sigma_1(n: int) -> int:
+    return sum(d + (n // d if d * d != n else 0) for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+
+
+def test_weight2_steinberg_at_a_three_prime_level_is_fast():
+    signs, ell, T = [(41, 1), (43, -1), (47, 1)], 13, 100
+    start = time.perf_counter()
+    E = eprime_weight2_steinberg(signs, ell, T)
+    assert time.perf_counter() - start < 1.0
+    assert (E.truncation, E.level) == (T, 41 * 43 * 47)
+    # a_n = sum over d | N of c_d sigma_1(n d), c_d = prod_{p | d} s_p prod_{p | N/d} (-p)
+    for n in (1, 2, 41, 43, 47, 82, 94, 100):
+        total = 0
+        for chosen in itertools.product((False, True), repeat=3):
+            d = c_d = 1
+            for (p, s), in_d in zip(signs, chosen):
+                d, c_d = (d * p, c_d * s) if in_d else (d, -p * c_d)
+            total += c_d * _sigma_1(n * d)
+        assert E.coefficient(n) == total % ell, n
 
 
 # (signs, ell, T, eprime_weight2_steinberg(signs, ell, T).coeffs), recorded while it
@@ -198,7 +245,7 @@ def test_trivial_character_series_is_sigma_nu():
 
 
 def test_e2_series_is_sigma_1():
-    E2 = _e2_series(300)
+    E2 = e2_series(300)
     assert (E2.weight, E2.level, E2.coefficient(0)) == (2, 1, Fraction(-1, 24))
     for n in range(1, 301):
         a_n = E2.coefficient(n)
@@ -230,7 +277,7 @@ def test_ramanujan_691_over_a_long_window():
     a0 = E12.coefficient(0).rational_value()  # tau(0) = 0 and 691 | num(B_12)
     assert a0.numerator % 691 == 0 and a0.denominator % 691
     for n in range(1, T + 1):
-        assert tau[n] == E12.coefficient(n).rational_value() % 691, n
+        assert tau[n] == E12.coefficient(n) % 691, n
 
 
 @pytest.mark.parametrize("job", sorted(GOLDEN_ENVELOPES))

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import fixture_path, run_cli
 from excprimes import (
     DenominatorObstruction,
     DomainError,
@@ -83,6 +83,9 @@ def test_from_fraction_and_denominator_obstruction():
     assert F.from_fraction(Fraction(1, 7)) == F.element(3)
     with pytest.raises(DenominatorObstruction):
         F.from_fraction(Fraction(1, 10))
+    # ints reduce without a Fraction, with the value Fraction(x) gives
+    for x in (0, 7, -7, 10 ** 40 + 3, -(10 ** 40)):
+        assert F.residue(x) == F.residue(Fraction(x)) == x % 5
 
 
 def test_squares_by_euler_criterion():
@@ -376,7 +379,8 @@ def test_reduce_vector_matches_horner(data):
     fx, pt = data.draw(st.sampled_from(_bundled_points()))
     denominators = st.integers(1, 10 ** 6).filter(lambda d: d % pt.ell)
     rationals = st.builds(Fraction, st.integers(-(10 ** 12), 10 ** 12), denominators)
-    vec = data.draw(st.lists(rationals, min_size=1, max_size=fx.degree()))
+    coordinates = st.one_of(st.integers(-(10 ** 40), 10 ** 40), rationals)
+    vec = data.draw(st.lists(coordinates, min_size=1, max_size=fx.degree()))
     assert pt.reduce_vector(vec) == _horner(pt, vec)
 
 
@@ -464,6 +468,51 @@ def test_fixture_accepts_the_documented_number_forms():
     # Python callers may use int keys and int coordinates
     fx = NewformFixture("t", 4, 11, [-2, -2, 1], {1: [1], 2: [0, 1]}, steinberg_signs={11: 1})
     assert fx.a(2) == (Fraction(0), Fraction(1)) and fx.steinberg_signs == {11: 1}
+
+
+# int() accepts a subset of the strings Fraction() accepts, with the same value;
+# the loader tries int() first, so it must accept and reject what Fraction(str) does.
+PARSE_EDGE_CASES = [
+    "7", " 7", "+7", "-0", "007", "1_000", "1e3", "-2.0", "3/4", "1/0", "--1", "", "abc",
+    "9" * 5000,
+]
+
+
+def _parses(kind, s) -> bool:
+    try:
+        kind(s)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("s", PARSE_EDGE_CASES, ids=lambda s: repr(s)[:12])
+def test_fixture_coordinates_parse_as_fraction_does(s):
+    data = _base_fixture_dict()
+    data["an"]["3"] = [s, "0"]
+    if not _parses(Fraction, s):
+        with pytest.raises(FixtureError, match="decimal strings"):
+            NewformFixture.from_dict(data)
+        return
+    got = NewformFixture.from_dict(data).a(3)[0]
+    assert got == Fraction(s)
+    assert type(got) is (int if _parses(int, s) else Fraction)
+
+
+def test_fixture_rejects_a_key_given_twice(tmp_path):
+    with open(fixture_path("11-4a.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert '"2": [' in text and '"weight": 4' in text
+    for dup, key in ((text.replace('"2": [', '"2": ["7", "0"],\n    "2": [', 1), "'2'"),
+                     (text.replace('"weight": 4', '"weight": 4,\n  "weight": 6', 1), "'weight'")):
+        p = tmp_path / "dup.json"
+        p.write_text(dup, encoding="utf-8")
+        message = f"fixture is not valid JSON: key {key} appears twice in one JSON object"
+        with pytest.raises(FixtureError, match=f"^{message}$"):
+            NewformFixture.from_json_file(p)
+        proc = run_cli("verify", "--form", p, "--ell", 7)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: malformed fixture: {message}\n"
 
 
 def test_fixture_rejections():

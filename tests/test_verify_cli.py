@@ -484,3 +484,31 @@ def test_cli_releases_the_factor_cache_however_a_command_ends(tmp_path, argv, co
     assert res.exit_code == code, res.output
     assert exact._active_cache() is None
     assert (tmp_path / "factors.txt").exists() == (code == 0)
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("the command body ran")
+
+
+@pytest.mark.parametrize("option, under", [
+    ("--out", "afile/out.json"),
+    ("--cache-dir", "afile/sub"),
+    ("--cache-dir", "afile/sub/deeper"),
+    ("--out", "nodir/out.json"),
+])
+def test_cli_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, option, under):
+    import excprimes.dimensions
+
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    monkeypatch.setattr(excprimes.dimensions, "level_invariants", _boom)
+    res = CliRunner().invoke(main, ["dims", "--weight", "2", "--level", "11", option, str(tmp_path / under)])
+    _assert_usage_exit(res)
+    assert f"Invalid value for '{option}'" in res.stderr and "is not an existing directory" in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_cli_cache_dir_is_created_below_an_existing_directory(tmp_path):
+    cache = tmp_path / "new" / "deeper"
+    res = CliRunner().invoke(main, ["bound", "--weight", "4", "--level", "11", "--cache-dir", str(cache)])
+    assert res.exit_code == 0, res.output
+    assert (cache / "factors.txt").exists()
