@@ -1,7 +1,9 @@
 """Classical and character-twisted Bernoulli numbers.
 
-B_{k,chi} is computed through the Bernoulli-polynomial identity
-B_{k,chi} = f^(k-1) * sum_{a=1..f} chi(a) B_k(a/f), exact over Q(zeta_ord).
+B_{k,chi} = f^(k-1) * sum_{a=1..f} chi(a) B_k(a/f), exact over Q(zeta_ord),
+is computed by expanding B_k(x) = sum_j C(k,j) B_j x^(k-j):
+B_{k,chi} = sum_j C(k,j) B_j f^(j-1) sum_a chi(a) a^(k-j), with the inner
+sums taken as integer power sums over the a that share a value of chi.
 """
 
 from __future__ import annotations
@@ -34,34 +36,40 @@ def bernoulli_classical(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def bernoulli_polynomial(m: int, x: Fraction) -> Fraction:
-    """B_m(x) = sum_j C(m,j) B_j x^(m-j)."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(m + 1):
-        acc += math.comb(m, j) * bernoulli_classical(j) * x ** (m - j)
-    return acc
-
-
 def bernoulli_generalized(k: int, chi: DirichletCharacter) -> CycloElement:
     """B_{k,chi} as an exact element of Q(zeta_ord(chi))."""
     if not chi.is_primitive():
         raise DomainError("bernoulli_generalized requires a primitive character")
-    f = chi.modulus
-    total = CycloElement(1, [Fraction(0)])
+    f, order = chi.modulus, chi.order
+    # sums[t][i] = sum of a^i over the units a mod f with chi(a) = zeta_order^t
+    sums: dict[int, list[int]] = {}
     for a in range(1, f + 1):
-        if math.gcd(a, f) != 1:
-            continue
-        total = total + chi.value(a) * bernoulli_polynomial(k, Fraction(a, f))
-    return Fraction(f) ** (k - 1) * total
+        if math.gcd(a, f) == 1:
+            t = chi.value_exponent(a) * order
+            row = sums.setdefault(t.numerator, [0] * (k + 1))
+            power = 1
+            for i in range(k + 1):
+                row[i] += power
+                power *= a
+    # weights[j] = C(k,j) B_j f^(j-1), paired with the power sum of index k - j
+    weights = [
+        math.comb(k, j) * bernoulli_classical(j) * Fraction(f) ** (j - 1) for j in range(k + 1)
+    ]
+    coeffs = [Fraction(0)] * order
+    for t, row in sums.items():
+        coeffs[t] = sum(w * row[k - j] for j, w in enumerate(weights) if w)
+    return CycloElement(order, coeffs)
 
 
 def bernoulli_norm_numerator(k: int, eps: DirichletCharacter) -> FactoredInteger:
-    """Factored numerator of |N(B_{k,eps} / 2k)|, norm from Q(zeta_ord(eps))."""
+    """Factored numerator of |N(B_{k,eps} / 2k)|, norm from Q(zeta_ord(eps)).
+
+    The factorization may be partial: see `FactoredInteger.cofactor`.
+    """
     b = bernoulli_generalized(k, eps)
     if not b:
         raise VacuousClauseError(
             f"B_{{{k},chi({eps.modulus},{eps.index})}} = 0: clause is vacuous"
         )
     norm = (b / (2 * k)).norm()
-    return factorize(abs(norm.numerator))
+    return factorize(abs(norm.numerator), partial=True)

@@ -4,6 +4,9 @@ Three families of candidates are produced for a weight-k, level-N newform:
 reducible, dihedral projective image, and exceptional projective image
 (A4/S4/A5). Every listed prime carries an ASCII provenance clause naming the
 inequality or norm that produced it, so reports are auditable and stable.
+A composite part of a clause's number that ECM's budget leaves unsplit is
+reported with that clause as unfactored: every prime in it is a candidate
+too, unnamed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    DomainError, decimal_string, factorize, is_prime, lcm_pow_minus_one, primes_up_to,
+    DomainError, FactoredInteger, decimal_string, factorize, is_prime, lcm_pow_minus_one,
+    primes_up_to,
 )
 from .characters import DirichletCharacter, enumerate_characters, square_inverse_eps
 from .bernoulli import VacuousClauseError, bernoulli_classical, bernoulli_norm_numerator
@@ -27,18 +31,15 @@ def _chi_name(chi: DirichletCharacter) -> str:
     return f"chi({chi.modulus},{chi.index})"
 
 
-def _norm_primes(value) -> tuple[int, ...] | None:
-    """Prime divisors of the norm of a cyclotomic value; None when the norm is 0."""
+def _factored_norm(value) -> FactoredInteger | None:
+    """The factored absolute norm of a cyclotomic value; None when the norm is 0."""
     nrm = value.norm() if hasattr(value, "norm") else Fraction(value)
     nrm = Fraction(nrm)
     if nrm == 0:
         return None
     if nrm.denominator != 1:
         raise ArithmeticError(f"the norm {nrm} of an algebraic integer is not an integer")
-    n = abs(nrm.numerator)
-    if n == 1:
-        return ()
-    return factorize(n).primes()
+    return factorize(abs(nrm.numerator), partial=True)
 
 
 def _square_part_root(fac) -> int:
@@ -49,8 +50,12 @@ def _square_part_root(fac) -> int:
     return c
 
 
-def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
-    """(prime, provenance clause) pairs covering every possibly-reducible ell."""
+def _reducible(k: int, N: int) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
+    """(prime, clause) pairs, and (unfactored cofactor, clause) pairs.
+
+    Together they cover every possibly-reducible ell: a prime of a clause's
+    number is either listed or divides that clause's cofactor.
+    """
     if k < 2 or k % 2:
         raise DomainError(f"weight must be even and >= 2, got {k}")
     if N < 1:
@@ -58,6 +63,14 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
     fac = factorize(N)
     level_primes = list(fac.primes())
     pairs: set[tuple[int, str]] = set()
+    unfactored: set[tuple[int, str]] = set()
+
+    def add(factored: FactoredInteger, clause: str) -> None:
+        for ell in factored.primes():
+            pairs.add((ell, clause))
+        if factored.cofactor != 1:
+            unfactored.add((factored.cofactor, clause))
+
     for ell in primes_up_to(k + 1):
         pairs.add((ell, GATE_SMALL))
     for p in level_primes:
@@ -70,23 +83,20 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
         # Swinnerton-Dyer, LNM 350: at level 1, ell > k+1 is reducible only
         # when ell divides the numerator of B_k/2k
         clause = "divides the numerator of B_k/2k"
-        for ell in factorize((bernoulli_classical(k) / (2 * k)).numerator).primes():
-            pairs.add((ell, clause))
+        add(factorize((bernoulli_classical(k) / (2 * k)).numerator, partial=True), clause)
     elif squarefree:
         if k > 2:
             g = 0
             for p in level_primes:
                 g = math.gcd(g, lcm_pow_minus_one(p, k))
             clause = "divides gcd over p | N of lcm(p^k - 1, p^(k-2) - 1)"
-            for ell in factorize(g).primes():
-                pairs.add((ell, clause))
+            add(factorize(g, partial=True), clause)
         else:
             lcm_val = 1
             for p in level_primes:
                 lcm_val = math.lcm(lcm_val, p * p - 1)
             clause = "divides lcm over p | N of p^2 - 1"
-            for ell in factorize(lcm_val).primes():
-                pairs.add((ell, clause))
+            add(factorize(lcm_val, partial=True), clause)
     elif c * c == N:
         for p, e in fac.factors:
             if e == 2:
@@ -97,19 +107,15 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
             eps = square_inverse_eps(nu)
             eps_inv = eps.inverse()
             for p in factorize(c).primes():
-                primes = _norm_primes(p ** k - eps_inv.value(p))
-                if primes is None:
+                nrm = _factored_norm(p ** k - eps_inv.value(p))
+                if nrm is None:
                     raise ArithmeticError("p^k minus a root of unity cannot vanish")
-                clause = f"norm of p^k - eps^(-1)(p) at p = {p}, nu = {_chi_name(nu)}"
-                for ell in primes:
-                    pairs.add((ell, clause))
+                add(nrm, f"norm of p^k - eps^(-1)(p) at p = {p}, nu = {_chi_name(nu)}")
             try:
                 bn = bernoulli_norm_numerator(k, eps)
             except VacuousClauseError:
                 continue
-            clause = f"numerator of norm of B_(k,eps)/2k, nu = {_chi_name(nu)}"
-            for ell in bn.primes():
-                pairs.add((ell, clause))
+            add(bn, f"numerator of norm of B_(k,eps)/2k, nu = {_chi_name(nu)}")
     elif (
         k == 2
         and all(e == 1 for _, e in fac.factors if e % 2)
@@ -122,29 +128,23 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
             eps_inv = eps.inverse()
             name = _chi_name(nu)
             for p in steinberg:
-                primes = _norm_primes(p * p - nu.value(p) ** 2)
-                if primes is None:
+                nrm = _factored_norm(p * p - nu.value(p) ** 2)
+                if nrm is None:
                     raise ArithmeticError("p^2 minus a root of unity cannot vanish")
-                clause = f"norm of p^2 - nu^2(p) at p = {p}, nu = {name}"
-                for ell in primes:
-                    pairs.add((ell, clause))
+                add(nrm, f"norm of p^2 - nu^2(p) at p = {p}, nu = {name}")
                 clause = f"divides p - 1 for p = {p}"
                 for ell in factorize(p - 1).primes() if p > 2 else ():
                     pairs.add((ell, clause))
             for p in factorize(c).primes():
-                primes = _norm_primes(p * p - eps_inv.value(p))
-                if primes is None:
+                nrm = _factored_norm(p * p - eps_inv.value(p))
+                if nrm is None:
                     raise ArithmeticError("p^2 minus a root of unity cannot vanish")
-                clause = f"norm of p^2 - eps^(-1)(p) at p = {p}, nu = {name}"
-                for ell in primes:
-                    pairs.add((ell, clause))
+                add(nrm, f"norm of p^2 - eps^(-1)(p) at p = {p}, nu = {name}")
             try:
                 bn = bernoulli_norm_numerator(2, eps)
             except VacuousClauseError:
                 continue
-            clause = f"numerator of norm of B_(2,eps)/4, nu = {name}"
-            for ell in bn.primes():
-                pairs.add((ell, clause))
+            add(bn, f"numerator of norm of B_(2,eps)/4, nu = {name}")
     else:
         v2 = dict(fac.factors).get(2, 0)
         if v2 == 2 or (v2 >= 3 and v2 % 2 == 1):
@@ -160,13 +160,19 @@ def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
                 name = _chi_name(eta)
                 for p in steinberg:
                     for exp in (k, k - 2):
-                        primes = _norm_primes(p ** exp - eta.value(p))
-                        if primes is None:
+                        nrm = _factored_norm(p ** exp - eta.value(p))
+                        if nrm is None:
                             continue  # p^0 = eta(p): vacuous clause, dropped
-                        clause = f"norm of p^{exp} - eta(p) at p = {p}, eta = {name}"
-                        for ell in primes:
-                            pairs.add((ell, clause))
-    return sorted(pairs)
+                        add(nrm, f"norm of p^{exp} - eta(p) at p = {p}, eta = {name}")
+    return sorted(pairs), sorted(unfactored)
+
+
+def reducible_candidates(k: int, N: int) -> list[tuple[int, str]]:
+    """(prime, provenance clause) pairs: the candidates that factoring named.
+
+    `candidate_report` also lists the cofactors that ECM's budget left unsplit.
+    """
+    return _reducible(k, N)[0]
 
 
 def reducible_primes(k: int, N: int) -> list[int]:
@@ -220,12 +226,10 @@ def reducible_weight2_signs(signs) -> Weight2SignReport:
         for ell in factorize(g).primes():
             clauses.append((ell, clause))
     else:
-        prod = 1
-        for p, _ in pairs:
-            prod *= p - 1
         clause = "all signs +1: ell divides product of p - 1 over p | N"
-        for ell in factorize(prod).primes() if prod > 1 else ():
-            clauses.append((ell, clause))
+        # each p - 1 factored on its own, as their product may be past the ECM budget
+        primes = {ell for p, _ in pairs for ell in factorize(p - 1).primes()}
+        clauses.extend((ell, clause) for ell in primes)
     return Weight2SignReport(tuple(pairs), impossible, tuple(sorted(clauses)), note)
 
 
@@ -327,18 +331,22 @@ def exceptional_image_candidates(k: int, N: int) -> list[int]:
 
 @dataclass(frozen=True)
 class CandidateReport:
+    """The three candidate families; `unfactored` holds (cofactor, clause) pairs."""
+
     weight: int
     level: int
     reducible: tuple[tuple[int, str], ...]
     dihedral: DihedralReport
     exceptional_image: tuple[int, ...]
     assumptions: tuple[str, ...]
+    unfactored: tuple[tuple[int, str], ...] = ()
 
     def reducible_primes(self) -> list[int]:
+        """The reducible candidates that factoring named; see also `unfactored`."""
         return sorted({p for p, _ in self.reducible})
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "weight": self.weight,
             "level": self.level,
             "reducible": [{"prime": p, "clause": c} for p, c in self.reducible],
@@ -347,17 +355,24 @@ class CandidateReport:
             "exceptional_image": list(self.exceptional_image),
             "assumptions": list(self.assumptions),
         }
+        if self.unfactored:
+            out["unfactored"] = [
+                {"cofactor": decimal_string(c), "digits": len(decimal_string(c)), "clause": clause}
+                for c, clause in self.unfactored
+            ]
+        return out
 
 
 def candidate_report(k: int, N: int, degree: int | None = None) -> CandidateReport:
-    reducible = tuple(reducible_candidates(k, N))
+    reducible, unfactored = _reducible(k, N)
     dihedral = dihedral_candidates(k, N, degree)
     exceptional = tuple(exceptional_image_candidates(k, N))
     return CandidateReport(
         k,
         N,
-        reducible,
+        tuple(reducible),
         dihedral,
         exceptional,
         dihedral.assumptions,
+        tuple(unfactored),
     )

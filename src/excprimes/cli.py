@@ -171,6 +171,9 @@ def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
     lines.append("reducible candidates: " + ", ".join(map(str, report.reducible_primes())))
     for p, clause in report.reducible:
         lines.append(f"  {p}: {clause}")
+    for c, clause in report.unfactored:
+        digits = decimal_string(c)
+        lines.append(f"  ell divides {digits} (unfactored, {len(digits)} digits): {clause}")
     if report.dihedral.primes is not None:
         lines.append("dihedral candidates: " + ", ".join(map(str, report.dihedral.primes)))
     else:

@@ -97,6 +97,15 @@ _RHO_BUDGET = 1 << 16
 _ECM_SCHEDULE = ((2_000, 25), (11_000, 90), (50_000, 300), (250_000, 700))
 _ECM_B2_FACTOR = 100
 _ECM_D = 2310
+# Stage 2 takes this many giant steps at a time: one sieve block when the
+# table of prime pairs is built, and one inversion per batch on each curve.
+_ECM_BATCH = 64
+
+# The ECM budget. A composite up to this bound (32 digits) runs the whole
+# schedule: its smallest prime factor has at most 16 digits. A larger one
+# runs the first row only, 25 curves, and what they do not split is kept as
+# an unfactored cofactor.
+_ECM_FULL_LIMIT = 10 ** 32
 
 
 @lru_cache(maxsize=1)
@@ -159,33 +168,50 @@ def _pollard_brent(n: int) -> int | None:
 # with a24 = (A + 2) / 4 (Montgomery, Math. Comp. 48 (1987)).
 
 
-def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
-    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x : 1) for k >= 1 by the Montgomery ladder.
+
+    (xs : zs) - (xr : zr) = (x : 1) throughout, so each differential
+    addition skips the multiplication by the difference's Z.
+    """
+    s, d = (x + 1) ** 2 % n, (x - 1) ** 2 % n
     t = s - d
-    return s * d % n, t * (d + a24 * t) % n
-
-
-def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
-    """P + Q from P, Q and their difference P - Q = (xd : zd)."""
-    u = (xp - zp) * (xq + zq) % n
-    v = (xp + zp) * (xq - zq) % n
-    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
-
-
-def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
-    """k * (x : z) for k >= 1 by the Montgomery ladder."""
-    xr, zr = x, z
-    xs, zs = _xdbl(x, z, a24, n)
+    xr, zr, xs, zs = x, 1, s * d % n, t * (d + a24 * t) % n
     for bit in bin(k)[3:]:
-        # (xs : zs) - (xr : zr) = (x : z) throughout
-        xa, za = _xadd(xs, zs, xr, zr, x, z, n)
+        a, b, c, e = xr + zr, xr - zr, xs + zs, xs - zs
+        u, v = e * a % n, c * b % n
+        xa, za = (u + v) ** 2 % n, x * (u - v) ** 2 % n
         if bit == "1":
-            xr, zr = xa, za
-            xs, zs = _xdbl(xs, zs, a24, n)
+            s, d = c * c % n, e * e % n
+            t = s - d
+            xr, zr, xs, zs = xa, za, s * d % n, t * (d + a24 * t) % n
         else:
-            xs, zs = xa, za
-            xr, zr = _xdbl(xr, zr, a24, n)
+            s, d = a * a % n, b * b % n
+            t = s - d
+            xr, zr, xs, zs = s * d % n, t * (d + a24 * t) % n, xa, za
     return xr, zr
+
+
+def _normalize(points: list[tuple[int, int]], n: int) -> tuple[int, list[int]]:
+    """(1, [X / Z mod n for each point]) with one inversion, by Montgomery's trick.
+
+    When some Z is not a unit mod n, (gcd(Z, n), []) for the first such point.
+    """
+    prefix = []
+    acc = 1
+    for _, z in points:
+        acc = acc * z % n
+        prefix.append(acc)
+    if math.gcd(acc, n) != 1:
+        return next(g for g in (math.gcd(z, n) for _, z in points) if g != 1), []
+    inv = pow(acc, -1, n)
+    out = [0] * len(points)
+    for i in range(len(points) - 1, 0, -1):
+        x, z = points[i]
+        out[i] = x * inv * prefix[i - 1] % n
+        inv = inv * z % n
+    out[0] = points[0][0] * inv % n
+    return 1, out
 
 
 @lru_cache(maxsize=8)
@@ -200,14 +226,44 @@ def _stage1_multiplier(b1: int) -> int:
     return k
 
 
+@lru_cache(maxsize=2)
+def _stage2_rows(b1: int, b2: int) -> tuple[bytes, ...]:
+    """The prime pairs of stage 2: one row for each giant step m D.
+
+    m runs from max(1, b1 // D) while m D - D/2 <= b2. Row m holds the
+    indices, among the odd j < D/2 prime to D, of those j with m D + j or
+    m D - j prime. A sieve over _ECM_BATCH rows at a time finds them, so no
+    sieve of b2 bytes is kept.
+    """
+    half = _ECM_D // 2
+    js = [j for j in range(1, half, 2) if math.gcd(j, _ECM_D) == 1]
+    m0, m1 = max(1, b1 // _ECM_D), (b2 + half) // _ECM_D
+    small = primes_up_to(math.isqrt(m1 * _ECM_D + half))
+    rows = []
+    for first in range(m0, m1 + 1, _ECM_BATCH):
+        last = min(first + _ECM_BATCH, m1 + 1)
+        lo = first * _ECM_D - half  # seg[i] stands for lo + i
+        seg = bytearray([1]) * ((last - first) * _ECM_D + 1)
+        for p in small:
+            start = max(p * p, -(-lo // p) * p) - lo
+            seg[start::p] = bytes(len(range(start, len(seg), p)))
+        for m in range(first, last):
+            c = m * _ECM_D - lo
+            rows.append(bytes(i for i, j in enumerate(js) if seg[c + j] or seg[c - j]))
+    return tuple(rows)
+
+
 def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     """One ECM curve; a proper divisor of n when the curve's order mod some p | n is smooth.
 
     Suyama's parametrization by sigma gives the curve and a point on it.
     Stage 1 multiplies the point by every prime power up to b1, giving Q.
     Stage 2 catches one more prime q = m D +- j up to 100 * b1: q Q vanishes
-    mod p exactly when m D Q and j Q have the same x-coordinate mod p.
-    Returns 1 or n when the curve finds nothing.
+    mod p exactly when m D Q and j Q have the same x-coordinate mod p. It
+    multiplies the differences only over the pairs (m, j) where m D + j or
+    m D - j is prime, and brings the baby and the giant steps to Z = 1 in
+    batches, with one inversion each. Returns 1 or n when the curve finds
+    nothing.
     """
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
@@ -219,85 +275,107 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     inv = pow(den, -1, n)
     a24 = pow(v - u, 3, n) * (3 * u + v) * z0 * inv % n
     x = 16 * x0 * x0 * v * inv % n  # x0 / z0
-    qx, qz = _ladder(_stage1_multiplier(b1), x, 1, a24, n)
+    qx, qz = _ladder(_stage1_multiplier(b1), x, a24, n)
     g = math.gcd(qz, n)
     if g != 1:
         return g
+    q = qx * pow(qz, -1, n) % n  # Q = (q : 1)
 
-    # baby steps: x(j Q) for odd j < D/2 prime to D, normalized to Z = 1
-    baby = []
-    two = _xdbl(qx, qz, a24, n)
-    prev, cur = (qx, qz), _ladder(3, qx, qz, a24, n)  # j Q and (j + 2) Q
+    # baby steps: j Q for odd j < D/2 prime to D, from (j + 2) Q = j Q + 2 Q
+    s, d = (q + 1) ** 2 % n, (q - 1) ** 2 % n
+    t = s - d
+    x2, z2 = s * d % n, t * (d + a24 * t) % n
+    p2, m2 = x2 + z2, x2 - z2
+    u, v = m2 * (q + 1) % n, p2 * (q - 1) % n
+    (px, pz), (cx, cz) = (q, 1), ((u + v) ** 2 % n, q * (u - v) ** 2 % n)  # j Q, (j + 2) Q
+    babies = []
     for j in range(1, _ECM_D // 2, 2):
         if math.gcd(j, _ECM_D) == 1:
-            g = math.gcd(prev[1], n)
-            if g != 1:
-                return g
-            baby.append(prev[0] * pow(prev[1], -1, n) % n)
-        prev, cur = cur, _xadd(*cur, *two, *prev, n)
+            babies.append((px, pz))
+        u, v = (cx - cz) * p2 % n, (cx + cz) * m2 % n
+        (px, pz), (cx, cz) = (cx, cz), (pz * (u + v) ** 2 % n, px * (u - v) ** 2 % n)
+    g, baby = _normalize(babies, n)
+    if g != 1:
+        return g
 
-    # giant steps: R = m D Q, from m = max(1, b1 // D) until m D - D/2 > 100 * b1
+    # giant steps: R = m D Q, S = R + D Q, one row of prime pairs each
+    rows = _stage2_rows(b1, _ECM_B2_FACTOR * b1)
     m = max(1, b1 // _ECM_D)
-    step = _ladder(_ECM_D, qx, qz, a24, n)
-    r = _ladder(m * _ECM_D, qx, qz, a24, n)
-    s = _ladder((m + 1) * _ECM_D, qx, qz, a24, n)
+    dx, dz = _ladder(_ECM_D, q, a24, n)
+    dp, dm = dx + dz, dx - dz
+    r, s = _ladder(m * _ECM_D, q, a24, n), _ladder((m + 1) * _ECM_D, q, a24, n)
     acc = 1
-    while m * _ECM_D - _ECM_D // 2 <= _ECM_B2_FACTOR * b1:
-        g = math.gcd(r[1], n)
+    for first in range(0, len(rows), _ECM_BATCH):
+        chunk = rows[first : first + _ECM_BATCH]
+        giants = []
+        for _ in chunk:
+            giants.append(r)
+            (rx, rz), (cx, cz) = r, s
+            u, v = (cx - cz) * dp % n, (cx + cz) * dm % n
+            r, s = s, (rz * (u + v) ** 2 % n, rx * (u - v) ** 2 % n)
+        g, xs = _normalize(giants, n)
         if g != 1:
             return g
-        xr = r[0] * pow(r[1], -1, n) % n
-        for xj in baby:
-            acc = acc * (xr - xj) % n
-        r, s = s, _xadd(*s, *step, *r, n)
-        m += 1
+        for row, xr in zip(chunk, xs):
+            for i in row:
+                acc = acc * (xr - baby[i]) % n
     return math.gcd(acc, n)
 
 
-def _ecm(n: int) -> int:
-    """Lenstra's elliptic curve method: a nontrivial factor of composite n.
+def _ecm(n: int) -> int | None:
+    """Lenstra's elliptic curve method: a nontrivial factor of composite n, or None.
 
     Curves come from an RNG seeded with n, so repeated runs split
-    identically. B1 grows along _ECM_SCHEDULE; the number of curves is not
-    limited.
+    identically. Up to _ECM_FULL_LIMIT, B1 grows along _ECM_SCHEDULE, whose
+    last row repeats until a curve splits n. A larger n gets the first row
+    only, and None when its curves find nothing.
     """
     rng = random.Random(n)
-    levels = itertools.chain(_ECM_SCHEDULE, itertools.repeat(_ECM_SCHEDULE[-1]))
+    if n <= _ECM_FULL_LIMIT:
+        levels = itertools.chain(_ECM_SCHEDULE, itertools.repeat(_ECM_SCHEDULE[-1]))
+    else:
+        levels = _ECM_SCHEDULE[:1]
     for b1, curves in levels:
         for _ in range(curves):
             g = _ecm_curve(n, rng.randrange(6, n - 1), b1)
             if 1 < g < n:
                 return g
+    return None
 
 
-def _split_into(n: int, out: dict[int, int]) -> None:
-    """Accumulate the factorization of n > 1, which has no prime factor below _TRIAL_BOUND."""
+def _split_into(n: int, out: dict[int, int]) -> int:
+    """Accumulate the factorization of n > 1, which has no prime factor below _TRIAL_BOUND.
+
+    Returns the product of the composite parts that ECM left unsplit, or 1.
+    """
     if n < _TRIAL_BOUND ** 2 or is_prime(n):
         out[n] = out.get(n, 0) + 1
-        return
+        return 1
     for k in range(2, n.bit_length() // 16 + 1):
         r = _iroot(n, k)
         if r ** k == n:
-            for _ in range(k):
-                _split_into(r, out)
-            return
+            return math.prod(_split_into(r, out) for _ in range(k))
     d = _pollard_brent(n) or _ecm(n)
-    _split_into(d, out)
-    _split_into(n // d, out)
+    if d is None:
+        return n
+    return _split_into(d, out) * _split_into(n // d, out)
 
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """An integer together with its prime factorization.
+    """An integer together with its prime factorization, complete or not.
 
-    value = sign * prod(p**e); factors are sorted by prime. `proven` is False
-    when some listed prime was only probabilistically tested (inputs beyond
-    the deterministic Miller-Rabin range).
+    value = sign * prod(p**e) * cofactor; factors are sorted by prime.
+    cofactor is 1 when the factorization is complete, and otherwise a
+    composite above _ECM_FULL_LIMIT that ECM's curve budget left unsplit.
+    `proven` is False when some listed prime was only probabilistically
+    tested (inputs beyond the deterministic Miller-Rabin range).
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
     proven: bool = True
+    cofactor: int = 1
 
     def __post_init__(self):
         prod = 1
@@ -305,7 +383,9 @@ class FactoredInteger:
             if p < 2 or e < 1:
                 raise DomainError(f"factor {p}^{e} needs p >= 2 and e >= 1")
             prod *= p ** e
-        if prod != abs(self.value):
+        if self.cofactor != 1 and (self.cofactor <= _ECM_FULL_LIMIT or is_prime(self.cofactor)):
+            raise DomainError("a cofactor must be 1 or a composite above 10^32")
+        if prod * self.cofactor != abs(self.value):
             raise ArithmeticError(f"factorization does not re-multiply to {self.value}")
         if any(p >= q for (p, _), (q, _) in zip(self.factors, self.factors[1:])):
             raise DomainError("factor primes must be distinct and increasing")
@@ -321,31 +401,44 @@ class FactoredInteger:
             return str(self.value)
         sign = "-" if self.value < 0 else ""
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
+        if self.cofactor != 1:
+            parts.append(f"({decimal_string(self.cofactor)})")
         return sign + "*".join(parts)
 
 
-def factorize(n: int) -> FactoredInteger:
+def factorize(n: int, partial: bool = False) -> FactoredInteger:
     """Exact factorization of a nonzero integer (sign carried on value).
 
-    Factorizations are memoised by |n| for the life of the process. An
-    active factor cache is read before the memo and is handed every result,
-    memo hits included.
+    A composite part that ECM's budget leaves unsplit (see `_ecm`) raises
+    DomainError, unless `partial` is set: the result then carries it as its
+    cofactor. Factorizations are memoised by |n| for the life of the
+    process. An active factor cache is read before the memo and is handed
+    every complete result, memo hits included.
     """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
     m = abs(n)
     cache = _active_cache()
     factors = cache.get(m) if cache is not None else None
+    cofactor = 1
     if factors is None:
-        factors = _factor_abs(m)
-    if cache is not None:
+        factors, cofactor = _factor_abs(m)
+    if cofactor != 1 and not partial:
+        raise DomainError(
+            f"a {len(decimal_string(cofactor))}-digit composite part of a "
+            f"{len(decimal_string(m))}-digit number is past the ECM budget"
+        )
+    if cache is not None and cofactor == 1:
         cache.put(m, factors)
-    return FactoredInteger(n, factors, all(is_proven_prime(p) for p, _ in factors))
+    return FactoredInteger(n, factors, all(is_proven_prime(p) for p, _ in factors), cofactor)
 
 
 @lru_cache(maxsize=1 << 12)
-def _factor_abs(m: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (prime, exponent) pairs of m >= 1: trial division, then rho and ECM."""
+def _factor_abs(m: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Sorted (prime, exponent) pairs of m >= 1 and the cofactor ECM left unsplit.
+
+    Trial division, then rho and ECM.
+    """
     fac: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > m:
@@ -356,9 +449,8 @@ def _factor_abs(m: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             fac[p] = e
-    if m > 1:
-        _split_into(m, fac)
-    return tuple(sorted(fac.items()))
+    cofactor = _split_into(m, fac) if m > 1 else 1
+    return tuple(sorted(fac.items())), cofactor
 
 
 def lcm_pow_minus_one(p: int, k: int) -> int:

@@ -5,8 +5,10 @@ Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
 and theta, and E_2 - u E_2(u tau), check identities of the series the
 package builds; E_2 and the weight-2 E' built from it by U_p operators check
 the sigma_1(n d) construction of `eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
-the character and Bernoulli layers. None of this is on the package's
-runtime path.
+the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
+polynomials checks the power-sum route of `bernoulli_generalized`; and a
+plain ECM curve, with one inversion per point and every stage-2 pair,
+checks `exact._ecm_curve`. None of this is on the package's runtime path.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, QExpansion, is_prime, polys
-from excprimes.bernoulli import bernoulli_generalized
+from excprimes import DomainError, DirichletCharacter, QExpansion, exact, is_prime, polys
+from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError, _divisor_power_sums
 
@@ -60,6 +62,107 @@ def von_staudt_denominator(m: int) -> int:
         if m % (p - 1) == 0 and is_prime(p):
             out *= p
     return out
+
+
+# -- Bernoulli polynomials ----------------------------------------------------------
+
+
+def bernoulli_polynomial(m: int, x: Fraction) -> Fraction:
+    """B_m(x) = sum_j C(m,j) B_j x^(m-j)."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for j in range(m + 1):
+        acc += math.comb(m, j) * bernoulli_classical(j) * x ** (m - j)
+    return acc
+
+
+def bernoulli_generalized_by_polynomials(k: int, chi: DirichletCharacter) -> CycloElement:
+    """B_{k,chi} = f^(k-1) * sum_{a=1..f} chi(a) B_k(a/f), for primitive chi mod f."""
+    f = chi.modulus
+    total = CycloElement(1, [Fraction(0)])
+    for a in range(1, f + 1):
+        if math.gcd(a, f) == 1:
+            total = total + chi.value(a) * bernoulli_polynomial(k, Fraction(a, f))
+    return Fraction(f) ** (k - 1) * total
+
+
+# -- one ECM curve, step by step ---------------------------------------------------------
+
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple[int, int]:
+    """P + Q from P, Q and their difference P - Q = (xd : zd)."""
+    u = (xp - zp) * (xq + zq) % n
+    v = (xp + zp) * (xq - zq) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int]:
+    """k * (x : z) for k >= 1 by the Montgomery ladder."""
+    xr, zr = x, z
+    xs, zs = _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        xa, za = _xadd(xs, zs, xr, zr, x, z, n)
+        if bit == "1":
+            xr, zr = xa, za
+            xs, zs = _xdbl(xs, zs, a24, n)
+        else:
+            xs, zs = xa, za
+            xr, zr = _xdbl(xr, zr, a24, n)
+    return xr, zr
+
+
+def ecm_curve_reference(n: int, sigma: int, b1: int) -> int:
+    """One ECM curve with the same sigma, B1 and B2 as `exact._ecm_curve`.
+
+    Each point is brought to Z = 1 by its own inversion, and stage 2
+    multiplies x(m D Q) - x(j Q) over every baby step j, prime pair or not.
+    """
+    d_step = exact._ECM_D
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x0, z0 = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x0 * v * z0 % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    inv = pow(den, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * z0 * inv % n
+    x = 16 * x0 * x0 * v * inv % n
+    qx, qz = _ladder(exact._stage1_multiplier(b1), x, 1, a24, n)
+    g = math.gcd(qz, n)
+    if g != 1:
+        return g
+    baby = []
+    two = _xdbl(qx, qz, a24, n)
+    prev, cur = (qx, qz), _ladder(3, qx, qz, a24, n)
+    for j in range(1, d_step // 2, 2):
+        if math.gcd(j, d_step) == 1:
+            g = math.gcd(prev[1], n)
+            if g != 1:
+                return g
+            baby.append(prev[0] * pow(prev[1], -1, n) % n)
+        prev, cur = cur, _xadd(*cur, *two, *prev, n)
+    m = max(1, b1 // d_step)
+    step = _ladder(d_step, qx, qz, a24, n)
+    r = _ladder(m * d_step, qx, qz, a24, n)
+    s = _ladder((m + 1) * d_step, qx, qz, a24, n)
+    acc = 1
+    while m * d_step - d_step // 2 <= exact._ECM_B2_FACTOR * b1:
+        g = math.gcd(r[1], n)
+        if g != 1:
+            return g
+        xr = r[0] * pow(r[1], -1, n) % n
+        for xj in baby:
+            acc = acc * (xr - xj) % n
+        r, s = s, _xadd(*s, *step, *r, n)
+        m += 1
+    return math.gcd(acc, n)
 
 
 # -- numeric L-values ----------------------------------------------------------------

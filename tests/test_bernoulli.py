@@ -13,8 +13,12 @@ from excprimes import (
     enumerate_characters,
     trivial_character,
 )
-from excprimes.bernoulli import bernoulli_polynomial
-from oracles import lvalue_numeric, von_staudt_denominator
+from oracles import (
+    bernoulli_generalized_by_polynomials,
+    bernoulli_polynomial,
+    lvalue_numeric,
+    von_staudt_denominator,
+)
 
 
 def test_classical_values_and_odd_vanishing():
@@ -42,6 +46,20 @@ def test_bernoulli_polynomial_difference_identity():
             lhs = bernoulli_polynomial(m, x + 1) - bernoulli_polynomial(m, x)
             assert lhs == m * x ** (m - 1)
     assert bernoulli_polynomial(6, Fraction(0)) == bernoulli_classical(6)
+
+
+def test_generalized_matches_the_polynomial_sum():
+    # the integer power sums give the same element of Q(zeta_ord) as
+    # f^(k-1) sum_a chi(a) B_k(a/f)
+    cases = 0
+    for f in (1, 3, 4, 5, 8, 9, 13, 16, 21, 25, 32):
+        for chi in enumerate_characters(f, "primitive"):
+            for k in (1, 2, 3, 6, 11, 22):
+                got = bernoulli_generalized(k, chi)
+                want = bernoulli_generalized_by_polynomials(k, chi)
+                assert got == want and got.n == want.n == chi.order, (k, chi)
+                cases += 1
+    assert cases > 300
 
 
 def test_generalized_reduces_to_classical_for_trivial_character():

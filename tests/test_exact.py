@@ -17,6 +17,7 @@ from excprimes import (
     set_factor_cache,
 )
 from excprimes import exact
+from oracles import ecm_curve_reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -175,6 +176,65 @@ def test_ecm_stages_split_known_curves(monkeypatch):
     assert exact._ecm_curve(p * q, 7, 2000) == 1
 
 
+# The numerator of N(B_(22,eps)/44) at level 81 has this 44-digit cofactor, a
+# 20-digit prime times a 25-digit one: past the first row of the ECM schedule.
+_HARD = 40777727573553220169573513548998928688891683
+
+
+def test_new_curve_returns_the_reference_gcd():
+    # the leaner curve multiplies only the stage-2 pairs m D +- j that are
+    # prime; on these curves the gcd it returns is the step-by-step curve's
+    ps = (1000003, 99990001, 10 ** 10 + 19, 10 ** 11 + 3, 10 ** 12 + 39, 10 ** 12 + 61)
+    split = 0
+    for p, q in zip(ps, ps[1:] + ps[:1]):
+        n = p * q
+        for sigma in range(6, 14):
+            got = exact._ecm_curve(n, sigma, 2000)
+            assert got == ecm_curve_reference(n, sigma, 2000), (p, q, sigma)
+            split += 1 < got < n
+    assert split >= 10
+
+
+def test_ecm_budget_leaves_a_large_composite_as_a_cofactor():
+    assert _HARD > exact._ECM_FULL_LIMIT and not is_prime(_HARD)
+    assert exact._ecm(_HARD) is None
+    fac = factorize(-6 * _HARD, partial=True)
+    assert fac.factors == ((2, 1), (3, 1)) and fac.cofactor == _HARD
+    assert fac.value == -6 * _HARD and fac.primes() == [2, 3]
+    assert str(fac) == f"-2*3*({_HARD})"
+    with pytest.raises(DomainError, match="44-digit composite part"):
+        factorize(6 * _HARD)
+    assert factorize(84, partial=True).cofactor == 1
+
+
+def test_factor_cache_writes_no_line_for_an_incomplete_result(tmp_path):
+    cache = FactorCache(str(tmp_path))
+    set_factor_cache(cache)
+    try:
+        assert factorize(6 * _HARD, partial=True).cofactor == _HARD
+        factorize(84)
+    finally:
+        set_factor_cache(None)
+    assert cache.get(6 * _HARD) is None
+    cache.flush()
+    with open(tmp_path / "factors.txt", encoding="ascii") as fh:
+        assert fh.read().splitlines() == ["84=2^2,3,7"]
+
+
+def test_a_complete_cache_line_completes_a_partial_result(tmp_path):
+    p, q = 16640620490166841687, 2450493213137653603679509
+    assert p * q == _HARD and _ref_is_prime(p) and _ref_is_prime(q)
+    with open(tmp_path / "factors.txt", "w", encoding="ascii") as fh:
+        fh.write(f"{_HARD}={p},{q}\n")
+    cache = FactorCache(str(tmp_path))
+    set_factor_cache(cache)
+    try:
+        fac = factorize(_HARD)
+    finally:
+        set_factor_cache(None)
+    assert fac.cofactor == 1 and fac.factors == ((p, 1), (q, 1))
+
+
 def test_rho_budget_hands_large_factors_to_ecm():
     p, q = 10 ** 12 + 39, 10 ** 12 + 61
     assert exact._pollard_brent(p * q) is None
@@ -210,19 +270,25 @@ def test_memo_hit_still_fills_the_factor_cache(tmp_path):
 
 
 def test_factorization_checks_survive_python_O():
-    code = """
+    code = f"""
 import sys
 from excprimes.exact import DomainError, FactoredInteger
 print(sys.flags.optimize)
-for value, factors, error in (
-    (12, ((2, 1), (3, 1)), ArithmeticError),
-    (12, ((1, 1), (2, 2), (3, 1)), DomainError),
-    (12, ((2, 2), (3, 0)), DomainError),
-    (12, ((3, 1), (2, 2)), DomainError),
-    (12, ((2, 1), (2, 1), (3, 1)), DomainError),
+C, P = {_HARD}, {_ref_next_prime(10 ** 40)}
+print(FactoredInteger(-6 * C, ((2, 1), (3, 1)), True, C).cofactor == C)
+for value, factors, cofactor, error in (
+    (12, ((2, 1), (3, 1)), 1, ArithmeticError),
+    (12, ((1, 1), (2, 2), (3, 1)), 1, DomainError),
+    (12, ((2, 2), (3, 0)), 1, DomainError),
+    (12, ((3, 1), (2, 2)), 1, DomainError),
+    (12, ((2, 1), (2, 1), (3, 1)), 1, DomainError),
+    (12 * C, ((2, 1), (3, 1)), C, ArithmeticError),
+    (2 * P, ((2, 1),), P, DomainError),
+    (12, ((2, 2),), 3, DomainError),
+    (2 * 10 ** 32, ((2, 1),), 10 ** 32, DomainError),
 ):
     try:
-        FactoredInteger(value, factors)
+        FactoredInteger(value, factors, True, cofactor)
     except error:
         print("raised")
 """
@@ -232,7 +298,7 @@ for value, factors, error in (
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["raised"] * 5
+    assert proc.stdout.split() == ["1", "True"] + ["raised"] * 9
 
 
 def test_factor_cache_rejects_a_prime_listed_twice(tmp_path):

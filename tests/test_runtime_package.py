@@ -140,7 +140,7 @@ def test_checks_survive_python_O():
         "from fractions import Fraction\n"
         "from excprimes import bounds\n"
         "try:\n"
-        "    bounds._norm_primes(Fraction(1, 2))\n"
+        "    bounds._factored_norm(Fraction(1, 2))\n"
         "except ArithmeticError as exc:\n"
         "    print('raised:', exc)\n",
         "-O",

@@ -8,9 +8,12 @@ from excprimes import (
     DomainError,
     INSUFFICIENT,
     NewformFixture,
+    bernoulli_norm_numerator,
     character_by_index,
     frobenius_scan,
+    is_prime,
     reducible_primes,
+    square_inverse_eps,
     sturm_bound,
     trivial_character,
     verify_reducible,
@@ -216,6 +219,52 @@ def test_cli_bound_finishes_where_rho_alone_stalls():
     assert proc.returncode == 0, proc.stderr
     want = candidate_report(22, 1089).reducible_primes()
     assert _payload(proc)["outputs"]["reducible_primes"] == want
+
+
+def test_cli_bound_reports_an_unfactored_cofactor_and_exits_zero():
+    # (22, 81): the Bernoulli norm numerator has a 44-digit part, a 20-digit
+    # prime times a 25-digit prime, that the ECM budget leaves unsplit
+    import time
+
+    start = time.monotonic()
+    proc = run_cli("bound", "--weight", 22, "--level", 81, timeout=120)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    out = _payload(proc)["outputs"]
+    cofactors = {e["cofactor"] for e in out["unfactored"]}
+    assert len(cofactors) == 1
+    c = int(cofactors.pop())
+    assert all(e["digits"] == 44 == len(str(c)) for e in out["unfactored"])
+    assert not is_prime(c)
+    for e in out["unfactored"]:
+        index = int(e["clause"].rsplit("chi(9,", 1)[1].rstrip(")"))
+        bn = bernoulli_norm_numerator(22, square_inverse_eps(character_by_index(9, index)))
+        assert bn.value % c == 0 and bn.cofactor == c
+        assert e["clause"] == f"numerator of norm of B_(k,eps)/2k, nu = chi(9,{index})"
+    assert not {p for p in out["reducible_primes"] if c % p == 0}
+    text = run_cli("bound", "--weight", 22, "--level", 81, "--format", "text", timeout=120)
+    assert text.returncode == 0, text.stderr
+    assert f"  ell divides {c} (unfactored, 44 digits): numerator of norm" in text.stdout
+
+
+def test_cli_bound_is_completed_by_a_cache_line_for_the_norm(tmp_path):
+    p, q = 16640620490166841687, 2450493213137653603679509
+    norm = 6402103229047855566623041627192831804155994231
+    assert norm == 157 * p * q
+    (tmp_path / "factors.txt").write_text(f"{norm}=157,{p},{q}\n", encoding="ascii")
+    proc = run_cli("bound", "--weight", 22, "--level", 81, "--cache-dir", tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = _payload(proc)["outputs"]
+    assert "unfactored" not in out
+    assert {p, q, 157} <= set(out["reducible_primes"])
+
+
+def test_cli_exits_2_when_a_modulus_is_past_the_ecm_budget():
+    # a modulus needs its complete factorization; an unsplit part is a usage error
+    c = 40777727573553220169573513548998928688891683
+    proc = run_cli("characters", "--modulus", c, timeout=120)
+    assert proc.returncode == 2
+    assert "past the ECM budget" in proc.stderr
 
 
 def test_cli_verify_certified_exits_zero():
