@@ -190,9 +190,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     # -- group operations ----------------------------------------------------
 
     def _combine(self, other, op):

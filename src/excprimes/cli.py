@@ -157,12 +157,10 @@ def main():
 @click.option("--level", type=int, required=True, help="Level N >= 1.")
 @click.option("--degree", type=int, default=None,
               help="Coefficient-field degree for the dihedral bound (default: new-subspace dimension).")
-@click.option("--non-cm", is_flag=True, default=False,
-              help="Record the non-CM assumption explicitly (the dihedral bound always assumes it).")
 @_common_options
-def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
+def cmd_bound(weight, level, degree, fmt, out, cache_dir, timing):
     """Candidate primes: reducible, dihedral, and exceptional projective image."""
-    inputs = {"weight": weight, "level": level, "degree": degree, "non_cm": non_cm}
+    inputs = {"weight": weight, "level": level, "degree": degree}
     rep = Reporter("bound", inputs, fmt, out, cache_dir, timing)
     from .bounds import candidate_report
 
@@ -194,25 +192,20 @@ def cmd_bound(weight, level, degree, non_cm, fmt, out, cache_dir, timing):
 @click.option("--ell", type=int, required=True, help="Prime ell to verify.")
 @click.option("--char-modulus", type=int, default=None, help="Modulus of nu (with --char-index).")
 @click.option("--char-index", type=int, default=None, help="Index of nu (with --char-modulus).")
-@click.option("--mode", type=click.Choice(["auto", "residue", "norm"]), default="auto",
-              show_default=True, help="Residue-point mode, norm-divisibility mode, or automatic.")
 @click.option("--pmax", type=int, default=100, show_default=True,
               help="Scan limit for the irreducibility certificate attached to refutations.")
 @_common_options
-def cmd_verify(form, ell, char_modulus, char_index, mode, pmax, fmt, out, cache_dir, timing):
+def cmd_verify(form, ell, char_modulus, char_index, pmax, fmt, out, cache_dir, timing):
     """Certify (or refute) the reducibility congruence for a fixture at ell."""
     if (char_modulus is None) != (char_index is None):
         raise click.UsageError("--char-modulus and --char-index must be given together")
-    inputs = {
-        "form": form, "ell": ell, "char_modulus": char_modulus,
-        "char_index": char_index, "mode": mode,
-    }
+    inputs = {"form": form, "ell": ell, "char_modulus": char_modulus, "char_index": char_index}
     rep = Reporter("verify", inputs, fmt, out, cache_dir, timing)
     fixture = NewformFixture.from_json_file(form)
     from .verify import verify_fixture
 
     nu = None if char_modulus is None else character_by_index(char_modulus, char_index)
-    result = verify_fixture(fixture, ell, nu=nu, mode=mode, p_max=pmax)
+    result = verify_fixture(fixture, ell, nu=nu, p_max=pmax)
     lines = [
         f"verify {fixture.label} at ell = {ell}",
         f"eisenstein side: {result.eisenstein}",

@@ -178,14 +178,6 @@ class CycloElement:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     # -- field-theoretic maps ----------------------------------------------
 
     def norm(self) -> Fraction:

@@ -86,10 +86,6 @@ def is_proven_prime(n: int) -> bool:
 # no prime factor below it and smaller than its square is prime.
 _TRIAL_BOUND = 1 << 16
 
-# Brent rho steps before ECM takes over. Within this budget rho finds prime
-# factors of up to about nine digits; larger ones are left to ECM.
-_RHO_BUDGET = 1 << 16
-
 # ECM stage-1 bounds B1 and the number of curves run at each, after the
 # GMP-ECM table for 15-, 20-, 25- and 30-digit factors; the last bound is
 # kept once the table runs out. Stage 2 covers primes up to 100 * B1 with
@@ -121,47 +117,6 @@ def _iroot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _pollard_brent(n: int) -> int | None:
-    """Brent-cycle Pollard rho on odd composite n.
-
-    Returns a nontrivial factor, or None when _RHO_BUDGET steps found none.
-    The RNG is seeded with n so repeated runs split identically.
-    """
-    rng = random.Random(n)
-    steps = 0
-    while steps < _RHO_BUDGET:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            if steps >= _RHO_BUDGET:
-                return None
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            steps += 2 * r
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        # cycle degenerated; retry with fresh parameters
-    return None
 
 
 # -- ECM on Montgomery curves B y^2 = x^3 + A x^2 + x, x-only (X : Z) points,
@@ -346,6 +301,8 @@ def _ecm(n: int) -> int | None:
 def _split_into(n: int, out: dict[int, int]) -> int:
     """Accumulate the factorization of n > 1, which has no prime factor below _TRIAL_BOUND.
 
+    A prime goes to `out`, a perfect power splits into its root, and any
+    other composite goes to `_ecm`, with both parts of a split recursed on.
     Returns the product of the composite parts that ECM left unsplit, or 1.
     """
     if n < _TRIAL_BOUND ** 2 or is_prime(n):
@@ -355,7 +312,7 @@ def _split_into(n: int, out: dict[int, int]) -> int:
         r = _iroot(n, k)
         if r ** k == n:
             return math.prod(_split_into(r, out) for _ in range(k))
-    d = _pollard_brent(n) or _ecm(n)
+    d = _ecm(n)
     if d is None:
         return n
     return _split_into(d, out) * _split_into(n // d, out)
@@ -437,7 +394,7 @@ def factorize(n: int, partial: bool = False) -> FactoredInteger:
 def _factor_abs(m: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Sorted (prime, exponent) pairs of m >= 1 and the cofactor ECM left unsplit.
 
-    Trial division, then rho and ECM.
+    Trial division by the primes below _TRIAL_BOUND, then `_split_into`.
     """
     fac: dict[int, int] = {}
     for p in _trial_primes():

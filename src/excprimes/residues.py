@@ -602,19 +602,6 @@ class ResiduePoint:
         zkey = self.zeta_image.sort_key() if self.zeta_image is not None else ()
         return (self.alpha_image.sort_key(), zkey)
 
-    def describe(self) -> dict:
-        out = {
-            "ell": self.ell,
-            "field_degree": self.field.d,
-            "field_modulus": list(self.field.modulus),
-            "alpha": list(self.alpha_image.coeffs),
-            "degree": self.degree,
-        }
-        if self.zeta_image is not None:
-            out["zeta"] = list(self.zeta_image.coeffs)
-            out["cyclo_index"] = self.cyclo_index
-        return out
-
 
 def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[ResiduePoint]:
     """All (alpha, zeta_n) reductions mod ell, one per Frobenius orbit."""

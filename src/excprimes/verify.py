@@ -1,11 +1,12 @@
 """Congruence verification between newform fixtures and Eisenstein series.
 
 The verifier certifies reducibility congruences a_n(f) = a_n(E) mod ell up to
-the Sturm bound, either through an explicit residue point (preferred: one
-ideal, coherent across all n) or through per-n norm divisibility (weaker,
-labeled norm-certified). It also runs the Frobenius irreducibility scan:
-the characteristic polynomial X^2 - a_p X + p^(k-1) being irreducible at a
-residue point certifies that no such congruence can exist there.
+the Sturm bound, through an explicit residue point (one ideal, coherent
+across all n), or, where a coefficient denominator rules residue points out,
+through per-n norm divisibility (weaker, labeled norm-certified). It also
+runs the Frobenius irreducibility scan: the characteristic polynomial
+X^2 - a_p X + p^(k-1) being irreducible at a residue point certifies that no
+such congruence can exist there.
 `verify_fixture` is the entry point that combines both into one verdict.
 """
 
@@ -219,17 +220,17 @@ def _conclude(fixture, ell, desc, window, sturm, outcomes, warnings=()):
     )
 
 
-def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "auto") -> VerificationResult:
+def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> VerificationResult:
     """Check a_n(f) = a_n(E) mod ell for n up to the Sturm bound.
 
     nu omitted: the classical series (weight > 2) and every primitive nu mod c
     with c^2 | N are tried; the best verdict across candidates by `rank` is
-    returned.
+    returned. Each candidate is compared at residue points; where a
+    coefficient denominator divisible by ell blocks them, per-n norm
+    divisibility is checked instead.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
-    if mode not in ("auto", "residue", "norm"):
-        raise DomainError(f"unknown mode {mode!r}")
     warnings = []
     if fixture.level % ell == 0:
         warnings.append(
@@ -252,33 +253,22 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None, mode: str = "au
 
     results = []
     for desc, E, n_cyclo in candidates:
-        use_norm = mode == "norm"
         a0 = E.coefficient(0)
         a0_coeffs = a0.coeffs if isinstance(a0, CycloElement) else (a0,)
         if fixture.level == 1 and any(Fraction(c).denominator % ell == 0 for c in a0_coeffs):
             # E has no ell-integral reduction, so Sturm's bound says nothing either way
             results.append(VerificationResult(
-                fixture.label, ell, NORM if use_norm else RESIDUE, desc, 0, sturm,
+                fixture.label, ell, RESIDUE, desc, 0, sturm,
                 f"inconclusive(denominator obstruction: a_0(E) = {a0} has denominator divisible by {ell})",
                 (), tuple(warnings),
             ))
             continue
-        if not use_norm:
-            try:
-                points = find_residue_points(fixture, n_cyclo, ell)
-            except DenominatorObstruction as exc:
-                if mode == "residue":
-                    results.append(VerificationResult(
-                        fixture.label, ell, RESIDUE, desc, 0, sturm,
-                        f"inconclusive(denominator obstruction: {exc})",
-                        (), tuple(warnings),
-                    ))
-                    continue
-                note = f"denominator obstruction ({exc}); falling back to norm mode"
-                if note not in warnings:
-                    warnings.append(note)
-                use_norm = True
-        if use_norm:
+        try:
+            points = find_residue_points(fixture, n_cyclo, ell)
+        except DenominatorObstruction as exc:
+            note = f"denominator obstruction ({exc}); falling back to norm mode"
+            if note not in warnings:
+                warnings.append(note)
             fail = _norm_mode_check(fixture, E, n_cyclo, ell, window)
             if fail is None:
                 verdict = VERDICT_NORM if window >= sturm else INSUFFICIENT
@@ -341,9 +331,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
     return _conclude(fixture, ell, desc, window, sturm, outcomes)
 
 
-def verify_fixture(
-    fixture: NewformFixture, ell: int, nu=None, mode: str = "auto", p_max: int = 100
-) -> VerificationResult:
+def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100) -> VerificationResult:
     """The final verdict on ell for a fixture, with the Frobenius scan attached.
 
     The Eisenstein candidates of `verify_reducible` are tried first. Where
@@ -353,7 +341,7 @@ def verify_fixture(
     scan's `scan_error`) and becomes refuted-by-scan when every residue point
     has an irreducibility witness, which rules the congruence out there.
     """
-    result = verify_reducible(fixture, ell, nu=nu, mode=mode)
+    result = verify_reducible(fixture, ell, nu=nu)
     N = fixture.level
     # At weight 2 there is no candidate exactly when nu is omitted and N is
     # square-free; level 1 has no Steinberg primes, so no sign clause to test.

@@ -6,8 +6,10 @@ and theta, and E_2 - u E_2(u tau), check identities of the series the
 package builds; E_2 and the weight-2 E' built from it by U_p operators check
 the sigma_1(n d) construction of `eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
 the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
-polynomials checks the power-sum route of `bernoulli_generalized`; and a
-plain ECM curve, with one inversion per point and every stage-2 pair,
+polynomials checks the power-sum route of `bernoulli_generalized`; the
+rational value of a Q(zeta_n) element, the triviality of a character and
+the data of a residue point are read here for the tests; and a plain ECM
+curve, with one inversion per point and every stage-2 pair,
 checks `exact._ecm_curve`. None of this is on the package's runtime path.
 """
 
@@ -41,6 +43,22 @@ def conj(x: CycloElement) -> CycloElement:
     return polys.evaluate(x.coeffs, zeta(x.n, x.n - 1))
 
 
+def is_rational(x: CycloElement) -> bool:
+    """x lies in Q: every coordinate past the constant one is 0."""
+    return all(c == 0 for c in x.coeffs[1:])
+
+
+def rational_value(x: CycloElement) -> Fraction:
+    """x as a Fraction, for x in Q."""
+    if not is_rational(x):
+        raise DomainError(f"{x} is not rational")
+    return x.coeffs[0] if x.coeffs else Fraction(0)
+
+
+def is_trivial(chi: DirichletCharacter) -> bool:
+    return chi.order == 1
+
+
 def gauss_sum_exact(psi: DirichletCharacter) -> CycloElement:
     """W(psi) = sum of psi(a) zeta_f^a over a mod f, for primitive psi."""
     if not psi.is_primitive():
@@ -61,6 +79,24 @@ def von_staudt_denominator(m: int) -> int:
     for p in range(2, m + 2):
         if m % (p - 1) == 0 and is_prime(p):
             out *= p
+    return out
+
+
+# -- residue points ------------------------------------------------------------------
+
+
+def describe(pt) -> dict:
+    """The data of a residue point: its field, the images of alpha and zeta, its orbit size."""
+    out = {
+        "ell": pt.ell,
+        "field_degree": pt.field.d,
+        "field_modulus": list(pt.field.modulus),
+        "alpha": list(pt.alpha_image.coeffs),
+        "degree": pt.degree,
+    }
+    if pt.zeta_image is not None:
+        out["zeta"] = list(pt.zeta_image.coeffs)
+        out["cyclo_index"] = pt.cyclo_index
     return out
 
 

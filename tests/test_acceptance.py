@@ -23,6 +23,7 @@ from excprimes import (
     verify_reducible,
 )
 from excprimes.bernoulli import bernoulli_generalized
+from excprimes.verify import _norm_mode_check
 
 
 def zeta3(a, b):
@@ -100,11 +101,14 @@ def test_criterion_08_weight6_level81_congruences(fx81, fx81_printed):
     assert r1171.verdict == "certified"
     assert any("alpha=[138,0]" in w and "zeta=[750,0]" in w for w in r1171.witnesses)
 
-    # At 2 and 3 the residue route is forced off (coefficient denominators are
-    # supported on {2, 3}); per-n norm divisibility still goes through.
+    # At 2 a coefficient denominator blocks the residue points, and verify
+    # falls back to per-n norm divisibility, which goes through. At 3 the
+    # residue points certify, and per-n norm divisibility holds there too.
+    r2 = verify_reducible(fx81, 2, nu=nu)
+    assert r2.verdict == "norm-certified" and r2.mode == "norm-divisibility"
+    assert verify_reducible(fx81, 3, nu=nu).verdict == "certified"
     for ell in (2, 3):
-        r = verify_reducible(fx81, ell, nu=nu, mode="norm")
-        assert r.verdict == "norm-certified", (ell, r.verdict)
+        assert _norm_mode_check(fx81, eisenstein_E(6, nu, 54), nu.order, ell, 54) is None, ell
 
     # 5 is a candidate that does not survive contact with the coefficients.
     r5 = verify_reducible(fx81, 5, nu=nu)
@@ -149,8 +153,8 @@ def test_criterion_10_property_suite():
     from excprimes.bernoulli import bernoulli_classical
     from excprimes.cyclotomic import euler_phi
     from oracles import (
-        conj, embed_numeric, gauss_sum_exact, lattice_sum_oracle, lvalue_functional_rhs,
-        lvalue_numeric, von_staudt_denominator,
+        conj, embed_numeric, gauss_sum_exact, is_rational, is_trivial, lattice_sum_oracle,
+        lvalue_functional_rhs, lvalue_numeric, rational_value, von_staudt_denominator,
     )
 
     # von Staudt-Clausen: exact denominator of B_m for even m <= 30.
@@ -166,8 +170,8 @@ def test_criterion_10_property_suite():
             for a in range(1, m + 1) if m > 1 else [1]:
                 if math.gcd(a, m) == 1:
                     total = total + chi.value(a)
-            expected = phi if chi.is_trivial() else 0
-            assert total.is_rational() and total.rational_value() == expected, (m, chi.index)
+            expected = phi if is_trivial(chi) else 0
+            assert is_rational(total) and rational_value(total) == expected, (m, chi.index)
 
     # Norm multiplicativity, 1000 random pairs across cyclotomic fields.
     rng = random.Random(20260814)
@@ -185,7 +189,7 @@ def test_criterion_10_property_suite():
             for psi in enumerate_characters(f, "primitive"):
                 w = gauss_sum_exact(psi)
                 ww = w * conj(w)
-                assert ww.is_rational() and ww.rational_value() == f, (f, psi.index)
+                assert is_rational(ww) and rational_value(ww) == f, (f, psi.index)
                 numeric = abs(embed_numeric(w, 40)) ** 2
                 assert abs(numeric - f) < 1e-10
 
@@ -214,7 +218,7 @@ def test_criterion_11_cross_module_soundness(fx81, fx11_4, fx11_2):
         assert verify_reducible(fx81, ell, nu=nu).certified
         assert ell in red81
     for ell in (2, 3):
-        assert verify_reducible(fx81, ell, nu=nu, mode="norm").certified
+        assert verify_reducible(fx81, ell, nu=nu).certified
         assert ell in red81
 
     red11 = set(reducible_primes(4, 11))

@@ -153,7 +153,7 @@ _large = st.integers(10 ** 11, 10 ** 15).map(_ref_next_prime)
     st.lists(_large, min_size=2, max_size=2),
 )
 def test_factorize_mixed_sizes_matches_reference(small, medium, large):
-    # the two 12-15 digit primes are past the rho budget, so ECM splits them
+    # past trial division, ECM splits the medium primes and the two 12-15 digit ones
     n = math.prod(small + medium + large)
     fac = factorize(n)
     prod = 1
@@ -237,9 +237,17 @@ def test_a_complete_cache_line_completes_a_partial_result(tmp_path):
 
 def test_rho_budget_hands_large_factors_to_ecm():
     p, q = 10 ** 12 + 39, 10 ** 12 + 61
-    assert exact._pollard_brent(p * q) is None
     assert exact._ecm(p * q) in (p, q)
     assert factorize(7 * p * q).factors == ((7, 1), (p, 1), (q, 1))
+
+
+@pytest.mark.parametrize("p", [100003, 1000003, 99999989, 1000000007, 9999999967])
+def test_ecm_budget_splits_small_factors_of_large_numbers(p):
+    # past 10^32 only the first ECM row runs; it still finds a 6- to 10-digit
+    # factor next to a 41-digit prime, with nothing left unfactored
+    q = _ref_next_prime(10 ** 40)
+    fac = factorize(p * q, partial=True)
+    assert fac.cofactor == 1 and fac.factors == ((p, 1), (q, 1))
 
 
 def test_factorize_perfect_powers_of_large_primes():

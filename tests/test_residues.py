@@ -27,6 +27,7 @@ from excprimes.residues import (
     poly_roots_in_field,
     quadratic_irreducible,
 )
+from oracles import describe
 
 
 # -- finite fields ---------------------------------------------------------------
@@ -215,16 +216,16 @@ def test_large_field_root_finding_agrees_with_enumeration():
 
 def test_residue_points_frozen_level81_example(fx81):
     points = find_residue_points(fx81, 3, 43)
-    descs = [pt.describe() for pt in points]
+    descs = [describe(pt) for pt in points]
     assert any(d["alpha"] == [13, 0, 0] and d["zeta"] == [36, 0, 0] for d in descs)
     for d in descs:
         assert d["ell"] == 43 and d["cyclo_index"] == 3
         assert d["field_degree"] == 3
 
 
-# find_residue_points(81.6c, n, ell).describe() at ell = 5 and 43, in the
-# fields F_{5^3}, F_{5^6} and F_{43^3}: the field moduli and the canonical
-# orbit representatives that verify reports are built from.
+# describe(pt) for each point of find_residue_points(81.6c, n, ell) at ell = 5
+# and 43, in the fields F_{5^3}, F_{5^6} and F_{43^3}: the field moduli and
+# the canonical orbit representatives that verify reports are built from.
 FROZEN_POINTS_81 = {
     (5, 1): [
         {"ell": 5,
@@ -301,13 +302,13 @@ FROZEN_POINTS_81 = {
 
 def test_residue_points_frozen_at_5_and_43(fx81):
     for (ell, n), want in FROZEN_POINTS_81.items():
-        assert [pt.describe() for pt in find_residue_points(fx81, n, ell)] == want, (ell, n)
+        assert [describe(pt) for pt in find_residue_points(fx81, n, ell)] == want, (ell, n)
 
 
 def test_residue_points_without_cyclotomic_part(fx11_4):
     points = find_residue_points(fx11_4, 1, 5)
     assert len(points) == 1
-    d = points[0].describe()
+    d = describe(points[0])
     assert d["alpha"] == [1, 2] and d["degree"] == 2
     assert "zeta" not in d and "cyclo_index" not in d
 
@@ -370,7 +371,7 @@ def test_reduce_vector_matches_horner_on_every_fixture_coefficient():
     assert any(pt.field.q == 43 ** 3 for _, pt in points)
     for fx, pt in points:
         for n in sorted(fx.an):
-            assert pt.reduce_vector(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, pt.describe(), n)
+            assert pt.reduce_vector(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, describe(pt), n)
 
 
 @settings(max_examples=200, deadline=None)

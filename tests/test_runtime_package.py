@@ -10,8 +10,9 @@ the test-only packages (and this directory's oracle module) unloaded, and
 without sympy it must exit with a usage error rather than a verdict; checks
 must survive `python -O`, so `src/excprimes` holds no `assert`; every name
 imported under `src/excprimes` is used, and every module-level function and
-class is named by package code other than its own body and `__init__.py`
-(test-only code lives in `tests/oracles.py`); `cli.py` turns exceptions
+class, and every method other than a dunder, is named by package code other
+than its own body and `__init__.py` (test-only code lives in
+`tests/oracles.py`); `cli.py` turns exceptions
 into exit codes in `_Group.invoke` only; and the one Euclidean resultant of
 `polys` agrees with a Sylvester determinant over Q, Q(zeta_n) and F_q.
 """
@@ -89,25 +90,56 @@ def _is_cli_command(decorator) -> bool:
     )
 
 
+def _names(node) -> set:
+    """The names that node mentions, as a Name or an Attribute."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None)
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def _unreferenced_definitions() -> list[str]:
-    """module:name of each module-level def or class that no other package code names."""
-    trees = {module: tree for module, tree in _package_modules() if module != "__init__.py"}
-    # the names each top-level statement mentions, as a Name or an Attribute
-    mentions = [
-        (stmt, {getattr(n, "id", None) or getattr(n, "attr", None)
-                for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))})
-        for tree in trees.values() for stmt in tree.body
-    ]
-    unreferenced = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+    """module:name of each module-level def or class, and module:Class.method of each
+    method other than a dunder, that no live package code names."""
+    statements = {module: tree.body for module, tree in _package_modules() if module != "__init__.py"}
+    classes = {
+        stmt.name for body in statements.values() for stmt in body if isinstance(stmt, ast.ClassDef)
+    }
+    # (label, node): a method of a class with a base from outside the package
+    # may be called by that base, so only package-rooted classes list theirs
+    definitions = []
+    # (top-level statement, part, the names the part mentions): a class is
+    # split into its body statements, bases and decorators
+    units = []
+    for module, body in statements.items():
+        for stmt in body:
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                parts = stmt.body + stmt.bases + stmt.decorator_list
+            units += [(stmt, part, _names(part)) for part in parts]
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if any(_is_cli_command(d) for d in node.decorator_list):
-                continue
-            if not any(node.name in names for stmt, names in mentions if stmt is not node):
-                unreferenced.append(f"{module}:{node.name}")
-    return unreferenced
+            if not any(_is_cli_command(d) for d in stmt.decorator_list):
+                definitions.append((f"{module}:{stmt.name}", stmt))
+            if isinstance(stmt, ast.ClassDef) and all(
+                getattr(base, "id", None) in classes for base in stmt.bases
+            ):
+                definitions += [
+                    (f"{module}:{stmt.name}.{m.name}", m) for m in stmt.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                ]
+    # a definition is live when live code outside it names it, so code that
+    # only dead code names is dead too
+    dead = set()
+    while True:
+        live = [unit for unit in units if unit[0] not in dead and unit[1] not in dead]
+        newly = {
+            node for _, node in definitions
+            if node not in dead and not any(
+                node.name in names for top, part, names in live if node is not top and node is not part
+            )
+        }
+        if not newly:
+            return [label for label, node in definitions if node in dead]
+        dead |= newly
 
 
 def test_every_definition_is_reachable_from_the_package():
@@ -154,7 +186,7 @@ def test_cli_commands_load_no_test_only_module():
     runs = [
         ["bound", "--weight", "6", "--level", "81"],
         ["verify", "--form", f81, "--ell", "7"],
-        ["verify", "--form", f81, "--ell", "2", "--mode", "norm"],
+        ["verify", "--form", f81, "--ell", "2"],
         ["dims", "--weight", "6", "--level", "81"],
         ["eisenstein", "--weight", "4", "--char-modulus", "5", "--char-index", "1", "--terms", "10"],
         ["scan", "--form", f81, "--ell", "7", "--pmax", "30"],

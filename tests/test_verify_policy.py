@@ -20,8 +20,8 @@ from conftest import fixture_path
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_golden.json")
 
 # (fixture, ell, extra CLI arguments): every bundled fixture at every prime of
-# its reducible candidate set, plus the weight-2, norm-mode, explicit
-# character and text-format paths.
+# its reducible candidate set, plus the weight-2, explicit character and
+# text-format paths.
 JOBS = [
     ("11-2a", 2, ()), ("11-2a", 3, ()), ("11-2a", 5, ()), ("11-2a", 11, ()),
     ("11-4a", 2, ()), ("11-4a", 3, ()), ("11-4a", 5, ()), ("11-4a", 11, ()),
@@ -31,7 +31,6 @@ JOBS = [
     ("81-6c-printed", 2, ()), ("81-6c-printed", 3, ()), ("81-6c-printed", 5, ()),
     ("81-6c-printed", 7, ()), ("81-6c-printed", 43, ()), ("81-6c-printed", 1171, ()),
     ("11-2a", 7, ()), ("11-2a", 13, ()),
-    ("81-6c", 2, ("--mode", "norm")),
     ("81-6c", 7, ("--char-modulus", "9", "--char-index", "2")),
     ("11-2a", 3, ("--format", "text")),
 ]
@@ -76,7 +75,7 @@ def library_kwargs(extra) -> dict:
     from excprimes import character_by_index
 
     opts = dict(zip(extra[::2], extra[1::2]))
-    kwargs = {"mode": opts.get("--mode", "auto")}
+    kwargs = {}
     if "--char-modulus" in opts:
         kwargs["nu"] = character_by_index(int(opts["--char-modulus"]), int(opts["--char-index"]))
     return kwargs
@@ -186,28 +185,42 @@ def obstructed(ell: int) -> str:
 
 
 @pytest.mark.parametrize("m", [1, 12])
-@pytest.mark.parametrize("mode", ["auto", "norm"])
-def test_delta_is_certified_only_at_691(m, mode):
+def test_delta_is_certified_only_at_691(m):
     from excprimes import NewformFixture, verify_fixture, verify_reducible
 
     fx = NewformFixture.from_dict(delta_fixture(m))
-    assert verify_fixture(fx, 691, mode=mode).certified
+    assert verify_fixture(fx, 691).certified
     for ell in (17, 101, 1000003):
-        result = verify_fixture(fx, ell, mode=mode)
+        result = verify_fixture(fx, ell)
         assert result.verdict == "refuted-at-0", ell
     # ell | 65520, the denominator of a_0(E_12) = 691/65520: E_12 has no
     # ell-integral reduction, so the comparison says nothing either way.
     for ell in (2, 3, 5, 7, 13):
-        assert verify_reducible(fx, ell, mode=mode).verdict == obstructed(ell), ell
+        assert verify_reducible(fx, ell).verdict == obstructed(ell), ell
     # Ramanujan: tau(n) = sigma_11(n) mod 2 for odd n and mod 3 for 3 not dividing n,
     # so rho_Delta is reducible at 2 and 3 and nothing may refute them.
     for ell in (2, 3):
-        result = verify_fixture(fx, ell, mode=mode)
+        result = verify_fixture(fx, ell)
         assert not result.refuted and result.verdict == obstructed(ell), ell
     # 13 is not exceptional for Delta: tau(2) = -24 gives an irreducible
     # X^2 + 24 X + 2^11 mod 13 once the fixture has a_2.
     expected = "refuted-by-scan" if m > 1 else obstructed(13)
-    assert verify_fixture(fx, 13, mode=mode).verdict == expected
+    assert verify_fixture(fx, 13).verdict == expected
+
+
+@pytest.mark.parametrize("m", [1, 12])
+def test_delta_norm_check_holds_only_at_691(m):
+    # the norm path, which verify takes only when a coefficient denominator
+    # blocks the residue points, agrees with the residue path on Delta
+    from excprimes import NewformFixture, eisenstein_E, sturm_bound, trivial_character
+    from excprimes.verify import _norm_mode_check
+
+    fx = NewformFixture.from_dict(delta_fixture(m))
+    window = min(fx.n_max, sturm_bound(12, 1))
+    E = eisenstein_E(12, trivial_character(), window)
+    assert _norm_mode_check(fx, E, 1, 691, window) is None
+    for ell in (17, 101, 1000003):
+        assert _norm_mode_check(fx, E, 1, ell, window) == 0, ell
 
 
 def test_cli_delta_exit_codes(tmp_path):
