@@ -357,8 +357,8 @@ class CandidateReport:
         }
         if self.unfactored:
             out["unfactored"] = [
-                {"cofactor": decimal_string(c), "digits": len(decimal_string(c)), "clause": clause}
-                for c, clause in self.unfactored
+                {"cofactor": digits, "digits": len(digits), "clause": clause}
+                for digits, clause in ((decimal_string(c), clause) for c, clause in self.unfactored)
             ]
         return out
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .exact import DomainError, FactorCache, decimal_string, set_factor_cache  # noqa: F401
+from .exact import DomainError, FactorCache, set_factor_cache
 from .characters import character_by_index, enumerate_characters
 from .cyclotomic import CycloElement
 from .residues import DenominatorObstruction, FixtureError, NewformFixture
@@ -164,25 +164,22 @@ def cmd_bound(weight, level, degree, fmt, out, cache_dir, timing):
     rep = Reporter("bound", inputs, fmt, out, cache_dir, timing)
     from .bounds import candidate_report
 
-    report = candidate_report(weight, level, degree)
+    outputs = candidate_report(weight, level, degree).to_dict()
     lines = [f"bound report for weight {weight}, level {level}"]
-    lines.append("reducible candidates: " + ", ".join(map(str, report.reducible_primes())))
-    for p, clause in report.reducible:
-        lines.append(f"  {p}: {clause}")
-    for c, clause in report.unfactored:
-        digits = decimal_string(c)
-        lines.append(f"  ell divides {digits} (unfactored, {len(digits)} digits): {clause}")
-    if report.dihedral.primes is not None:
-        lines.append("dihedral candidates: " + ", ".join(map(str, report.dihedral.primes)))
+    lines.append("reducible candidates: " + ", ".join(map(str, outputs["reducible_primes"])))
+    for r in outputs["reducible"]:
+        lines.append(f"  {r['prime']}: {r['clause']}")
+    for u in outputs.get("unfactored", ()):
+        lines.append(f"  ell divides {u['cofactor']} (unfactored, {u['digits']} digits): {u['clause']}")
+    dihedral = outputs["dihedral"]
+    if "primes" in dihedral:
+        lines.append("dihedral candidates: " + ", ".join(map(str, dihedral["primes"])))
     else:
-        lines.append(
-            f"dihedral bound (degree {report.dihedral.degree}): "
-            + decimal_string(report.dihedral.bound)
-        )
-    lines.append("exceptional image candidates: " + ", ".join(map(str, report.exceptional_image)))
-    for a in report.assumptions:
+        lines.append(f"dihedral bound (degree {dihedral['degree']}): {dihedral['bound']}")
+    lines.append("exceptional image candidates: " + ", ".join(map(str, outputs["exceptional_image"])))
+    for a in outputs["assumptions"]:
         lines.append(f"assumption: {a}")
-    rep.emit(report.to_dict(), lines)
+    rep.emit(outputs, lines)
     sys.exit(EXIT_OK)
 
 

@@ -429,18 +429,16 @@ class NewformFixture:
         "level",
         "field_poly",
         "an",
-        "non_cm",
         "steinberg_signs",
         "n_max",
     )
 
-    def __init__(self, label, weight, level, field_poly, an, non_cm=False, steinberg_signs=None):
+    def __init__(self, label, weight, level, field_poly, an, steinberg_signs=None):
         self.label = str(label)
         self.weight = _integer(weight, "weight")
         self.level = _integer(level, "level")
         self.field_poly = tuple(_integer(c, "a field_poly coefficient")
                                 for c in _typed(field_poly, list, "field_poly"))
-        self.non_cm = bool(non_cm)
         signs = _typed({} if steinberg_signs is None else steinberg_signs, dict, "steinberg_signs")
         self.steinberg_signs = {_integer(p, "a steinberg prime", key=True): _integer(s, "a steinberg sign")
                                 for p, s in signs.items()}
@@ -500,6 +498,7 @@ class NewformFixture:
     @classmethod
     def from_dict(cls, data: dict) -> "NewformFixture":
         _typed(data, dict, "a fixture")
+        _typed(data.get("non_cm", False), bool, "non_cm")
         try:
             return cls(
                 data["label"],
@@ -507,7 +506,6 @@ class NewformFixture:
                 data["level"],
                 data["field_poly"],
                 data["an"],
-                data.get("non_cm", False),
                 data.get("steinberg_signs"),
             )
         except KeyError as exc:
@@ -612,10 +610,7 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
     for idx in sorted(fixture.an):
         for c in fixture.an[idx]:
             if c.denominator % ell == 0:
-                raise DenominatorObstruction(
-                    f"a_{idx} has denominator divisible by {ell}; "
-                    "use norm-divisibility mode"
-                )
+                raise DenominatorObstruction(f"a_{idx} has denominator divisible by {ell}")
     f = list(fixture.field_poly)
     fdegs = factor_degree_multiset(f, ell)
     degs_all = [d for d, _ in fdegs]

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -235,10 +236,28 @@ def test_a_complete_cache_line_completes_a_partial_result(tmp_path):
     assert fac.cofactor == 1 and fac.factors == ((p, 1), (q, 1))
 
 
-def test_rho_budget_hands_large_factors_to_ecm():
+def test_ecm_splits_a_product_of_two_13_digit_primes():
     p, q = 10 ** 12 + 39, 10 ** 12 + 61
     assert exact._ecm(p * q) in (p, q)
     assert factorize(7 * p * q).factors == ((7, 1), (p, 1), (q, 1))
+
+
+def test_decimal_string_is_str_of_decimal():
+    # 128-bit leaves, carries across the split at 10^k +- 1, both signs
+    from decimal import Decimal
+
+    edges = [0, 1, 2 ** 128 - 1, 2 ** 128, 2 ** 129 - 1, 2 ** 129]
+    edges += [10 ** k + d for k in (38, 39, 100, 4300, 20_000) for d in (-1, 1)]
+    rng = random.Random(14)
+    randoms = [rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, 200_001)) for _ in range(50)]
+    for n in [sign * n for n in edges for sign in (1, -1)] + randoms:
+        assert exact.decimal_string(n) == str(Decimal(n)), n
+
+
+def test_decimal_string_of_powers_of_ten_past_the_str_digit_limit():
+    k = 300_000
+    assert exact.decimal_string(10 ** k - 1) == "9" * k
+    assert exact.decimal_string(-10 ** k) == "-1" + "0" * k
 
 
 @pytest.mark.parametrize("p", [100003, 1000003, 99999989, 1000000007, 9999999967])

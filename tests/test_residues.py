@@ -552,6 +552,19 @@ def test_fixture_rejections():
     with pytest.raises(FixtureError, match="out of range"):
         NewformFixture.from_dict(bad)
 
+    bad = _base_fixture_dict()
+    bad["non_cm"] = "yes"
+    with pytest.raises(FixtureError, match="non_cm must be a bool"):
+        NewformFixture.from_dict(bad)
+
+
+def test_fixture_accepts_non_cm_and_keeps_nothing_of_it():
+    for data in (_base_fixture_dict(), {**_base_fixture_dict(), "non_cm": False}):
+        assert not hasattr(NewformFixture.from_dict(data), "non_cm")
+    base = _base_fixture_dict()
+    del base["non_cm"]
+    assert NewformFixture.from_dict(base).an == NewformFixture.from_dict(_base_fixture_dict()).an
+
 
 def test_fixture_steinberg_validation():
     good = {

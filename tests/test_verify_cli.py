@@ -206,7 +206,7 @@ def test_cli_bound_renders_a_bound_past_the_str_digit_limit():
     assert Decimal(line.rsplit(": ", 1)[1]) == bound
 
 
-def test_cli_bound_finishes_where_rho_alone_stalls():
+def test_cli_bound_names_reducible_primes_with_14_and_15_digit_factors():
     # (22, 1089) factors Bernoulli norm numerators with 14- and 15-digit
     # prime factors, which need the ECM stage
     from excprimes import candidate_report
@@ -215,6 +215,44 @@ def test_cli_bound_finishes_where_rho_alone_stalls():
     assert proc.returncode == 0, proc.stderr
     want = candidate_report(22, 1089).reducible_primes()
     assert _payload(proc)["outputs"]["reducible_primes"] == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("weight, level", [(22, 81), (24, 2025)])
+def test_cli_bound_renders_each_big_integer_once(monkeypatch, weight, level, fmt):
+    # one decimal conversion for the dihedral bound and one per unfactored entry
+    import sys
+
+    from excprimes import candidate_report, exact
+
+    real, rendered = exact.decimal_string, []
+
+    def counting(n):
+        rendered.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("excprimes") and getattr(module, "decimal_string", None) is real:
+            monkeypatch.setattr(module, "decimal_string", counting)
+    argv = ["bound", "--weight", str(weight), "--level", str(level), "--format", fmt]
+    res = CliRunner().invoke(main, argv)
+    assert res.exit_code == 0, res.output
+    report = candidate_report(weight, level)
+    assert report.dihedral.bound is not None and report.unfactored
+    want = [report.dihedral.bound] + [c for c, _ in report.unfactored]
+    assert sorted(rendered) == sorted(want)
+
+
+def test_cli_bound_text_report_is_a_view_of_the_json_outputs():
+    argv = ["bound", "--weight", "22", "--level", "81"]
+    outputs = json.loads(CliRunner().invoke(main, argv).output)["outputs"]
+    text = CliRunner().invoke(main, [*argv, "--format", "text"]).output.splitlines()
+    dihedral = outputs["dihedral"]
+    assert f"dihedral bound (degree {dihedral['degree']}): {dihedral['bound']}" in text
+    assert [line for line in text if line.startswith("  ell divides ")] == [
+        f"  ell divides {u['cofactor']} (unfactored, {u['digits']} digits): {u['clause']}"
+        for u in outputs["unfactored"]
+    ]
 
 
 def test_cli_bound_reports_an_unfactored_cofactor_and_exits_zero():
