@@ -2,11 +2,12 @@
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
 hides its tuple of integer coordinates: its add, multiply and reduction mod
-the modulus, the field's integer linear combination and embedding of F_p are
-the only code here that works on that format. All polynomial work over F_p and
-F_q (factor degrees, the irreducibility test behind the modulus search, and
-root finding by Cantor-Zassenhaus splitting) runs on lists of FieldElements
-through the one polynomial core in `polys`, with F_p as the field of degree one.
+the modulus, the field's embedding of F_p and a residue point's table of
+alpha-power coordinates are the only code here that works on that format.
+All polynomial work over F_p and F_q (factor degrees, the irreducibility test
+behind the modulus search, and root finding by Cantor-Zassenhaus splitting)
+runs on lists of FieldElements through the one polynomial core in `polys`,
+with F_p as the field of degree one.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,15 +160,6 @@ class FiniteField:
 
     def from_fraction(self, x: int | Fraction, context: str = "coefficient") -> "FieldElement":
         return FieldElement(self, (self.residue(x, context),) + (0,) * (self.d - 1))
-
-    def linear_combination(self, scalars, elements) -> "FieldElement":
-        """sum c_i e_i for ints c_i, as integer dot products reduced mod p once."""
-        acc = [0] * self.d
-        for c, e in zip(scalars, elements):
-            if c:
-                for j, a in enumerate(e.coeffs):
-                    acc[j] += c * a
-        return FieldElement(self, tuple(a % self.p for a in acc))
 
     def __eq__(self, other):
         return (
@@ -421,7 +414,7 @@ def _typed(x, kind: type, what: str):
 
 
 class NewformFixture:
-    """Ingested newform data: defining polynomial plus power-basis a_n vectors."""
+    """Ingested newform data: defining polynomial, power-basis a_n vectors, lcm of their denominators."""
 
     __slots__ = (
         "label",
@@ -431,6 +424,7 @@ class NewformFixture:
         "an",
         "steinberg_signs",
         "n_max",
+        "denominator_lcm",
     )
 
     def __init__(self, label, weight, level, field_poly, an, steinberg_signs=None):
@@ -443,7 +437,7 @@ class NewformFixture:
         self.steinberg_signs = {_integer(p, "a steinberg prime", key=True): _integer(s, "a steinberg sign")
                                 for p, s in signs.items()}
         deg = len(self.field_poly) - 1
-        parsed = {}
+        parsed, den = {}, 1
         for key, vec in _typed(an, dict, "an").items():
             n = _integer(key, "a coefficient index", key=True)
             if n < 1:
@@ -454,9 +448,15 @@ class NewformFixture:
                 raise FixtureError(
                     f"a_{n} has {len(vec)} coordinates, field degree is {deg}"
                 )
-            padded = tuple(vec) + (0,) * (deg - len(vec))
-            parsed[n] = tuple(_parse_rational(c) for c in padded)
+            try:  # int() over a vector of strings in one pass; the join rejects any other entry
+                "".join(vec)
+                coords = tuple(map(int, vec))
+            except (TypeError, ValueError):
+                coords = tuple(map(_parse_rational, vec))
+                den = math.lcm(den, *(c.denominator for c in coords))
+            parsed[n] = coords + (0,) * (deg - len(vec))
         self.an = parsed
+        self.denominator_lcm = den
         n = 0
         while (n + 1) in parsed:
             n += 1
@@ -573,17 +573,24 @@ class ResiduePoint:
     degree: int
 
     @cached_property
-    def _alpha_powers(self) -> list[FieldElement]:
-        """alpha^i in F_q, grown by reduce_vector to the fixture's degree, not the orbit size `degree`."""
-        return [self.field.one()]
+    def _tables(self) -> dict:
+        """Per vector length d, the coordinates of alpha^0, ..., alpha^(d-1) in F_q, one row per coordinate."""
+        return {}
+
+    def image(self, residues) -> tuple[int, ...]:
+        """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
+        rows = self._tables.get(len(residues))
+        if rows is None:
+            powers = [self.field.one()]
+            while len(powers) < len(residues):
+                powers.append(powers[-1] * self.alpha_image)
+            rows = self._tables[len(residues)] = tuple(zip(*(x.coeffs for x in powers)))
+        return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in rows)
 
     def reduce_vector(self, vec) -> FieldElement:
         """Power-basis coordinates in alpha down to the residue field."""
         residues = [self.field.residue(v, "coefficient of alpha") for v in vec]
-        powers = self._alpha_powers
-        while len(powers) < len(residues):
-            powers.append(powers[-1] * self.alpha_image)
-        return self.field.linear_combination(residues, powers)
+        return FieldElement(self.field, self.image(residues))
 
     def reduce_cyclo(self, x: CycloElement) -> FieldElement:
         """Image of an element of Q(zeta_m), for m dividing the point's index."""
@@ -607,10 +614,9 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
         raise DomainError(f"{ell} is not prime")
     if n < 1:
         raise DomainError(f"cyclotomic index must be >= 1, got {n}")
-    for idx in sorted(fixture.an):
-        for c in fixture.an[idx]:
-            if c.denominator % ell == 0:
-                raise DenominatorObstruction(f"a_{idx} has denominator divisible by {ell}")
+    if fixture.denominator_lcm % ell == 0:
+        idx = min(i for i, vec in fixture.an.items() if any(c.denominator % ell == 0 for c in vec))
+        raise DenominatorObstruction(f"a_{idx} has denominator divisible by {ell}")
     f = list(fixture.field_poly)
     fdegs = factor_degree_multiset(f, ell)
     degs_all = [d for d, _ in fdegs]

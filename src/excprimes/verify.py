@@ -170,21 +170,25 @@ def _compared(fixture: NewformFixture, ell: int, window: int):
 def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> list:
     """(point name, first compared n where a_n(f) and a_n(E) differ there, or None) per point.
 
-    The points, all in one field, are compared together n by n, so an int
-    a_n(E) is reduced once per n; the walk ends when every point has a mismatch.
+    The points, all in one field, are compared together n by n in plain ints:
+    a_n(f)'s coordinates and a rational a_n(E) are reduced mod ell once per n,
+    and each point maps those residues to F_q coordinates through its table of
+    alpha powers. The walk ends when every point has a mismatch.
     """
+    field = points[0].field
     mismatch = [None] * len(points)
     for n, a_n in _compared(fixture, ell, window):
         live = [i for i, m in enumerate(mismatch) if m is None]
         if not live:
             break
+        residues = [c % ell if type(c) is int else field.residue(c) for c in a_n]
         target = E.coefficient(n)
         if not isinstance(target, CycloElement):
-            target = points[0].field.from_fraction(target)
+            target = (field.residue(target),) + (0,) * (field.d - 1)
         for i in live:
             pt = points[i]
-            rhs = pt.reduce_cyclo(target) if isinstance(target, CycloElement) else target
-            if pt.reduce_vector(a_n) != rhs:
+            rhs = pt.reduce_cyclo(target).coeffs if isinstance(target, CycloElement) else target
+            if pt.image(residues) != rhs:
                 mismatch[i] = n
     return [(_point_name(pt), n) for pt, n in zip(points, mismatch)]
 

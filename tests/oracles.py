@@ -8,9 +8,11 @@ the sigma_1(n d) construction of `eprime_weight2_steinberg`; Gauss sums and the 
 the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
-the data of a residue point are read here for the tests; and a plain ECM
-curve, with one inversion per point and every stage-2 pair,
-checks `exact._ecm_curve`. None of this is on the package's runtime path.
+the data of a residue point are read here for the tests; the congruence
+comparison with a `FieldElement` per n and per point checks the integer
+kernel of `verify._point_outcomes`; and a plain ECM curve, with one
+inversion per point and every stage-2 pair, checks `exact._ecm_curve`. None
+of this is on the package's runtime path.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, QExpansion, exact, is_prime, polys
+from excprimes import DomainError, DirichletCharacter, QExpansion, exact, is_prime, polys, verify
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError, _divisor_power_sums
@@ -98,6 +100,33 @@ def describe(pt) -> dict:
         out["zeta"] = list(pt.zeta_image.coeffs)
         out["cyclo_index"] = pt.cyclo_index
     return out
+
+
+def reduce_vector_reference(pt, vec):
+    """sum c_i alpha^i at a residue point, in FieldElement arithmetic."""
+    acc, power = pt.field.zero(), pt.field.one()
+    for c in vec:
+        acc = acc + pt.field.from_fraction(c, "coefficient of alpha") * power
+        power = power * pt.alpha_image
+    return acc
+
+
+def point_outcomes_reference(fixture, E: QExpansion, points, ell: int, window: int) -> list:
+    """`verify._point_outcomes` with a FieldElement for a_n(f) and a_n(E) at every n and point."""
+    mismatch = [None] * len(points)
+    for n, a_n in verify._compared(fixture, ell, window):
+        live = [i for i, m in enumerate(mismatch) if m is None]
+        if not live:
+            break
+        target = E.coefficient(n)
+        if not isinstance(target, CycloElement):
+            target = points[0].field.from_fraction(target)
+        for i in live:
+            pt = points[i]
+            rhs = pt.reduce_cyclo(target) if isinstance(target, CycloElement) else target
+            if reduce_vector_reference(pt, a_n) != rhs:
+                mismatch[i] = n
+    return [(verify._point_name(pt), n) for pt, n in zip(points, mismatch)]
 
 
 # -- Bernoulli polynomials ----------------------------------------------------------

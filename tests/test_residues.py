@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -398,6 +399,28 @@ def test_denominator_obstruction_routes_to_norm_mode(fx81):
         find_residue_points(fx81, 3, 2)
 
 
+def test_denominator_obstruction_names_the_smallest_index():
+    data = _base_fixture_dict()
+    data["an"].update({"7": ["1/3", "0"], "6": ["1/2", "3"], "4": ["0", "2/9"], "5": ["5/6"], "3": ["9", "27"]})
+    fx = NewformFixture.from_dict(data)
+    assert fx.denominator_lcm == 18
+    for ell, idx in ((3, 4), (2, 5)):
+        with pytest.raises(DenominatorObstruction, match=f"^a_{idx} has denominator divisible by {ell}$"):
+            find_residue_points(fx, 1, ell)
+    assert find_residue_points(fx, 1, 5)
+
+
+def test_integer_coordinates_never_obstruct():
+    data = _base_fixture_dict()
+    data["an"].update({"3": ["9", "27"], "4": ["-2.0", "3/1"], "5": ["9/2", "-81"]})
+    fx = NewformFixture.from_dict(data)
+    assert fx.denominator_lcm == 2
+    assert [type(c) for c in fx.a(3) + fx.a(4)] == [int, int, Fraction, Fraction]
+    assert find_residue_points(fx, 1, 3)
+    fx = NewformFixture("t", 4, 11, [-2, -2, 1], {1: [1], 2: [0, 1], 3: [9, 27]})
+    assert fx.denominator_lcm == 1 and find_residue_points(fx, 1, 3)
+
+
 def test_residue_points_input_validation(fx11_4):
     with pytest.raises(DomainError):
         find_residue_points(fx11_4, 1, 15)
@@ -498,6 +521,22 @@ def test_fixture_coordinates_parse_as_fraction_does(s):
     got = NewformFixture.from_dict(data).a(3)[0]
     assert got == Fraction(s)
     assert type(got) is (int if _parses(int, s) else Fraction)
+
+
+def test_fixture_vector_mixing_an_int_string_with_a_fraction_string():
+    data = _base_fixture_dict()
+    data["an"]["3"] = ["3", "1/2"]
+    got = NewformFixture.from_dict(data).a(3)
+    assert got == (3, Fraction(1, 2)) and [type(c) for c in got] == [int, Fraction]
+
+
+@pytest.mark.parametrize("vec", [["3", 1.5], ["1/2", 2.0], ["3", True], [0, False]], ids=repr)
+def test_fixture_rejects_a_float_or_bool_after_valid_coordinates(vec):
+    data = _base_fixture_dict()
+    data["an"]["3"] = vec
+    message = f"coefficient entries must be decimal strings, got {vec[-1]!r}"
+    with pytest.raises(FixtureError, match=f"^{re.escape(message)}$"):
+        NewformFixture.from_dict(data)
 
 
 def test_fixture_rejects_a_key_given_twice(tmp_path):
