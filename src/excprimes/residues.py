@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
 from . import polys
@@ -285,12 +286,20 @@ class FieldElement:
 
 
 def is_square_in_field(x: FieldElement) -> bool:
-    """Euler criterion; zero counts as a square. Characteristic 2 is an error."""
-    if x.field.p == 2:
-        raise DomainError("squareness via the Euler criterion needs odd characteristic")
+    """Zero counts as a square; characteristic 2 is an error.
+
+    For odd q, x != 0 is a square in F_q exactly when N(x) = x^((q-1)/(p-1)) is
+    a square in F_p. N(x) is Res(modulus, x) over F_p, and x itself at d = 1.
+    """
+    F, p = x.field, x.field.p
+    if p == 2:
+        raise DomainError("squareness via the norm needs odd characteristic")
     if not x:
         return True
-    return x ** ((x.field.q - 1) // 2) == x.field.one()
+    if F.d > 1:
+        Fp = FiniteField(p, 1)
+        x = polys.resultant([Fp.element(c) for c in F.modulus], polys.trim([Fp.element(c) for c in x.coeffs]))
+    return pow(x.coeffs[0], (p - 1) // 2, p) == 1
 
 
 def quadratic_irreducible(a: FieldElement, c: FieldElement) -> bool:
@@ -413,6 +422,41 @@ def _typed(x, kind: type, what: str):
     return x
 
 
+def _parse_an(an: dict, deg: int) -> tuple[dict, int]:
+    """The a_n vectors padded to deg coordinates, and the lcm of their denominators.
+
+    Keys n >= 1 without leading zeros and vectors of deg strings take one int()
+    pass over all coordinates, regrouped by zip; anything else (padding,
+    Fractions, JSON ints, errors) goes entry by entry, with the same results.
+    """
+    vecs = an.values()
+    if deg > 0 and all(type(k) is str and k.isascii() and k.isdigit() and k[0] != "0" for k in an) \
+            and all(type(vec) is list and len(vec) == deg for vec in vecs):
+        flat = list(chain.from_iterable(vecs))
+        try:
+            "".join(flat)  # rejects any entry that is not a string
+            return dict(zip(map(int, an), zip(*[map(int, flat)] * deg))), 1
+        except (TypeError, ValueError):
+            pass
+    parsed, den = {}, 1
+    for key, vec in an.items():
+        n = _integer(key, "a coefficient index", key=True)
+        if n < 1:
+            raise FixtureError(f"coefficient index {n} out of range")
+        if not isinstance(vec, list):
+            raise FixtureError(f"a_{n} must be a list, got {type(vec).__name__}")
+        if len(vec) > deg:
+            raise FixtureError(f"a_{n} has {len(vec)} coordinates, field degree is {deg}")
+        try:  # int() over a vector of strings in one pass; the join rejects any other entry
+            "".join(vec)
+            coords = tuple(map(int, vec))
+        except (TypeError, ValueError):
+            coords = tuple(map(_parse_rational, vec))
+            den = math.lcm(den, *(c.denominator for c in coords))
+        parsed[n] = coords + (0,) * (deg - len(vec))
+    return parsed, den
+
+
 class NewformFixture:
     """Ingested newform data: defining polynomial, power-basis a_n vectors, lcm of their denominators."""
 
@@ -436,29 +480,9 @@ class NewformFixture:
         signs = _typed({} if steinberg_signs is None else steinberg_signs, dict, "steinberg_signs")
         self.steinberg_signs = {_integer(p, "a steinberg prime", key=True): _integer(s, "a steinberg sign")
                                 for p, s in signs.items()}
-        deg = len(self.field_poly) - 1
-        parsed, den = {}, 1
-        for key, vec in _typed(an, dict, "an").items():
-            n = _integer(key, "a coefficient index", key=True)
-            if n < 1:
-                raise FixtureError(f"coefficient index {n} out of range")
-            if not isinstance(vec, list):
-                raise FixtureError(f"a_{n} must be a list, got {type(vec).__name__}")
-            if len(vec) > deg:
-                raise FixtureError(
-                    f"a_{n} has {len(vec)} coordinates, field degree is {deg}"
-                )
-            try:  # int() over a vector of strings in one pass; the join rejects any other entry
-                "".join(vec)
-                coords = tuple(map(int, vec))
-            except (TypeError, ValueError):
-                coords = tuple(map(_parse_rational, vec))
-                den = math.lcm(den, *(c.denominator for c in coords))
-            parsed[n] = coords + (0,) * (deg - len(vec))
-        self.an = parsed
-        self.denominator_lcm = den
+        self.an, self.denominator_lcm = _parse_an(_typed(an, dict, "an"), len(self.field_poly) - 1)
         n = 0
-        while (n + 1) in parsed:
+        while (n + 1) in self.an:
             n += 1
         self.n_max = n
         self._validate()

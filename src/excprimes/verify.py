@@ -12,7 +12,7 @@ such congruence can exist there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
@@ -58,6 +58,8 @@ class VerificationResult:
     warnings: tuple[str, ...] = ()
     scan: ScanResult | None = None
     scan_error: str | None = None
+    # the index-1 residue points built for the verdict, which the scan reuses
+    points: list[ResiduePoint] | None = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -255,7 +257,7 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
             NO_CANDIDATE, (), tuple(warnings),
         )
 
-    results = []
+    results, index1 = [], None
     for desc, E, n_cyclo in candidates:
         a0 = E.coefficient(0)
         a0_coeffs = a0.coeffs if isinstance(a0, CycloElement) else (a0,)
@@ -288,9 +290,11 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
                 verdict, witnesses, tuple(warnings),
             ))
             continue
+        if n_cyclo == 1:
+            index1 = points
         outcomes = _point_outcomes(fixture, E, points, ell, window)
         results.append(_conclude(fixture, ell, desc, window, sturm, outcomes, warnings))
-    return min(results, key=lambda r: (rank(r), r.eisenstein))
+    return replace(min(results, key=lambda r: (rank(r), r.eisenstein)), points=index1)
 
 
 def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> VerificationResult:
@@ -332,7 +336,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
             f"inconclusive(denominator obstruction: {exc})",
         )
     outcomes = _point_outcomes(fixture, E, points, ell, window)
-    return _conclude(fixture, ell, desc, window, sturm, outcomes)
+    return replace(_conclude(fixture, ell, desc, window, sturm, outcomes), points=points)
 
 
 def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100) -> VerificationResult:
@@ -343,7 +347,8 @@ def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100)
     ell does not divide 6N, `verify_weight2_squarefree` answers instead. A
     verdict short of certified carries `frobenius_scan` up to p_max (or the
     scan's `scan_error`) and becomes refuted-by-scan when every residue point
-    has an irreducibility witness, which rules the congruence out there.
+    has an irreducibility witness, which rules the congruence out there. The
+    scan runs at the index-1 points the verdict built, where it built them.
     """
     result = verify_reducible(fixture, ell, nu=nu)
     N = fixture.level
@@ -354,7 +359,7 @@ def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100)
     if result.certified:
         return result
     try:
-        scan = frobenius_scan(fixture, ell, p_max)
+        scan = frobenius_scan(fixture, ell, p_max, result.points)
     except (DomainError, DenominatorObstruction) as exc:
         return replace(result, scan_error=str(exc))
     witnessed = scan.points and all(pt["witness"] is not None for pt in scan.points)
@@ -389,12 +394,14 @@ class ScanResult:
         }
 
 
-def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int) -> ScanResult:
+def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -> ScanResult:
     """Irreducibility scan: is X^2 - a_p X + p^(k-1) irreducible at each point?
 
     Reports, per residue point, each tested prime p <= p_max with p coprime to
     ell N, and the smallest p whose characteristic polynomial is irreducible
     (a certificate that no reducibility congruence can hold at that point).
+    The points are `find_residue_points(fixture, 1, ell)`, built here unless
+    the caller passes them.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
@@ -406,7 +413,8 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int) -> ScanResult:
             f"ell = {ell} divides the level: scan restricted to p coprime to ell N"
         )
     k = fixture.weight
-    points = find_residue_points(fixture, 1, ell)
+    if points is None:
+        points = find_residue_points(fixture, 1, ell)
     partial = p_max > fixture.n_max
     if partial:
         warnings.append(

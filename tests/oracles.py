@@ -10,9 +10,11 @@ polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
 the data of a residue point are read here for the tests; the congruence
 comparison with a `FieldElement` per n and per point checks the integer
-kernel of `verify._point_outcomes`; and a plain ECM curve, with one
-inversion per point and every stage-2 pair, checks `exact._ecm_curve`. None
-of this is on the package's runtime path.
+kernel of `verify._point_outcomes`; the Euler criterion checks the norm
+square test of `residues.is_square_in_field`; the entry-by-entry `an` parser
+checks the one-pass loader of `residues._parse_an`; and a plain ECM curve,
+with one inversion per point and every stage-2 pair, checks
+`exact._ecm_curve`. None of this is on the package's runtime path.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, QExpansion, exact, is_prime, polys, verify
+from excprimes import DomainError, DirichletCharacter, FixtureError, QExpansion, exact, is_prime, polys, verify
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError, _divisor_power_sums
+from excprimes.residues import _integer, _parse_rational
 
 
 # -- Q(zeta_n) in C ----------------------------------------------------------------
@@ -109,6 +112,39 @@ def reduce_vector_reference(pt, vec):
         acc = acc + pt.field.from_fraction(c, "coefficient of alpha") * power
         power = power * pt.alpha_image
     return acc
+
+
+def is_square_euler(x) -> bool:
+    """Euler criterion in F_q: x^((q-1)/2) = 1; zero counts as a square. Odd characteristic only."""
+    if x.field.p == 2:
+        raise DomainError("squareness via the Euler criterion needs odd characteristic")
+    if not x:
+        return True
+    return x ** ((x.field.q - 1) // 2) == x.field.one()
+
+
+def parse_an_reference(an: dict, deg: int) -> tuple[dict, int, int]:
+    """(a_n vectors, lcm of their denominators, n_max), parsed one entry at a time."""
+    parsed, den = {}, 1
+    for key, vec in an.items():
+        n = _integer(key, "a coefficient index", key=True)
+        if n < 1:
+            raise FixtureError(f"coefficient index {n} out of range")
+        if not isinstance(vec, list):
+            raise FixtureError(f"a_{n} must be a list, got {type(vec).__name__}")
+        if len(vec) > deg:
+            raise FixtureError(f"a_{n} has {len(vec)} coordinates, field degree is {deg}")
+        try:  # int() over a vector of strings in one pass; the join rejects any other entry
+            "".join(vec)
+            coords = tuple(map(int, vec))
+        except (TypeError, ValueError):
+            coords = tuple(map(_parse_rational, vec))
+            den = math.lcm(den, *(c.denominator for c in coords))
+        parsed[n] = coords + (0,) * (deg - len(vec))
+    n_max = 0
+    while (n_max + 1) in parsed:
+        n_max += 1
+    return parsed, den, n_max
 
 
 def point_outcomes_reference(fixture, E: QExpansion, points, ell: int, window: int) -> list:

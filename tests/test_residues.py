@@ -28,7 +28,7 @@ from excprimes.residues import (
     poly_roots_in_field,
     quadratic_irreducible,
 )
-from oracles import describe
+from oracles import describe, is_square_euler, parse_an_reference
 
 
 # -- finite fields ---------------------------------------------------------------
@@ -91,24 +91,27 @@ def test_from_fraction_and_denominator_obstruction():
 
 
 def test_squares_by_euler_criterion():
-    for ell, d in ((3, 2), (5, 1), (7, 1)):
-        F = FiniteField(ell, d)
-        elements = _elements(F)
-        squares = {(x * x).coeffs for x in elements}
-        for x in elements:
-            assert is_square_in_field(x) == (x.coeffs in squares)
+    # the norm test and the Euler criterion both match the squares found by brute force
+    for ell, dmax in ((3, 4), (5, 3), (7, 2), (11, 2)):
+        for d in range(1, dmax + 1):
+            F = FiniteField(ell, d)
+            elements = _elements(F)
+            squares = {(x * x).coeffs for x in elements}
+            for x in elements:
+                assert is_square_in_field(x) == is_square_euler(x) == (x.coeffs in squares), (ell, d, x)
     with pytest.raises(DomainError):
         is_square_in_field(FiniteField(2, 2).one())
 
 
 def test_quadratic_irreducible_matches_brute_force():
-    # degree 2 over a field: irreducible iff X^2 - aX + c has no root
-    for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1)):
+    # degree 2 over a field: irreducible iff X^2 - aX + c has no root x, i.e. c != a x - x^2
+    for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)):
         F = FiniteField(ell, d)
         elements = _elements(F)
+        with_root = {(a.coeffs, (a * x - x * x).coeffs) for a in elements for x in elements}
         for a in elements:
             for c in elements:
-                has_root = any(x * x - a * x + c == F.zero() for x in elements)
+                has_root = (a.coeffs, c.coeffs) in with_root
                 assert quadratic_irreducible(a, c) == (not has_root), (ell, d, a, c)
 
 
@@ -659,3 +662,62 @@ def test_fixture_from_json_file_errors(tmp_path):
     fx = NewformFixture.from_json_file(p2)
     with pytest.raises(DomainError):
         fx.a(50)
+
+
+class _Unvalidated(NewformFixture):
+    """A fixture whose load stops after parsing, so any a_n dict can be compared."""
+
+    def _validate(self):
+        pass
+
+
+_GOOD_KEYS = st.integers(1, 12).map(str)
+_ODD_KEYS = st.sampled_from(["0", "01", "-1", " 2", "١", "2 ", "", "+3"]) | st.integers(-1, 12)
+_GOOD_ENTRIES = st.integers(-(10 ** 30), 10 ** 30).map(str)
+_ODD_ENTRIES = (
+    st.sampled_from(["3/4", "-6/4", "1/0", "2.5", "1e3", " 7", "1_000", "١٢", "x", "", "--1"])
+    | st.integers(-50, 50) | st.floats(allow_nan=False, allow_infinity=False) | st.booleans()
+    | st.none() | st.lists(st.integers(0, 3), max_size=2)
+)
+
+
+@st.composite
+def _an_dicts(draw):
+    """(an, deg): mostly well formed, so the one-pass path runs, with odd keys, lengths and entries mixed in."""
+    deg = draw(st.integers(0, 3))
+    odd = draw(st.integers(0, 3))  # 0: keys, 1: vector lengths, 2: entries, 3: vector types
+    keys = draw(st.lists(_GOOD_KEYS | _ODD_KEYS if odd == 0 else _GOOD_KEYS, max_size=8, unique=True))
+    entries = _GOOD_ENTRIES | _ODD_ENTRIES if odd == 2 else _GOOD_ENTRIES
+    sizes = st.integers(0, deg + 1) if odd == 1 else st.just(deg)
+    an = {}
+    for key in keys:
+        size = draw(sizes)
+        vec = draw(st.lists(entries, min_size=size, max_size=size))
+        if odd == 3 and draw(st.booleans()):
+            vec = draw(st.sampled_from([tuple(vec), "1", 1, None, {"0": "1"}]))
+        an[key] = vec
+    return an, deg
+
+
+@settings(max_examples=400, deadline=None)
+@given(_an_dicts())
+@example(({"1": ["1", "0"], "2": ["5", "7"]}, 2))
+@example(({"1": [], "2": []}, 0))
+@example(({"1": ["1"], "2": ["3/4"]}, 1))
+@example(({"1": ["1", "0"], "0": ["1", "0"]}, 2))
+def test_one_pass_loader_matches_the_entry_by_entry_parser(case):
+    an, deg = case
+    field_poly = [0] * deg + [1]
+    try:
+        want = parse_an_reference(an, deg)
+    except FixtureError as exc:
+        with pytest.raises(FixtureError) as got:
+            _Unvalidated("t", 2, 11, field_poly, an)
+        assert str(got.value) == str(exc)
+        return
+    fx = _Unvalidated("t", 2, 11, field_poly, an)
+    got = (fx.an, fx.denominator_lcm, fx.n_max)
+    assert got == want
+    assert [(n, [type(c) for c in v]) for n, v in fx.an.items()] == [
+        (n, [type(c) for c in v]) for n, v in want[0].items()
+    ]

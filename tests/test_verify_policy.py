@@ -7,6 +7,7 @@ from the CLI into `verify_fixture`. Regenerate it with
 of verdict is intended, and say why in CHANGES.md.
 """
 
+import collections
 import functools
 import json
 import os
@@ -151,6 +152,73 @@ def test_weight2_level1_has_no_sign_family():
     # a direct call is out of the family's domain, not refuted-structural
     with pytest.raises(DomainError, match="level 1"):
         verify_weight2_squarefree(fx, 5)
+
+
+# -- the scan runs at the verdict's own index-1 points ----------------------------
+
+
+def window_400_fixture() -> dict:
+    """A degree-2 fixture of weight 12 and level 419 (Sturm bound 420) with 420 coefficients.
+
+    a_n = sigma_11(n) + (alpha - 3) v_n with alpha^2 = 2: congruent to E_12 at
+    alpha -> 3 mod 7, and at neither point mod 17, where 2 = 6^2.
+    """
+    window = 420
+    sigma = [0] * (window + 1)
+    for d in range(1, window + 1):
+        for n in range(d, window + 1, d):
+            sigma[n] += d ** 11
+    an = {"1": ["1", "0"]}
+    for n in range(2, window + 1):
+        v = n % 5 + 1
+        an[str(n)] = [str(sigma[n] - 3 * v), str(v)]
+    return {"label": "w400", "weight": 12, "level": 419, "field_poly": [-2, 0, 1], "an": an}
+
+
+def residue_builds(monkeypatch, run):
+    """run()'s value, and the `find_residue_points` calls it makes counted per (index, ell)."""
+    import excprimes.verify
+
+    calls = collections.Counter()
+    build = excprimes.verify.find_residue_points
+
+    def counting(fixture, n, ell):
+        calls[n, ell] += 1
+        return build(fixture, n, ell)
+
+    monkeypatch.setattr(excprimes.verify, "find_residue_points", counting)
+    value = run()
+    monkeypatch.undo()
+    return value, calls
+
+
+@pytest.mark.parametrize("name, ell, eisenstein", [
+    ("11-4a", 3, "classical E_4"),
+    ("11-2a", 7, "Eprime(weight 2, signs={11:+1})"),
+    ("11-2a", 3, "(none)"),  # 3 divides 6N: no candidate built points, so the scan builds them
+    ("w400", 17, "classical E_12"),
+])
+def test_scan_reuses_the_verdicts_index1_points(monkeypatch, fixture_json, name, ell, eisenstein):
+    from excprimes import NewformFixture, verify_fixture
+
+    fx = NewformFixture.from_dict(window_400_fixture() if name == "w400" else fixture_json(f"{name}.json"))
+    result, calls = residue_builds(monkeypatch, lambda: verify_fixture(fx, ell))
+    assert calls == {(1, ell): 1}
+    assert result.eisenstein == eisenstein and result.scan is not None and result.scan.points
+    if name == "w400":
+        assert result.verdict == "refuted-at-2" and result.sturm == result.checked_up_to == 420
+        assert verify_fixture(fx, 7).verdict == "certified"
+
+
+def test_scan_command_builds_its_own_points(monkeypatch, fx11_4):
+    from excprimes import verify_fixture
+    from excprimes.cli import main
+
+    argv = ["scan", "--form", fixture_path("11-4a.json"), "--ell", "3", "--pmax", "100"]
+    res, calls = residue_builds(monkeypatch, lambda: CliRunner().invoke(main, argv))
+    assert calls == {(1, 3): 1}
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["outputs"] == verify_fixture(fx11_4, 3).scan.to_dict()
 
 
 # -- level 1: the constant term counts ---------------------------------------------
