@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import DomainError
+from .exact import DomainError, primes_up_to
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter
 from .bernoulli import bernoulli_classical
@@ -99,12 +99,30 @@ def eisenstein_E(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
 
 
 def _divisor_power_sums(e: int, truncation: int) -> list[int]:
-    """sigma_e(n) for 0 <= n <= truncation (entry 0 is 0), in O(T log T) adds."""
+    """sigma_e(n) for 0 <= n <= truncation (entry 0 is 0), one product or two per n.
+
+    A smallest-prime-factor sieve gives n = p m with p the least prime of n.
+    sigma_e is multiplicative, so sigma_e(n) = sigma_e(m) sigma_e(p) when p does
+    not divide m; when it does, sigma_e(p^a r) = sigma_e(r) (1 + p^e + ... + p^(ae))
+    gives sigma_e(n) = sigma_e(m) sigma_e(p) - p^e sigma_e(m / p).
+    """
     sig = [0] * (truncation + 1)
-    for m in range(1, truncation + 1):
-        m_e = m ** e
-        for j in range(m, truncation + 1, m):
-            sig[j] += m_e
+    if truncation < 1:
+        return sig
+    spf = [0] * (truncation + 1)  # 0 at primes; descending p leaves the least one
+    for p in reversed(primes_up_to(math.isqrt(truncation))):
+        spf[p * p :: p] = [p] * ((truncation - p * p) // p + 1)
+    sig[1] = 1
+    for n in range(2, truncation + 1):
+        p = spf[n]
+        if not p:
+            sig[n] = n ** e + 1
+            continue
+        m = n // p
+        if m % p:
+            sig[n] = sig[m] * sig[p]
+        else:
+            sig[n] = sig[m] * sig[p] - (sig[p] - 1) * sig[m // p]
     return sig
 
 

@@ -408,11 +408,13 @@ def _integer(x, what: str, key: bool = False) -> int:
 
 def _unique_keys(pairs) -> dict:
     """A JSON object as a dict, where a repeated key is an error and not last-one-wins."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise FixtureError(f"key {key!r} appears twice in one JSON object")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FixtureError(f"key {key!r} appears twice in one JSON object")
+            seen.add(key)
     return out
 
 
@@ -557,10 +559,17 @@ class NewformFixture:
 
 
 def _is_irreducible_over_q(coeffs: list[int]) -> bool:
-    """Monic integer polynomial irreducibility: inert-prime sieve, sympy fallback."""
+    """Monic integer polynomial irreducibility: inert-prime sieve, sympy fallback.
+
+    Degree 1 is irreducible, and x^2 + bx + c is irreducible exactly when its
+    discriminant b^2 - 4c is not a square, which needs neither.
+    """
     deg = len(coeffs) - 1
     if deg == 1:
         return True
+    if deg == 2:
+        disc = coeffs[1] ** 2 - 4 * coeffs[0]
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
     for p in primes_up_to(200):
         if coeffs[0] % p == 0:
             continue
@@ -601,15 +610,19 @@ class ResiduePoint:
         """Per vector length d, the coordinates of alpha^0, ..., alpha^(d-1) in F_q, one row per coordinate."""
         return {}
 
-    def image(self, residues) -> tuple[int, ...]:
-        """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
-        rows = self._tables.get(len(residues))
+    def rows(self, d: int) -> tuple:
+        """The F_q coordinates of alpha^0, ..., alpha^(d-1), one row per coordinate, built once per d."""
+        rows = self._tables.get(d)
         if rows is None:
             powers = [self.field.one()]
-            while len(powers) < len(residues):
+            while len(powers) < d:
                 powers.append(powers[-1] * self.alpha_image)
-            rows = self._tables[len(residues)] = tuple(zip(*(x.coeffs for x in powers)))
-        return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in rows)
+            rows = self._tables[d] = tuple(zip(*(x.coeffs for x in powers)))
+        return rows
+
+    def image(self, residues) -> tuple[int, ...]:
+        """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
+        return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in self.rows(len(residues)))
 
     def reduce_vector(self, vec) -> FieldElement:
         """Power-basis coordinates in alpha down to the residue field."""

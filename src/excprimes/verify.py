@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
 from .bounds import _square_part_root, reducible_weight2_signs
@@ -172,14 +173,19 @@ def _compared(fixture: NewformFixture, ell: int, window: int):
 def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> list:
     """(point name, first compared n where a_n(f) and a_n(E) differ there, or None) per point.
 
-    The points, all in one field, are compared together n by n in plain ints:
-    a_n(f)'s coordinates and a rational a_n(E) are reduced mod ell once per n,
-    and each point maps those residues to F_q coordinates through its table of
-    alpha powers. The walk ends when every point has a mismatch.
+    Where a_n(f) has integer coordinates and a_n(E) is an int for 1 <= n <= window,
+    each point walks n on its own up to its first mismatch: a_n(f) = a_n(E) at
+    the point when the dot product of the raw coordinates with each row of its
+    alpha-power table, less a_n(E) in the first row, is 0 mod ell. Fraction
+    coordinates, CycloElement a_n(E) and a_0 at level 1 go n by n for all points
+    at once, reduced mod ell once per n, until every point has a mismatch.
     """
+    coeffs = E.coeffs
+    walk = (fixture.denominator_lcm == 1 and E.truncation >= window
+            and all(type(c) is int for c in coeffs[1:window + 1]))
     field = points[0].field
     mismatch = [None] * len(points)
-    for n, a_n in _compared(fixture, ell, window):
+    for n, a_n in _compared(fixture, ell, 0 if walk else window):
         live = [i for i, m in enumerate(mismatch) if m is None]
         if not live:
             break
@@ -192,6 +198,19 @@ def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> li
             rhs = pt.reduce_cyclo(target).coeffs if isinstance(target, CycloElement) else target
             if pt.image(residues) != rhs:
                 mismatch[i] = n
+    if walk:
+        an = fixture.an
+        for i, pt in enumerate(points):
+            if mismatch[i] is not None:
+                continue
+            first, *rest = pt.rows(fixture.degree())
+            for n in range(1, window + 1):
+                if n % ell:
+                    a_n = an[n]
+                    if ((sum(map(mul, a_n, first)) - coeffs[n]) % ell
+                            or rest and any(sum(map(mul, a_n, row)) % ell for row in rest)):
+                        mismatch[i] = n
+                        break
     return [(_point_name(pt), n) for pt, n in zip(points, mismatch)]
 
 

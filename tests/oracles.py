@@ -3,8 +3,10 @@
 Numeric L-values and a lattice double sum (mpmath) cross-check the exact
 Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
 and theta, and E_2 - u E_2(u tau), check identities of the series the
-package builds; E_2 and the weight-2 E' built from it by U_p operators check
-the sigma_1(n d) construction of `eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
+package builds; an additive divisor sieve checks the multiplicative one of
+`eisenstein._divisor_power_sums`, and E_2 and the weight-2 E' built from it
+by U_p operators check the sigma_1(n d) construction of
+`eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
 the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
@@ -27,7 +29,7 @@ import mpmath
 from excprimes import DomainError, DirichletCharacter, FixtureError, QExpansion, exact, is_prime, polys, verify
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
-from excprimes.eisenstein import TruncationError, _divisor_power_sums
+from excprimes.eisenstein import TruncationError
 from excprimes.residues import _integer, _parse_rational
 
 
@@ -375,11 +377,21 @@ def theta_operator(f: QExpansion) -> QExpansion:
     return QExpansion([n * c for n, c in enumerate(f.coeffs)], f.weight, f.level)
 
 
+def divisor_power_sums_reference(e: int, truncation: int) -> list[int]:
+    """sigma_e(n) for 0 <= n <= truncation (entry 0 is 0): m^e added to every multiple of m."""
+    sig = [0] * (truncation + 1)
+    for m in range(1, truncation + 1):
+        m_e = m ** e
+        for j in range(m, truncation + 1, m):
+            sig[j] += m_e
+    return sig
+
+
 def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
     """E_2(tau) - u E_2(u tau): constant term (u-1)/24, a_n = sum of m | n, u not | m."""
     if u < 2:
         raise DomainError(f"E_2^(u) needs u >= 2, got {u}")
-    sig = _divisor_power_sums(1, truncation)
+    sig = divisor_power_sums_reference(1, truncation)
     coeffs: list = [Fraction(u - 1, 24)]
     for n in range(1, truncation + 1):
         # the divisors m = u m' of n sum to u sigma_1(n/u)
@@ -389,7 +401,7 @@ def eisenstein_E2u(u: int, truncation: int) -> QExpansion:
 
 def e2_series(truncation: int) -> QExpansion:
     """E_2 = -1/24 + sum sigma_1(n) q^n (quasi-modular; used mod ell only)."""
-    sig = _divisor_power_sums(1, truncation)
+    sig = divisor_power_sums_reference(1, truncation)
     return QExpansion([Fraction(-1, 24)] + [Fraction(s) for s in sig[1:]], 2, 1)
 
 

@@ -18,9 +18,10 @@ from excprimes import (
     eprime_weight2_steinberg,
     trivial_character,
 )
-from excprimes.eisenstein import sigma_nu
+from excprimes.eisenstein import _divisor_power_sums, sigma_nu
 from oracles import (
     apply_Tr,
+    divisor_power_sums_reference,
     e2_series,
     eisenstein_E2u,
     eprime_weight2_by_operators,
@@ -244,6 +245,13 @@ def test_trivial_character_series_is_sigma_nu():
         assert (E.weight, E.level, E.truncation) == (k, 1, 300)
         for n in range(1, 301):
             assert E.coefficient(n) == sigma_nu(k, nu, n), (k, n)
+
+
+@pytest.mark.parametrize("e", [1, 3, 5, 11, 13, 15, 17, 19, 21])
+def test_multiplicative_sieve_matches_the_additive_one_at_every_truncation(e):
+    full = divisor_power_sums_reference(e, 1500)
+    for T in range(1501):
+        assert _divisor_power_sums(e, T) == full[: T + 1], (e, T)
 
 
 def test_e2_series_is_sigma_1():

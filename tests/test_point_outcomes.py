@@ -1,10 +1,12 @@
 """The integer comparison of `verify._point_outcomes` against its FieldElement reference.
 
-The kernel reduces a_n(f)'s coordinates mod ell once per n and maps them
-through each residue point's table of alpha-power coordinates; the
-reference in `oracles.point_outcomes_reference` builds a FieldElement for
-a_n(f) and a_n(E) at every n and every point. Both must name the same first
-mismatch at every point.
+With integer coordinates and int a_n(E), each residue point walks n on its
+own, taking dot products of the raw coordinates with its table of
+alpha-power coordinates; otherwise all points go together n by n on
+coordinates reduced mod ell once per n. The reference in
+`oracles.point_outcomes_reference` builds a FieldElement for a_n(f) and
+a_n(E) at every n and every point. Both must name the same first mismatch at
+every point.
 """
 
 import functools
@@ -30,7 +32,7 @@ from excprimes import residues
 from excprimes.characters import trivial_character
 from excprimes.cyclotomic import CycloElement
 from excprimes.verify import _eisenstein_candidates, _point_outcomes
-from oracles import point_outcomes_reference
+from oracles import divisor_power_sums_reference, point_outcomes_reference
 
 
 def _comparisons(fx, ell):
@@ -61,6 +63,146 @@ def test_kernel_matches_reference_on_every_bundled_candidate(name):
     assert "held" in seen and ("mismatch" in seen or fx.degree() == 1)
     if fx.level == 81:
         assert {True, False} <= seen  # c = 1 int targets and c > 1 CycloElement targets
+
+
+# -- each route of the comparison -----------------------------------------------------
+
+
+def _image_calls(monkeypatch) -> list:
+    """A counter of `ResiduePoint.image` calls, which the shared n-by-n walk makes and the per-point walk does not."""
+    calls = [0]
+    image = residues.ResiduePoint.image
+
+    def counting(self, vec, image=image):
+        calls[0] += 1
+        return image(self, vec)
+
+    monkeypatch.setattr(residues.ResiduePoint, "image", counting)
+    return calls
+
+
+def _planted(k, level, ell, fails, window, fraction=False):
+    """(fixture, s): congruent to E_k mod ell at each point of Q(alpha), alpha^2 = d, until its own planted n.
+
+    a_n = sigma_{k-1}(n) + (alpha - s) v_n + (alpha + s) w_n with s^2 = d mod
+    ell, so a_n - sigma_{k-1}(n) is 2 s w_n at alpha -> s and -2 s v_n at
+    alpha -> -s. w_n (v_n) is a multiple of ell below fails[0] (fails[1]) and 1
+    there; None plants no mismatch. fraction adds ell / 3 to each a_n's first
+    coordinate past a_1, which changes no residue but makes the coordinates Fractions.
+    """
+    d = next(d for d in range(2, 100) if all(d % (q * q) for q in range(2, 10))
+             and pow(d, (ell - 1) // 2, ell) == 1)
+    s = next(x for x in range(ell) if (x * x - d) % ell == 0)
+    sig = divisor_power_sums_reference(k - 1, window)
+    rng = random.Random(f"planted:{k}:{level}:{ell}:{fails}")
+
+    def coefficient(n, fail):
+        if n == fail:
+            return 1
+        agree = fail is None or n < fail
+        return rng.randint(-9, 9) * (ell if agree else 1)
+
+    an = {"1": ["1", "0"]}
+    for n in range(2, window + 1):
+        w, v = coefficient(n, fails[0]), coefficient(n, fails[1])
+        first = sig[n] + s * (w - v) + (Fraction(ell, 3) if fraction else 0)
+        an[str(n)] = [str(first), str(v + w)]
+    return NewformFixture(f"planted.k{k}.N{level}", k, level, [-d, 0, 1], an), s
+
+
+def _int_fixture_over_81_6c_field(ell: int, fail: int, window: int, shift: int = 0) -> NewformFixture:
+    """a_n = sigma_5(n) + ell (integer vector) over the quartic field of 81.6c at level 11, off by alpha - shift at n = fail."""
+    rng = random.Random(f"quartic:{ell}:{fail}")
+    an = {"1": ["1", "0", "0", "0"]}
+    sig = divisor_power_sums_reference(5, window)
+    for n in range(2, window + 1):
+        vec = [c + ell * rng.randint(-9, 9) for c in (sig[n], 0, 0, 0)]
+        if n == fail:
+            vec[0] -= shift
+            vec[1] += 1
+        an[str(n)] = [str(c) for c in vec]
+    return NewformFixture("quartic", 6, 11, [792, -72, -84, 3, 1], an)
+
+
+@pytest.mark.parametrize("level, ell, fails, fraction", [
+    (11, 691, (17, 41), False),  # the two points first mismatch at different n
+    (11, 691, (29, 8), True),
+    (11, 691, (None, 23), False),  # one point holds over the window
+    (11, 691, (None, 23), True),
+    (11, 691, (60, None), False),  # the last n of the window
+    (1, 691, (13, 37), False),  # a_0(E) = 691/65520 vanishes mod 691
+    (1, 691, (13, 37), True),
+    (1, 11, (13, 37), False),  # ... and not mod 11: every point fails at n = 0
+])
+def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails, fraction):
+    window = 60
+    fx, s = _planted(12, level, ell, fails, window, fraction)
+    assert (fx.denominator_lcm > 1) == fraction
+    E = eisenstein_E(12, trivial_character(), window)
+    points = find_residue_points(fx, 1, ell)
+    calls = _image_calls(monkeypatch)
+    got = _point_outcomes(fx, E, points, ell, window)
+    walked = calls[0]
+    monkeypatch.undo()
+    assert got == point_outcomes_reference(fx, E, points, ell, window)
+    if ell == 11:
+        assert [n for _, n in got] == [0] * len(points)
+    else:
+        assert len(points) == 2
+        assert [n for _, n in got] == [fails[0] if pt.alpha_image.coeffs[0] == s else fails[1] for pt in points]
+    # Fractions go n by n; int coordinates walk each point alone, after a_0 at level 1
+    if fraction:
+        assert walked > len(points)
+    else:
+        assert walked == (len(points) if level == 1 else 0)
+
+
+def test_walk_compares_a_1():
+    fx, _ = _planted(12, 11, 691, (None, None), 30)
+    E = eisenstein_E(12, trivial_character(), 30)
+    E = QExpansion(E.coeffs[:1] + (2,) + E.coeffs[2:], 12, 11)
+    points = find_residue_points(fx, 1, 691)
+    got = _point_outcomes(fx, E, points, 691, 30)
+    assert got == point_outcomes_reference(fx, E, points, 691, 30)
+    assert [n for _, n in got] == [1, 1]
+
+
+@pytest.mark.parametrize("ell", [7, 43])
+def test_81_6c_every_candidate_in_its_degree_3_residue_fields(monkeypatch, fx81, ell):
+    window = min(fx81.n_max, sturm_bound(6, 81))
+    kinds = set()
+    for E, points, _ in _comparisons(fx81, ell):
+        assert {pt.field.d for pt in points} == {3}
+        assert _point_outcomes(fx81, E, points, ell, window) == point_outcomes_reference(
+            fx81, E, points, ell, window)
+        kinds.add(type(E.coefficient(1)).__name__)
+    assert kinds == {"int", "CycloElement"}  # the classical E_6 and the c = 3, 9 series
+    # 81.6c has Fraction coordinates; over its field with int ones, E_6 walks each point alone.
+    # a_31 is off by alpha - c, with c the first F_q coordinate of alpha at the first point,
+    # so there the mismatch shows only in the other coordinates.
+    E = eisenstein_E(6, trivial_character(), window)
+    c = find_residue_points(_int_fixture_over_81_6c_field(ell, 31, window), 1, ell)[0].alpha_image.coeffs[0]
+    fx = _int_fixture_over_81_6c_field(ell, 31, window, shift=c)
+    points = find_residue_points(fx, 1, ell)
+    assert points[0].image([-c, 1, 0, 0])[0] == 0
+    calls = _image_calls(monkeypatch)
+    got = _point_outcomes(fx, E, points, ell, window)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert got == point_outcomes_reference(fx, E, points, ell, window)
+    assert [n for _, n in got] == [31] * len(points) and {pt.field.d for pt in points} == {3}
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13, 17])
+def test_weight2_eprime_walks_each_point_alone(monkeypatch, ell):
+    fx = NewformFixture.from_json_file(fixture_path("11-2a.json"))
+    E = eprime_weight2_steinberg(sorted(fx.steinberg_signs.items()), ell, fx.n_max)
+    points = find_residue_points(fx, 1, ell)
+    calls = _image_calls(monkeypatch)
+    got = _point_outcomes(fx, E, points, ell, fx.n_max)
+    assert calls[0] == 0
+    monkeypatch.undo()
+    assert got == point_outcomes_reference(fx, E, points, ell, fx.n_max)
 
 
 # -- random fixtures over fields of degree 1 to 4 ---------------------------------
@@ -107,14 +249,6 @@ def test_kernel_matches_reference_on_random_fixtures(case):
 K, ELL, OTHER = 20, 283, 617  # 283 * 617 = 174611 is the numerator of B_20 / 40
 
 
-def _sigma(e: int, limit: int) -> list[int]:
-    sig = [0] * (limit + 1)
-    for m in range(1, limit + 1):
-        for j in range(m, limit + 1, m):
-            sig[j] += m ** e
-    return sig
-
-
 def _is_square(x: int, p: int) -> bool:
     return pow(x, (p - 1) // 2, p) == 1
 
@@ -135,7 +269,7 @@ def long_window_fixture(p: int, fail_at: int) -> NewformFixture:
     there, so every point first mismatches at n = fail_at.
     """
     window = sturm_bound(K, p)
-    sig = _sigma(K - 1, window)
+    sig = divisor_power_sums_reference(K - 1, window)
     rng = random.Random(f"long-window:{p}")
     an = {"1": ["1", "0"]}
     for n in range(2, window + 1):

@@ -23,6 +23,7 @@ from excprimes import (
 )
 from excprimes.residues import (
     FieldElement,
+    _is_irreducible_over_q,
     factor_degree_multiset,
     is_square_in_field,
     poly_roots_in_field,
@@ -598,6 +599,27 @@ def test_fixture_rejections():
     bad["non_cm"] = "yes"
     with pytest.raises(FixtureError, match="non_cm must be a bool"):
         NewformFixture.from_dict(bad)
+
+
+def test_quadratic_field_poly_irreducibility_matches_sympy():
+    import sympy
+
+    # the grid holds discriminants b^2 - 4c that are 0, negative, squares and non-squares
+    x = sympy.Symbol("x")
+    for b, c in itertools.product(range(-30, 31), repeat=2):
+        assert _is_irreducible_over_q([c, b, 1]) == sympy.Poly([1, b, c], x).is_irreducible, (b, c)
+
+
+@pytest.mark.parametrize("field_poly", [[-4, 0, 1], [0, 0, 1], [1, 2, 1], [-6, 1, 1]])
+def test_reducible_quadratic_fixture_is_a_usage_error(tmp_path, field_poly):
+    p = tmp_path / "reducible.json"
+    p.write_text(json.dumps({"label": "toy", "weight": 2, "level": 11, "field_poly": field_poly,
+                             "an": {"1": ["1", "0"], "2": ["-2", "0"]}}), encoding="utf-8")
+    with pytest.raises(FixtureError, match="^field_poly is reducible over Q$"):
+        NewformFixture.from_json_file(p)
+    proc = run_cli("verify", "--form", p, "--ell", 7)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: malformed fixture: field_poly is reducible over Q\n"
 
 
 def test_fixture_accepts_non_cm_and_keeps_nothing_of_it():
