@@ -10,7 +10,8 @@ non-monic int divisor gives Fraction, never float, coefficients.
 
 The one resultant follows the Euclidean remainder sequence in the same
 coefficient arithmetic, so it serves Q (cyclotomic norms, `CycloElement.norm`),
-Q(zeta_n) (`residues.compositum_norm`) and F_q alike.
+Q(zeta_n) (`residues.compositum_norm`) and F_q alike; the norm behind the
+square test in F_q takes the same sequence on ints mod p in `residues`.
 """
 
 from __future__ import annotations

@@ -4,10 +4,16 @@ F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
 hides its tuple of integer coordinates: its add, multiply and reduction mod
 the modulus, the field's embedding of F_p and a residue point's table of
 alpha-power coordinates are the only code here that works on that format.
-All polynomial work over F_p and F_q (factor degrees, the irreducibility test
-behind the modulus search, and root finding by Cantor-Zassenhaus splitting)
-runs on lists of FieldElements through the one polynomial core in `polys`,
-with F_p as the field of degree one.
+
+Where the residue field is F_p itself (d = 1), root finding and the
+Frobenius scan's test run on plain ints mod p, with no FieldElement in
+between: a small F_p kernel on int lists runs Cantor-Zassenhaus root
+finding, and `quadratic_irreducible_mod_p` applies Euler's criterion to the
+discriminant. The kernel's resultant also gives the norm behind the square
+test in F_q. The rest of the polynomial work over F_p and F_q (factor
+degrees, the irreducibility test behind the modulus search, and root finding
+at d > 1) runs on lists of FieldElements through the one polynomial core in
+`polys`, with F_p as the field of degree one.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -25,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
 from . import polys
@@ -94,6 +100,78 @@ def _is_irreducible_mod_p(m: list) -> bool:
         if len(polys.gcd(polys.sub(polys.powmod(x, p ** (d // r), m), x), m)) != 1:
             return False
     return True
+
+
+# -- polynomials over F_p as int lists --------------------------------------------
+# Lists of ints lowest degree first, trimmed like `polys`; each routine takes
+# trimmed, nonzero divisors and returns coefficients reduced into [0, p).
+
+
+def _fp_sub(f: list, g: list, p: int) -> list:
+    return polys.trim([(a - b) % p for a, b in zip_longest(f, g, fillvalue=0)])
+
+
+def _fp_divmod(f: list, g: list, p: int) -> tuple[list, list]:
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    r = list(f)
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] * inv % p
+        if c:
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return polys.trim(q), polys.trim([c % p for c in r[:dg]])
+
+
+def _fp_quo(f: list, g: list, p: int) -> list:
+    """f / g, raising DomainError when g does not divide f."""
+    q, r = _fp_divmod(f, g, p)
+    if r:
+        raise DomainError("polynomial division is not exact")
+    return q
+
+
+def _fp_mulmod(f: list, g: list, m: list, p: int) -> list:
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    return _fp_divmod(prod, m, p)[1]
+
+
+def _fp_powmod(f: list, e: int, m: list, p: int) -> list:
+    """f^e mod m for e >= 1."""
+    result, base = [1], _fp_divmod(f, m, p)[1]
+    while True:
+        if e & 1:
+            result = _fp_mulmod(result, base, m, p)
+        e >>= 1
+        if not e:
+            return result
+        base = _fp_mulmod(base, base, m, p)
+
+
+def _fp_gcd(f: list, g: list, p: int) -> list:
+    """Monic gcd of f and g, not both zero."""
+    while g:
+        f, g = g, _fp_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _fp_resultant(f: list, g: list, p: int) -> int:
+    """Res(f, g) mod p by the Euclidean remainder sequence, as `polys.resultant`."""
+    acc = 1
+    while len(g) > 1:
+        r = _fp_divmod(f, g, p)[1]
+        if not r:
+            return 0
+        if (len(f) - 1) * (len(g) - 1) % 2:
+            acc = -acc
+        acc = acc * pow(g[-1], len(f) - len(r), p) % p
+        f, g = g, r
+    return acc * pow(g[0], len(f) - 1, p) % p
 
 
 # -- the field F_{ell^d} -------------------------------------------------------
@@ -289,17 +367,15 @@ def is_square_in_field(x: FieldElement) -> bool:
     """Zero counts as a square; characteristic 2 is an error.
 
     For odd q, x != 0 is a square in F_q exactly when N(x) = x^((q-1)/(p-1)) is
-    a square in F_p. N(x) is Res(modulus, x) over F_p, and x itself at d = 1.
+    a square in F_p. N(x) is Res(modulus, x) over F_p, which is x itself at d = 1.
     """
     F, p = x.field, x.field.p
     if p == 2:
         raise DomainError("squareness via the norm needs odd characteristic")
     if not x:
         return True
-    if F.d > 1:
-        Fp = FiniteField(p, 1)
-        x = polys.resultant([Fp.element(c) for c in F.modulus], polys.trim([Fp.element(c) for c in x.coeffs]))
-    return pow(x.coeffs[0], (p - 1) // 2, p) == 1
+    norm = _fp_resultant(list(F.modulus), polys.trim(list(x.coeffs)), p)
+    return pow(norm, (p - 1) // 2, p) == 1
 
 
 def quadratic_irreducible(a: FieldElement, c: FieldElement) -> bool:
@@ -316,6 +392,12 @@ def quadratic_irreducible(a: FieldElement, c: FieldElement) -> bool:
     return bool(disc) and not is_square_in_field(disc)
 
 
+def quadratic_irreducible_mod_p(a: int, c: int, p: int) -> bool:
+    """Is X^2 - aX + c irreducible over F_p (p odd, a and c ints)? Euler's criterion on a^2 - 4c."""
+    disc = (a * a - 4 * c) % p
+    return disc != 0 and pow(disc, (p - 1) // 2, p) != 1
+
+
 # -- root finding ---------------------------------------------------------------
 
 
@@ -323,19 +405,45 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
     """All roots in F_q of an integer polynomial, sorted canonically.
 
     gcd(x^q - x, f) is the product of the distinct linear factors of f over
-    F_q; Cantor-Zassenhaus equal-degree splitting then separates them.
+    F_q; Cantor-Zassenhaus equal-degree splitting then separates them. Over
+    F_p itself (d = 1) both steps run on int lists mod p, and a FieldElement
+    is built only for each root returned.
     """
-    fp = polys.trim([c % field.p for c in coeffs])
+    p = field.p
+    fp = polys.trim([c % p for c in coeffs])
     if not fp:
         raise DomainError("polynomial vanishes identically mod p")
     if len(fp) == 1:
         return []
+    rng = random.Random(f"edf:{p}:{field.d}:{tuple(fp)}")
+    roots = []
+    if field.d == 1:
+        h = _fp_gcd(fp, _fp_sub(_fp_powmod([0, 1], p, fp, p), [0, 1], p), p)
+        _split_linear_product_mod_p(h, roots, rng, p)
+        return [FieldElement(field, (r,)) for r in sorted(set(roots))]
     f = polys.monic([field.element(c) for c in fp])
     x = [field.zero(), field.one()]
     h = polys.gcd(polys.sub(polys.powmod(x, field.q, f), x), f)
-    roots = []
-    _split_linear_product(h, roots, random.Random(f"edf:{field.p}:{field.d}:{tuple(fp)}"))
+    _split_linear_product(h, roots, rng)
     return sorted(set(roots), key=lambda r: r.sort_key())
+
+
+def _split_linear_product_mod_p(h: list, out: list, rng: random.Random, p: int):
+    """`_split_linear_product` over F_p on int lists: h monic, a product of distinct linear factors."""
+    if len(h) <= 1:
+        return
+    if len(h) == 2:
+        out.append(-h[0] % p)
+        return
+    while True:
+        a = rng.randrange(p)
+        # at p = 2 the trace polynomial of a x over F_2 is a x itself
+        split = polys.trim([0, a]) if p == 2 else _fp_sub(_fp_powmod([a, 1], (p - 1) // 2, h, p), [1], p)
+        g = _fp_gcd(h, split, p)
+        if 1 < len(g) < len(h):
+            _split_linear_product_mod_p(g, out, rng, p)
+            _split_linear_product_mod_p(_fp_quo(h, g, p), out, rng, p)
+            return
 
 
 def _split_linear_product(h, out: list, rng: random.Random):
@@ -624,10 +732,13 @@ class ResiduePoint:
         """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
         return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in self.rows(len(residues)))
 
+    def vector_image(self, vec) -> tuple[int, ...]:
+        """F_q coordinates of the image of power-basis coordinates in alpha (ints or Fractions)."""
+        return self.image([self.field.residue(v, "coefficient of alpha") for v in vec])
+
     def reduce_vector(self, vec) -> FieldElement:
         """Power-basis coordinates in alpha down to the residue field."""
-        residues = [self.field.residue(v, "coefficient of alpha") for v in vec]
-        return FieldElement(self.field, self.image(residues))
+        return FieldElement(self.field, self.vector_image(vec))
 
     def reduce_cyclo(self, x: CycloElement) -> FieldElement:
         """Image of an element of Q(zeta_m), for m dividing the point's index."""

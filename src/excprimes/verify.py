@@ -34,6 +34,7 @@ from .residues import (
     compositum_norm,
     find_residue_points,
     quadratic_irreducible,
+    quadratic_irreducible_mod_p,
 )
 
 VERDICT_CERTIFIED = "certified"
@@ -420,7 +421,9 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
     ell N, and the smallest p whose characteristic polynomial is irreducible
     (a certificate that no reducibility congruence can hold at that point).
     The points are `find_residue_points(fixture, 1, ell)`, built here unless
-    the caller passes them.
+    the caller passes them. Where a point's field is F_ell for an odd ell,
+    a_p and p^(k-1) stay ints mod ell and Euler's criterion on the
+    discriminant decides.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
@@ -448,10 +451,13 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
     for pt in points:
         tested = {}
         witness = None
+        prime_field = pt.field.d == 1 and ell != 2
         for p in usable:
-            a_bar = pt.reduce_vector(fixture.a(p))
-            pk = pt.field.element(pow(p, k - 1, ell))
-            irred = quadratic_irreducible(a_bar, pk)
+            pk = pow(p, k - 1, ell)
+            if prime_field:
+                irred = quadratic_irreducible_mod_p(pt.vector_image(fixture.a(p))[0], pk, ell)
+            else:
+                irred = quadratic_irreducible(pt.reduce_vector(fixture.a(p)), pt.field.element(pk))
             tested[p] = irred
             if irred and witness is None:
                 witness = p

@@ -7,6 +7,10 @@ coordinates reduced mod ell once per n. The reference in
 `oracles.point_outcomes_reference` builds a FieldElement for a_n(f) and
 a_n(E) at every n and every point. Both must name the same first mismatch at
 every point.
+
+Counters of `FieldElement` builds pin the integer routes: verify builds
+none per compared n, root finding over F_ell itself builds one per root it
+returns, and the Frobenius scan at F_ell builds none per tested prime.
 """
 
 import functools
@@ -31,7 +35,7 @@ from excprimes import (
 from excprimes import residues
 from excprimes.characters import trivial_character
 from excprimes.cyclotomic import CycloElement
-from excprimes.verify import _eisenstein_candidates, _point_outcomes
+from excprimes.verify import _eisenstein_candidates, _point_outcomes, frobenius_scan
 from oracles import divisor_power_sums_reference, point_outcomes_reference
 
 
@@ -297,22 +301,64 @@ def test_long_window_certifies_and_refutes_where_it_was_built_to():
     assert verify_fixture(fx, OTHER).verdict == f"refuted-at-{fail_at}"
 
 
+def _field_elements_built(monkeypatch) -> list:
+    """A counter of `FieldElement.__init__` calls until `monkeypatch.undo()`."""
+    built = [0]
+    init = residues.FieldElement.__init__
+
+    def counting(self, field, coeffs, init=init):
+        built[0] += 1
+        init(self, field, coeffs)
+
+    monkeypatch.setattr(residues.FieldElement, "__init__", counting)
+    return built
+
+
 def test_field_elements_built_by_verify_do_not_grow_with_the_window(monkeypatch):
     """A certified verify builds no FieldElement per compared n: 400 and 800 terms cost the same."""
     counts = {}
     for p in (239, 479):
         fx = long_window_fixture(p, 2)
-        built = [0]
-        init = residues.FieldElement.__init__
-
-        def counting(self, field, coeffs, init=init, built=built):
-            built[0] += 1
-            init(self, field, coeffs)
-
-        monkeypatch.setattr(residues.FieldElement, "__init__", counting)
+        built = _field_elements_built(monkeypatch)
         result = verify_fixture(fx, ELL)
         monkeypatch.undo()
         assert result.verdict == "certified"
         counts[result.checked_up_to] = built[0]
     assert set(counts) == {400, 800}
     assert 0 < counts[800] <= counts[400]
+
+
+def test_prime_field_roots_build_one_field_element_per_root(monkeypatch):
+    ell = 691
+    F = residues.FiniteField(ell, 1)
+    poly = [-3, 0, 1]  # 3 is not a square mod 691
+    for r in (5, 5, 100, 690, 0):
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    built = _field_elements_built(monkeypatch)
+    roots = residues.poly_roots_in_field(poly, F)
+    monkeypatch.undo()
+    assert [r.coeffs for r in roots] == [(0,), (5,), (100,), (690,)]
+    assert built[0] == len(roots)
+
+
+@pytest.mark.parametrize("name, ell", [("11-2a", 7), ("11-2a", 3), ("11-2a", 2), ("long-window", ELL)])
+def test_prime_field_scan_agrees_with_field_elements_and_builds_none_at_odd_ell(monkeypatch, name, ell):
+    if name == "long-window":
+        fx = long_window_fixture(239, 2)
+    else:
+        fx = NewformFixture.from_json_file(fixture_path(f"{name}.json"))
+    points = find_residue_points(fx, 1, ell)
+    assert {pt.field.d for pt in points} == {1}
+    for pt in points:
+        pt.rows(fx.degree())  # each point's alpha-power table is built once, before any p
+    built = _field_elements_built(monkeypatch)
+    scan = frobenius_scan(fx, ell, 100, points)
+    monkeypatch.undo()
+    assert (built[0] == 0) == (ell != 2)  # characteristic 2 keeps the trace criterion on FieldElements
+    # only the long-window fixture has a point, alpha -> S mod ELL, where it is congruent
+    assert {row["witness"] is None for row in scan.points} == ({False, True} if ell == ELL else {False})
+    for pt, row in zip(points, scan.points):
+        assert row["tested"]
+        for p, irreducible in row["tested"].items():
+            a_p, pk = pt.reduce_vector(fx.a(p)), pt.field.element(pow(p, fx.weight - 1, ell))
+            assert irreducible == residues.quadratic_irreducible(a_p, pk), (pt, p)

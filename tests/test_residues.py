@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import fixture_path, run_cli
 from excprimes import (
@@ -28,7 +28,9 @@ from excprimes.residues import (
     is_square_in_field,
     poly_roots_in_field,
     quadratic_irreducible,
+    quadratic_irreducible_mod_p,
 )
+from excprimes import residues
 from oracles import describe, is_square_euler, parse_an_reference
 
 
@@ -105,8 +107,9 @@ def test_squares_by_euler_criterion():
 
 
 def test_quadratic_irreducible_matches_brute_force():
-    # degree 2 over a field: irreducible iff X^2 - aX + c has no root x, i.e. c != a x - x^2
-    for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)):
+    # degree 2 over a field: irreducible iff X^2 - aX + c has no root x, i.e. c != a x - x^2;
+    # over F_ell for odd ell the scan's int decision agrees on every (a, c)
+    for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)):
         F = FiniteField(ell, d)
         elements = _elements(F)
         with_root = {(a.coeffs, (a * x - x * x).coeffs) for a in elements for x in elements}
@@ -114,6 +117,8 @@ def test_quadratic_irreducible_matches_brute_force():
             for c in elements:
                 has_root = (a.coeffs, c.coeffs) in with_root
                 assert quadratic_irreducible(a, c) == (not has_root), (ell, d, a, c)
+                if d == 1 and ell > 2:
+                    assert quadratic_irreducible_mod_p(a.coeffs[0], c.coeffs[0], ell) == (not has_root)
 
 
 # -- root finding ----------------------------------------------------------------
@@ -168,10 +173,18 @@ def _roots_by_enumeration(coeffs, F):
     )
 
 
-# F_{43^3} and F_{5^6} serve 81.6c at ell = 43 and 5
+# F_{43^3} and F_{5^6} serve 81.6c at ell = 43 and 5; the prime fields take the int route
 ENUMERATION_FIELDS = [
-    (2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (5, 4), (5, 6), (7, 1), (43, 3),
+    (2, 1), (2, 3), (2, 4), (3, 2), (5, 1), (5, 2), (5, 4), (5, 6), (7, 1), (43, 1), (43, 3), (691, 1),
 ]
+
+
+def _linear_product(roots) -> list:
+    """The integer coefficients of the product of x - r over the roots r."""
+    poly = [1]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return poly
 
 
 @st.composite
@@ -179,10 +192,7 @@ def _integer_polys(draw):
     """Random integer polynomials, and products of linear factors with repeated roots."""
     if draw(st.booleans()):
         return draw(st.lists(st.integers(-60, 60), min_size=2, max_size=6))
-    poly = [1]
-    for r in draw(st.lists(st.integers(0, 42), min_size=1, max_size=5)):
-        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
-    return poly
+    return _linear_product(draw(st.lists(st.integers(0, 42), min_size=1, max_size=5)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +208,53 @@ def test_root_finding_matches_enumeration(params, coeffs):
         return
     roots = [r.coeffs for r in poly_roots_in_field(coeffs, F)]
     assert roots == _roots_by_enumeration(coeffs, F)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 43, 131, 691, 3617])
+def test_prime_field_roots_match_enumeration(ell):
+    F = FiniteField(ell, 1)
+    nonsquare = next((n for n in range(2, ell) if pow(n, (ell - 1) // 2, ell) != 1), None)
+    no_roots = [1, 1, 1] if ell == 2 else [-nonsquare, 0, 1]
+    all_roots = _linear_product(range(ell) if ell <= 3 else (0, 1, 2, ell - 1, ell // 2))
+    cases = {
+        "repeated roots": (_linear_product((1, 1, 5, 5, 5)), {1, 5 % ell}),
+        "no roots": (no_roots, set()),
+        "squared, no roots": (polys.mul(no_roots, no_roots), set()),
+        "all roots": (all_roots, set(range(ell)) if ell <= 3 else {0, 1, 2, ell - 1, ell // 2}),
+        "leading coefficient 0 mod ell": (_linear_product((2, 7)) + [0, 0, ell], {2 % ell, 7 % ell}),
+        "nonzero constant mod ell": ([1 + ell, ell, 2 * ell], set()),
+    }
+    for name, (coeffs, expected) in cases.items():
+        roots = [r.coeffs for r in poly_roots_in_field(coeffs, F)]
+        assert roots == _roots_by_enumeration(coeffs, F) == sorted((r,) for r in expected), (name, coeffs)
+    with pytest.raises(DomainError):
+        poly_roots_in_field([ell, -ell, 3 * ell], F)
+
+
+_residue_lists = st.lists(st.integers(0, 10 ** 4), min_size=1, max_size=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 43, 691]), _residue_lists, _residue_lists, st.integers(1, 10 ** 4))
+def test_prime_field_kernel_matches_polys(p, f, g, e):
+    F = FiniteField(p, 1)
+    f, g = polys.trim([c % p for c in f]), polys.trim([c % p for c in g])
+    assume(f and g)
+
+    def lift(h):
+        return [F.element(c) for c in h]
+
+    q, r = residues._fp_divmod(f, g, p)
+    assert (lift(q), lift(r)) == polys.quo_rem(lift(f), lift(g))
+    assert lift(residues._fp_gcd(f, g, p)) == polys.gcd(lift(f), lift(g))
+    assert F.element(residues._fp_resultant(f, g, p)) == polys.resultant(lift(f), lift(g))
+    if len(g) > 1:
+        assert lift(residues._fp_mulmod(f, f, g, p)) == polys.rem(polys.mul(lift(f), lift(f)), lift(g))
+        assert lift(residues._fp_powmod(f, e, g, p)) == polys.powmod(lift(f), e, lift(g))
+    assert lift(residues._fp_quo(polys.mul(f, g), g, p)) == lift([c % p for c in f])
+    if r:
+        with pytest.raises(DomainError):
+            residues._fp_quo(f, g, p)
 
 
 def test_large_field_root_finding_agrees_with_enumeration():
