@@ -450,8 +450,8 @@ def primes_up_to(limit: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 class FactorCache:

@@ -10,10 +10,13 @@ Frobenius scan's test run on plain ints mod p, with no FieldElement in
 between: a small F_p kernel on int lists runs Cantor-Zassenhaus root
 finding, and `quadratic_irreducible_mod_p` applies Euler's criterion to the
 discriminant. The kernel's resultant also gives the norm behind the square
-test in F_q. The rest of the polynomial work over F_p and F_q (factor
-degrees, the irreducibility test behind the modulus search, and root finding
-at d > 1) runs on lists of FieldElements through the one polynomial core in
-`polys`, with F_p as the field of degree one.
+test in F_q. For odd p, a polynomial of degree 1 or 2 mod p has its roots in
+F_p, and so its factor degrees, in closed form (Euler's criterion and a
+Tonelli-Shanks square root), and Frobenius fixes F_p without a power. The
+rest of the polynomial work over F_p and F_q (factor degrees above degree 2
+or at p = 2, the irreducibility test behind the modulus search, and root
+finding at d > 1) runs on lists of FieldElements through the one polynomial
+core in `polys`, with F_p as the field of degree one.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -67,19 +70,30 @@ def _squarefree(f: list) -> list:
 
 
 def factor_degree_multiset(coeffs, p) -> list[tuple[int, int]]:
-    """(degree, count) pairs for the distinct irreducible factors of coeffs mod p."""
-    F = FiniteField(p, 1)
-    v = polys.trim([F.element(c) for c in coeffs])
-    if len(v) <= 1:
+    """(degree, count) pairs for the distinct irreducible factors of coeffs mod p.
+
+    For odd p and degree <= 2 mod p, the number of roots in F_p (0, 1 or 2)
+    decides; otherwise distinct-degree factorization runs on FieldElements.
+    """
+    fp = polys.trim([c % p for c in coeffs])
+    if len(fp) <= 1:
         raise DomainError("polynomial vanishes mod p")
-    v = _squarefree(v)
+    if len(fp) <= 3 and p != 2:
+        return [[(2, 1)], [(1, 1)], [(1, 2)]][len(_quadratic_roots_mod_p(fp, p))]
+    F = FiniteField(p, 1)
+    return _distinct_degrees(_squarefree([F.element(c) for c in fp]))
+
+
+def _distinct_degrees(v: list) -> list[tuple[int, int]]:
+    """(degree, count) pairs for a monic square-free v over F_p, by distinct-degree factorization."""
+    F = v[0].field
     x = [F.zero(), F.one()]
     out = []
     h = x
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = polys.powmod(h, p, v)
+        h = polys.powmod(h, F.p, v)
         g = polys.gcd(polys.sub(h, x), v)
         if len(g) > 1:
             out.append((d, (len(g) - 1) // d))
@@ -172,6 +186,41 @@ def _fp_resultant(f: list, g: list, p: int) -> int:
         acc = acc * pow(g[-1], len(f) - len(r), p) % p
         f, g = g, r
     return acc * pow(g[0], len(f) - 1, p) % p
+
+
+def _quadratic_roots_mod_p(f: list, p: int) -> list[int]:
+    """The sorted distinct roots in F_p of f, of degree 1 or 2, for odd p.
+
+    A linear f = bX + c has the root -c/b. For monic X^2 + bX + c, Euler's
+    criterion on D = b^2 - 4c counts the roots, and Tonelli-Shanks (Cohen,
+    GTM 138, Alg. 1.5.1) takes the square root of D.
+    """
+    inv = pow(f[-1], -1, p)
+    if len(f) == 2:
+        return [-f[0] * inv % p]
+    b, c = f[1] * inv % p, f[0] * inv % p
+    disc, half = (b * b - 4 * c) % p, (p + 1) // 2
+    if not disc:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    e, q = 0, p - 1
+    while not q & 1:
+        e, q = e + 1, q >> 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    y, r = pow(n, q, p), e
+    x = pow(disc, (q - 1) // 2, p)
+    t, x = disc * x * x % p, disc * x % p
+    while t != 1:
+        m, t2 = 1, t * t % p
+        while t2 != 1:
+            m, t2 = m + 1, t2 * t2 % p
+        z = pow(y, 1 << (r - m - 1), p)
+        y, r = z * z % p, m
+        x, t = x * z % p, t * y % p
+    return sorted({(-b + x) * half % p, (-b - x) * half % p})
 
 
 # -- the field F_{ell^d} -------------------------------------------------------
@@ -326,7 +375,8 @@ class FieldElement:
         return result
 
     def frobenius(self) -> "FieldElement":
-        return self ** self.field.p
+        """self^p, which is self itself in F_p."""
+        return self if self.field.d == 1 else self ** self.field.p
 
     def trace(self) -> int:
         """Absolute trace down to F_p, returned as an int mod p."""
@@ -406,8 +456,9 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
 
     gcd(x^q - x, f) is the product of the distinct linear factors of f over
     F_q; Cantor-Zassenhaus equal-degree splitting then separates them. Over
-    F_p itself (d = 1) both steps run on int lists mod p, and a FieldElement
-    is built only for each root returned.
+    F_p itself (d = 1) both steps run on int lists mod p, or for odd p and
+    degree <= 2 mod p a closed form does, and a FieldElement is built only
+    for each root returned.
     """
     p = field.p
     fp = polys.trim([c % p for c in coeffs])
@@ -415,6 +466,8 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
         raise DomainError("polynomial vanishes identically mod p")
     if len(fp) == 1:
         return []
+    if field.d == 1 and len(fp) <= 3 and p != 2:
+        return [FieldElement(field, (r,)) for r in _quadratic_roots_mod_p(fp, p)]
     rng = random.Random(f"edf:{p}:{field.d}:{tuple(fp)}")
     roots = []
     if field.d == 1:

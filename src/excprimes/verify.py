@@ -369,7 +369,10 @@ def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100)
     scan's `scan_error`) and becomes refuted-by-scan when every residue point
     has an irreducibility witness, which rules the congruence out there. The
     scan runs at the index-1 points the verdict built, where it built them.
+    A p_max below 2 is rejected before any candidate runs.
     """
+    if p_max < 2:
+        raise DomainError(f"p_max must be >= 2, got {p_max}")
     result = verify_reducible(fixture, ell, nu=nu)
     N = fixture.level
     # At weight 2 there is no candidate exactly when nu is omitted and N is

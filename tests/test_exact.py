@@ -108,6 +108,13 @@ def test_primes_up_to_matches_is_prime():
     assert primes_up_to(1) == []
 
 
+def test_primes_up_to_matches_trial_division_at_every_limit():
+    reference = [n for n in range(2, 2001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for limit in range(-2, 2001):
+        assert primes_up_to(limit) == [p for p in reference if p <= limit], limit
+    assert len(primes_up_to(65535)) == 6542 and primes_up_to(65535)[-1] == 65521
+
+
 def test_lcm_pow_minus_one_value():
     # lcm(3^6 - 1, 3^4 - 1) = lcm(728, 80) = 7280
     assert lcm_pow_minus_one(3, 6) == 7280

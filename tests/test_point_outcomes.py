@@ -10,7 +10,8 @@ every point.
 
 Counters of `FieldElement` builds pin the integer routes: verify builds
 none per compared n, root finding over F_ell itself builds one per root it
-returns, and the Frobenius scan at F_ell builds none per tested prime.
+returns, residue points of a quadratic field over F_ell build nothing more,
+and the Frobenius scan at F_ell builds none per tested prime.
 """
 
 import functools
@@ -339,6 +340,27 @@ def test_prime_field_roots_build_one_field_element_per_root(monkeypatch):
     monkeypatch.undo()
     assert [r.coeffs for r in roots] == [(0,), (5,), (100,), (690,)]
     assert built[0] == len(roots)
+
+
+@pytest.mark.parametrize("n_cyclo, roots", [(1, 2), (3, 4)])  # 3 | ELL - 1, so Phi_3 splits too
+def test_quadratic_prime_field_points_build_one_field_element_per_root_and_no_powmod(monkeypatch, n_cyclo, roots):
+    """Factor degrees, roots and Frobenius orbits at D = 1 take closed forms on ints."""
+    fx = long_window_fixture(239, 2)
+    built = _field_elements_built(monkeypatch)
+    powmods = [0]
+    powmod = residues.polys.powmod
+
+    def counting(*args, powmod=powmod):
+        powmods[0] += 1
+        return powmod(*args)
+
+    monkeypatch.setattr(residues.polys, "powmod", counting)
+    points = find_residue_points(fx, n_cyclo, ELL)
+    monkeypatch.undo()
+    assert (built[0], powmods[0]) == (roots, 0)
+    assert len(points) == (4 if n_cyclo == 3 else 2)
+    assert {(pt.field.d, pt.degree) for pt in points} == {(1, 1)}
+    assert sorted({pt.alpha_image.coeffs[0] for pt in points}) == sorted((S, ELL - S))
 
 
 @pytest.mark.parametrize("name, ell", [("11-2a", 7), ("11-2a", 3), ("11-2a", 2), ("long-window", ELL)])

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -255,6 +256,80 @@ def test_prime_field_kernel_matches_polys(p, f, g, e):
     if r:
         with pytest.raises(DomainError):
             residues._fp_quo(f, g, p)
+
+
+# -- degree <= 2 over F_p for odd p: roots and factor degrees in closed form ---------------
+
+
+def _degrees_by_polys(coeffs, p):
+    """Factor degrees mod p by distinct-degree factorization on FieldElements, at any degree."""
+    F = FiniteField(p, 1)
+    return residues._distinct_degrees(residues._squarefree(polys.trim([F.element(c) for c in coeffs])))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_closed_forms_match_the_general_routes_on_every_polynomial(p):
+    F = FiniteField(p, 1)
+    kinds = set()
+    for a, b, c in itertools.product(range(p), repeat=3):
+        disc = (b * b - 4 * a * c) % p
+        kinds.add("constant" if not (a or b) else "linear" if not a else
+                  "zero" if not disc else "square" if is_square_euler(F.element(disc)) else "non-square")
+        if a or b:
+            roots, degrees = _roots_by_enumeration([c, b, a], F), _degrees_by_polys([c, b, a], p)
+            assert degrees == [[(2, 1)], [(1, 1)], [(1, 2)]][len(roots)]
+        # [c, b, a] itself, and with a leading coefficient that is 0 mod p
+        for coeffs in ([c, b, a], [c, b, a, p]):
+            if not (a or b):
+                if c:
+                    assert poly_roots_in_field(coeffs, F) == []
+                with pytest.raises(DomainError):
+                    factor_degree_multiset(coeffs, p)
+                continue
+            assert [r.coeffs for r in poly_roots_in_field(coeffs, F)] == roots, coeffs
+            assert factor_degree_multiset(coeffs, p) == degrees, coeffs
+    assert kinds == {"constant", "linear", "zero", "square", "non-square"}
+
+
+@pytest.mark.parametrize("p", [43, 691, 3617, 7681, 12289, 65537])
+def test_closed_forms_at_every_2_adic_valuation_of_p_minus_1(p):
+    # v_2(p - 1) is 1, 1, 5, 9, 12 and 16, the most steps a Tonelli-Shanks square root can take
+    F = FiniteField(p, 1)
+    nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+    rng = random.Random(f"closed-forms:{p}")
+    for _ in range(100):
+        lead, r, s = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+        if rng.random() < 0.2:
+            s = r
+        split = [lead * r * s, -lead * (r + s), lead]
+        assert [x.coeffs[0] for x in poly_roots_in_field(split, F)] == sorted({r, s})
+        assert factor_degree_multiset(split, p) == ([(1, 1)] if r == s else [(1, 2)])
+        # (X - r)^2 - nonsquare * t^2 has no root
+        t = rng.randrange(1, p)
+        inert = [r * r - nonsquare * t * t, -2 * r, 1]
+        assert poly_roots_in_field(inert, F) == [] and factor_degree_multiset(inert, p) == [(2, 1)]
+        coeffs = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
+        roots = [x.coeffs[0] for x in poly_roots_in_field(coeffs, F)]
+        assert all((coeffs[2] * x * x + coeffs[1] * x + coeffs[0]) % p == 0 for x in roots)
+        degrees = _degrees_by_polys(coeffs, p)
+        assert factor_degree_multiset(coeffs, p) == degrees
+        assert len(roots) == sum(count for d, count in degrees if d == 1)
+
+
+def test_closed_forms_stay_out_of_characteristic_2_higher_degrees_and_extension_fields(monkeypatch):
+    def refuse(f, p):
+        raise AssertionError(f"closed form taken for {f} mod {p}")
+
+    monkeypatch.setattr(residues, "_quadratic_roots_mod_p", refuse)
+    F2 = FiniteField(2, 1)
+    for coeffs, degrees in (([1, 1, 1], [(2, 1)]), ([0, 1, 1], [(1, 2)]), ([1, 0, 1], [(1, 1)]), ([1, 1], [(1, 1)])):
+        assert factor_degree_multiset(coeffs, 2) == degrees
+        assert [r.coeffs for r in poly_roots_in_field(coeffs, F2)] == _roots_by_enumeration(coeffs, F2)
+    assert factor_degree_multiset(QUARTIC, 43) == [(1, 1), (3, 1)]
+    for params in ((5, 2), (5, 4)):  # X^2 - 2 over F_25 and F_625
+        F = FiniteField(*params)
+        assert [r.coeffs for r in poly_roots_in_field([-2, 0, 1], F)] == _roots_by_enumeration([-2, 0, 1], F)
+    assert len(poly_roots_in_field([-2, 0, 1], FiniteField(5, 2))) == 2
 
 
 def test_large_field_root_finding_agrees_with_enumeration():

@@ -517,6 +517,8 @@ BAD_ARGUMENTS = {
     "scan-missing-form": ["scan", "--form", fixture_path("no-such.json"), "--ell", "5", "--pmax", "10"],
     "scan-directory-form": ["scan", "--form", FIXTURE_DIR, "--ell", "5", "--pmax", "10"],
     "scan-ell-2-on-81-6c": ["scan", "--form", F81, "--ell", "2", "--pmax", "50"],
+    "verify-pmax-0": ["verify", "--form", F11_2, "--ell", "5", "--pmax", "0"],
+    "scan-pmax-1": ["scan", "--form", F11_2, "--ell", "5", "--pmax", "1"],
 }
 
 # (fixture, mutation of its raw dict): each breaks a rule of the documented format
@@ -544,6 +546,17 @@ def _assert_usage_exit(res):
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
 def test_cli_bad_argument_exits_2(argv):
     _assert_usage_exit(CliRunner().invoke(main, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--form", fixture_path("11-4a.json"), "--ell", "5", "--pmax", "0"],  # refuted at 2 when scanned
+    ["verify", "--form", fixture_path("11-4a.json"), "--ell", "61", "--pmax", "1"],  # certified, with no scan
+    ["scan", "--form", fixture_path("11-4a.json"), "--ell", "5", "--pmax", "1"],
+])
+def test_cli_pmax_below_2_is_a_usage_error_whatever_the_verdict(argv):
+    res = CliRunner().invoke(main, argv)
+    _assert_usage_exit(res)
+    assert res.stderr == f"error: p_max must be >= 2, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("name, mutate", MALFORMED.values(), ids=MALFORMED.keys())

@@ -154,6 +154,17 @@ def test_weight2_level1_has_no_sign_family():
         verify_weight2_squarefree(fx, 5)
 
 
+@pytest.mark.parametrize("ell, p_max", [(5, 0), (5, 1), (61, 1), (61, -7)])
+def test_verify_fixture_rejects_pmax_below_2_before_any_candidate(monkeypatch, ell, p_max):
+    from excprimes import DomainError, NewformFixture, verify
+
+    fx = NewformFixture.from_json_file(fixture_path("11-4a.json"))
+    assert verify.verify_fixture(fx, ell, p_max=2).verdict == ("certified" if ell == 61 else "refuted-at-2")
+    monkeypatch.setattr(verify, "verify_reducible", lambda *args, **kwargs: pytest.fail("a candidate ran"))
+    with pytest.raises(DomainError, match=rf"^p_max must be >= 2, got {p_max}$"):
+        verify.verify_fixture(fx, ell, p_max=p_max)
+
+
 # -- the scan runs at the verdict's own index-1 points ----------------------------
 
 
