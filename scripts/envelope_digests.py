@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 121 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 131 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
@@ -8,21 +8,32 @@ change. The runs:
   * the 21 fixture-verify jobs of bench/workloads.py;
   * the 26 long-window jobs of bench/workloads.py at seeds 1000003 and 7;
   * `scan` on each bundled fixture at ell in {2, 3, 5, 7, 13, 43}, with
-    --pmax 100 and 20.
+    --pmax 100 and 20;
+  * `eisenstein --weight 6` for the primitive characters mod 3 and 9 that
+    the fixture-verify jobs build, chi(3,1), chi(9,1), chi(9,2), chi(9,4)
+    and chi(9,5), at --terms 5 and 54.
 
-Each run is a subprocess `python -m excprimes.cli ...` that imports the
-package from the checkout's src/. All runs work in one temporary directory,
-holding a copy of the checkout's fixtures/ and the generated long-window
-fixtures, so the paths in the envelopes do not depend on where that
-directory is. bench/workloads.py is imported from this script's checkout and
-only read. One JSON line per run: the argv, the exit code and the sha256 of
-stdout and of stderr.
+By default each run is a subprocess `python -m excprimes.cli ...` that
+imports the package from the checkout's src/. With --in-process every run
+goes through `excprimes.cli.main` in this one interpreter, so whatever the
+package keeps between calls is shared by the runs: the list runs forward,
+then reversed, the forward lines are printed, and the exit status is 1 when
+some run's digests differ between the two orders. Both modes print the same
+lines when no run depends on what ran before it.
 
-Run:  python3 scripts/envelope_digests.py [--checkout DIR] > digests.jsonl
+All runs work in one temporary directory, holding a copy of the checkout's
+fixtures/ and the generated long-window fixtures, so the paths in the
+envelopes do not depend on where that directory is. bench/workloads.py is
+imported from this script's checkout and only read. One JSON line per run:
+the argv, the exit code and the sha256 of stdout and of stderr.
+
+Run:  python3 scripts/envelope_digests.py [--checkout DIR] [--in-process] > digests.jsonl
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -34,6 +45,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1000003, 7)
 SCAN_ELLS = (2, 3, 5, 7, 13, 43)
 SCAN_PMAX = (100, 20)
+EISENSTEIN_CHARS = ((3, 1), (9, 1), (9, 2), (9, 4), (9, 5))
+EISENSTEIN_TERMS = (5, 54)
+PROG_NAME = "python -m excprimes.cli"  # what click names the subprocess runs
 
 
 def argvs(checkout: str) -> list[list[str]]:
@@ -53,29 +67,78 @@ def argvs(checkout: str) -> list[list[str]]:
             for pmax in SCAN_PMAX:
                 out.append(["scan", "--form", f"fixtures/{name}.json", "--ell", str(ell),
                             "--pmax", str(pmax)])
+    for modulus, index in EISENSTEIN_CHARS:
+        for terms in EISENSTEIN_TERMS:
+            out.append(["eisenstein", "--weight", "6", "--char-modulus", str(modulus),
+                        "--char-index", str(index), "--terms", str(terms)])
     return out
+
+
+def digest(argv, code, stdout: bytes, stderr: bytes) -> str:
+    return json.dumps({
+        "argv": argv,
+        "code": code,
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stderr_sha256": hashlib.sha256(stderr).hexdigest(),
+    }, sort_keys=True)
+
+
+def run_subprocess(checkout: str, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "excprimes.cli", *argv],
+                          capture_output=True, env=env)
+    return digest(argv, proc.returncode, proc.stdout, proc.stderr)
+
+
+def run_in_process(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            main(args=list(argv), prog_name=PROG_NAME)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
+    return digest(argv, code, out.getvalue().encode(), err.getvalue().encode())
+
+
+def import_cli(checkout: str):
+    """The click group of the checkout's src/, imported into this interpreter."""
+    src = os.path.join(checkout, "src")
+    sys.path.insert(0, src)
+    import excprimes.cli
+
+    if not os.path.abspath(excprimes.cli.__file__).startswith(src + os.sep):
+        sys.exit(f"error: excprimes imported from {excprimes.cli.__file__}, not {src}")
+    return excprimes.cli.main
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--checkout", default=ROOT,
                     help="root of the checkout whose src/ and fixtures/ are run (default: this one)")
+    ap.add_argument("--in-process", action="store_true",
+                    help="run every argv through excprimes.cli.main in this interpreter, "
+                         "forward and then reversed")
     args = ap.parse_args()
     checkout = os.path.abspath(args.checkout)
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(checkout, "fixtures"), os.path.join(work, "fixtures"))
         os.chdir(work)
-        for argv in argvs(checkout):
-            proc = subprocess.run([sys.executable, "-m", "excprimes.cli", *argv],
-                                  capture_output=True, env=env)
-            print(json.dumps({
-                "argv": argv,
-                "code": proc.returncode,
-                "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
-                "stderr_sha256": hashlib.sha256(proc.stderr).hexdigest(),
-            }, sort_keys=True), flush=True)
+        runs = argvs(checkout)
+        if not args.in_process:
+            for argv in runs:
+                print(run_subprocess(checkout, argv), flush=True)
+            return 0
+        cli_main = import_cli(checkout)
+        forward = [run_in_process(cli_main, argv) for argv in runs]
+        backward = [run_in_process(cli_main, argv) for argv in reversed(runs)][::-1]
+    for line in forward:
+        print(line)
+    moved = [argv for argv, a, b in zip(runs, forward, backward) if a != b]
+    for argv in moved:
+        print(f"error: digests depend on the run order: {' '.join(argv)}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

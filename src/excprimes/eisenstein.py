@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import DomainError, primes_up_to
 from .cyclotomic import CycloElement
@@ -93,9 +94,21 @@ def eisenstein_E(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
         coeffs = _divisor_power_sums(k - 1, truncation)
         coeffs[0] = CycloElement(1, [-bernoulli_classical(k) / (2 * k)])
         return QExpansion(coeffs, k, 1)
+    return _twisted_series(k, nu, truncation)
+
+
+@lru_cache(maxsize=16)
+def _twisted_series(k: int, nu: DirichletCharacter, truncation: int) -> QExpansion:
+    """The series of `eisenstein_E` for primitive nu of modulus c > 1, built once per key.
+
+    Verifying a form at each candidate ell asks for the same (k, nu, truncation)
+    every time, and sigma_nu is quadratic in the window, so the series is kept:
+    the key is hashable and the series immutable, so a hit is shared. The
+    bound holds the 10 twisted keys of the bundled fixtures' verify jobs.
+    """
     coeffs = [CycloElement(1, [Fraction(0)])]
     coeffs += [sigma_nu(k, nu, n) for n in range(1, truncation + 1)]
-    return QExpansion(coeffs, k, c * c)
+    return QExpansion(coeffs, k, nu.modulus ** 2)
 
 
 def _divisor_power_sums(e: int, truncation: int) -> list[int]:

@@ -251,12 +251,18 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
 
     nu omitted: the classical series (weight > 2) and every primitive nu mod c
     with c^2 | N are tried; the best verdict across candidates by `rank` is
-    returned. Each candidate is compared at residue points; where a
+    returned. A given nu of modulus c with c^2 not dividing N is a
+    DomainError. Each candidate is compared at residue points; where a
     coefficient denominator divisible by ell blocks them, per-n norm
     divisibility is checked instead.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
+    if nu is not None and fixture.level % nu.modulus ** 2:
+        raise DomainError(
+            f"nu has modulus {nu.modulus}, but {nu.modulus}^2 does not divide the level "
+            f"{fixture.level}: its series is not a family at this level"
+        )
     warnings = []
     if fixture.level % ell == 0:
         warnings.append(

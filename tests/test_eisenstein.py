@@ -8,17 +8,20 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import excprimes.eisenstein
 from excprimes import (
     DomainError,
     QExpansion,
     TruncationError,
     character_by_index,
     eisenstein_E,
+    enumerate_characters,
     eprime_twisted,
     eprime_weight2_steinberg,
     trivial_character,
 )
-from excprimes.eisenstein import _divisor_power_sums, sigma_nu
+from excprimes.eisenstein import _divisor_power_sums, _twisted_series, sigma_nu
+from excprimes.verify import verify_fixture
 from oracles import (
     apply_Tr,
     divisor_power_sums_reference,
@@ -58,6 +61,51 @@ def test_eisenstein_E_input_validation():
         eisenstein_E(2, trivial_character(), 5)
     with pytest.raises(DomainError):
         eisenstein_E(4, character_by_index(9, 3), 5)  # imprimitive
+
+
+# -- the memo of twisted series -------------------------------------------------
+
+MEMO_MODULI = (3, 4, 5, 7, 8, 9)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 12])
+def test_a_memo_hit_equals_a_fresh_build(k):
+    _twisted_series.cache_clear()
+    for c in MEMO_MODULI:
+        for nu in enumerate_characters(c, "primitive"):
+            for T in (5, 54):
+                first = eisenstein_E(k, nu, T)
+                hit = eisenstein_E(k, nu, T)
+                fresh = _twisted_series.__wrapped__(k, nu, T)
+                assert hit is first and hit == fresh, (k, nu, T)
+                assert (hit.weight, hit.level, hit.truncation) == (k, c * c, T)
+            short, long = eisenstein_E(k, nu, 5), eisenstein_E(k, nu, 54)
+            assert long.coeffs[:6] == short.coeffs, (k, nu)
+
+
+def test_a_domain_error_is_raised_on_every_call():
+    _twisted_series.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            eisenstein_E(5, NU9, 5)  # odd weight
+        with pytest.raises(DomainError):
+            eisenstein_E(6, character_by_index(9, 3), 5)  # imprimitive
+    assert _twisted_series.cache_info().currsize == 0
+
+
+def test_verify_at_a_second_prime_reuses_the_twisted_series(fx81, monkeypatch):
+    _twisted_series.cache_clear()
+    assert verify_fixture(fx81, 7).verdict == "certified"
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sigma_nu(*args)
+
+    monkeypatch.setattr(excprimes.eisenstein, "sigma_nu", counting)
+    assert verify_fixture(fx81, 43).verdict == "certified"
+    assert calls == []
+    assert _twisted_series.cache_info().hits == 5
 
 
 def test_eisenstein_E_accepts_odd_characters():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -85,6 +86,20 @@ def test_verify_input_validation(fx81, fx11_2):
         verify_reducible(fx81, 6)
     with pytest.raises(DomainError):
         verify_reducible(fx11_2, 5, nu=trivial_character())
+
+
+@pytest.mark.parametrize("name, ell, modulus, index", [
+    ("11-4a", 61, 3, 1),  # E_4 certifies 61, but a level-9 series is no family at N = 11
+    ("81-6c", 43, 4, 1),  # 16 does not divide 81
+])
+def test_a_character_whose_square_modulus_misses_the_level_is_rejected(
+        name, ell, modulus, index, monkeypatch):
+    import excprimes.verify
+
+    fixture = NewformFixture.from_json_file(fixture_path(f"{name}.json"))
+    monkeypatch.setattr(excprimes.verify, "eisenstein_E", lambda *args: pytest.fail("a series was built"))
+    with pytest.raises(DomainError, match=f"modulus {modulus}, but {modulus}\\^2 does not divide the level {fixture.level}"):
+        verify_reducible(fixture, ell, nu=character_by_index(modulus, index))
 
 
 def test_ell_dividing_level_keeps_a_warning(fx11_4):
@@ -341,6 +356,36 @@ def test_cli_verify_character_flags():
         "verify", "--form", fixture_path("81-6c.json"), "--ell", 7, "--char-modulus", 9
     )
     assert half.returncode == 2
+
+
+def test_cli_verify_a_character_whose_square_modulus_misses_the_level_exits_2():
+    argv = ["verify", "--form", fixture_path("11-4a.json"), "--ell", "61",
+            "--char-modulus", "3", "--char-index", "1"]
+    res = CliRunner().invoke(main, argv)
+    _assert_usage_exit(res)
+    assert res.stderr == (
+        "error: nu has modulus 3, but 3^2 does not divide the level 11: "
+        "its series is not a family at this level\n"
+    )
+
+
+def test_cli_verify_envelopes_do_not_depend_on_the_job_order():
+    from excprimes.eisenstein import _twisted_series
+
+    jobs = [["verify", "--form", fixture_path(f"{name}.json"), "--ell", str(ell)]
+            for name in ("81-6c", "81-6c-printed") for ell in (7, 43, 1171)]
+
+    def digests(order):
+        _twisted_series.cache_clear()
+        out = {}
+        for argv in order:
+            res = CliRunner().invoke(main, argv)
+            out[tuple(argv)] = (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest())
+        return out
+
+    forward = digests(jobs)
+    assert forward == digests(jobs[::-1])
+    assert {code for code, _ in forward.values()} == {0, 3}
 
 
 def test_cli_verify_weight2_preference():
