@@ -82,8 +82,7 @@ def is_prime(n: int) -> bool:
 
     Deterministic below ~3.3e24 (fixed Miller-Rabin base set); above that,
     probabilistic with _MR_RANDOM_ROUNDS random bases drawn from an n-seeded
-    RNG so results stay reproducible. Use is_proven_prime to know which regime
-    applied.
+    RNG so results stay reproducible.
     """
     if n < 2:
         return False
@@ -98,11 +97,6 @@ def is_prime(n: int) -> bool:
         rng = random.Random(n)
         bases = tuple(rng.randrange(2, n - 1) for _ in range(_MR_RANDOM_ROUNDS))
     return not any(_miller_rabin_witness(n, a) for a in bases)
-
-
-def is_proven_prime(n: int) -> bool:
-    """True when is_prime(n) ran in its deterministic regime."""
-    return n < _MR_DETERMINISTIC_LIMIT
 
 
 # Trial division runs over the primes below this bound. A cofactor left with
@@ -348,13 +342,10 @@ class FactoredInteger:
     value = sign * prod(p**e) * cofactor; factors are sorted by prime.
     cofactor is 1 when the factorization is complete, and otherwise a
     composite above _ECM_FULL_LIMIT that ECM's curve budget left unsplit.
-    `proven` is False when some listed prime was only probabilistically
-    tested (inputs beyond the deterministic Miller-Rabin range).
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
-    proven: bool = True
     cofactor: int = 1
 
     def __post_init__(self):
@@ -410,7 +401,7 @@ def factorize(n: int, partial: bool = False) -> FactoredInteger:
         )
     if cache is not None and cofactor == 1:
         cache.put(m, factors)
-    return FactoredInteger(n, factors, all(is_proven_prime(p) for p, _ in factors), cofactor)
+    return FactoredInteger(n, factors, cofactor)
 
 
 @lru_cache(maxsize=1 << 12)

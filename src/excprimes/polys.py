@@ -10,8 +10,10 @@ non-monic int divisor gives Fraction, never float, coefficients.
 
 The one resultant follows the Euclidean remainder sequence in the same
 coefficient arithmetic, so it serves Q (cyclotomic norms, `CycloElement.norm`),
-Q(zeta_n) (`residues.compositum_norm`) and F_q alike; the norm behind the
-square test in F_q takes the same sequence on ints mod p in `residues`.
+Q(zeta_n) (`residues.compositum_norm`) and F_q alike. Points are never
+evaluated here: residue points map field elements into F_q by int dot
+products, and the F_p kernel in `residues` runs the same remainder sequence
+on ints mod p for the norm behind the Frobenius scan's test.
 """
 
 from __future__ import annotations
@@ -136,14 +138,6 @@ def powmod(f: list, e: int, m: list) -> list:
 
 def derivative(f: list) -> list:
     return trim([i * f[i] for i in range(1, len(f))])
-
-
-def evaluate(f: list, x):
-    """Horner evaluation; works for any coefficient/point ring."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def resultant(f: list, g: list):

@@ -1,22 +1,21 @@
 """Finite fields F_{ell^d}, newform fixtures, and residue points.
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
-hides its tuple of integer coordinates: its add, multiply and reduction mod
-the modulus, the field's embedding of F_p and a residue point's table of
-alpha-power coordinates are the only code here that works on that format.
+hides its tuple of integer coordinates; FieldElements serve only where
+residue points are built: factor degrees and the modulus search, root
+finding at d > 1, Frobenius orbits, and each point's tables of the F_q
+coordinates of the powers of alpha and zeta. That polynomial work runs
+through the one polynomial core in `polys`, with F_p as the field of degree one.
 
-Where the residue field is F_p itself (d = 1), root finding and the
-Frobenius scan's test run on plain ints mod p, with no FieldElement in
-between: a small F_p kernel on int lists runs Cantor-Zassenhaus root
-finding, and `quadratic_irreducible_mod_p` applies Euler's criterion to the
-discriminant. The kernel's resultant also gives the norm behind the square
-test in F_q. For odd p, a polynomial of degree 1 or 2 mod p has its roots in
-F_p, and so its factor degrees, in closed form (Euler's criterion and a
-Tonelli-Shanks square root), and Frobenius fixes F_p without a power. The
-rest of the polynomial work over F_p and F_q (factor degrees above degree 2
-or at p = 2, the irreducibility test behind the modulus search, and root
-finding at d > 1) runs on lists of FieldElements through the one polynomial
-core in `polys`, with F_p as the field of degree one.
+A residue point answers in plain ints: an element of Q(alpha), or of
+Q(zeta_m) with m dividing the point's index, maps into F_q by one dot
+product mod ell of its reduced coordinates with each row of a table. A
+small F_p kernel on int lists finds roots over F_p itself (d = 1) by
+Cantor-Zassenhaus, and decides whether X^2 - aX + c is irreducible over
+any F_q: Euler's criterion on the norm of the discriminant for odd q, the
+Artin-Schreier trace for q = 2^d. For odd p, a polynomial of degree 1 or 2
+mod p has its roots in F_p, and so its factor degrees, in closed form, and
+Frobenius fixes F_p without a power.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field: a pair (alpha_image,
@@ -155,7 +154,7 @@ def _fp_mulmod(f: list, g: list, m: list, p: int) -> list:
 
 
 def _fp_powmod(f: list, e: int, m: list, p: int) -> list:
-    """f^e mod m for e >= 1."""
+    """f^e mod m for e >= 0."""
     result, base = [1], _fp_divmod(f, m, p)[1]
     while True:
         if e & 1:
@@ -186,6 +185,33 @@ def _fp_resultant(f: list, g: list, p: int) -> int:
         acc = acc * pow(g[-1], len(f) - len(r), p) % p
         f, g = g, r
     return acc * pow(g[0], len(f) - 1, p) % p
+
+
+def _fp_irreducible_quadratic(a, c, m: list, p: int) -> bool:
+    """Is X^2 - aX + c irreducible over F_q = F_p[x]/(m)? a and c are given by their coordinates in [0, p).
+
+    Odd p: the discriminant a^2 - 4c is not a square in F_q, zero included,
+    that is, Euler's criterion finds its norm Res(m, a^2 - 4c), the
+    discriminant itself at q = p, a non-square in F_p. p = 2: a != 0 and
+    Tr(c / a^2) = 1 (Artin-Schreier), with 1 / a^2 = a^(q-3) and the trace
+    summed over the d Frobenius conjugates.
+    """
+    d = len(m) - 1
+    if p != 2:
+        if d == 1:
+            norm = (a[0] * a[0] - 4 * c[0]) % p
+        else:
+            disc = _fp_sub(polys.mul(a, a), [4 * x for x in c], p)
+            norm = _fp_resultant(m, disc, p) if disc else 0
+        return pow(norm, (p - 1) // 2, p) == p - 1
+    if not any(a):
+        return False  # X^2 + c is a Frobenius square
+    q = 2 ** d
+    x = trace = _fp_mulmod(c, _fp_powmod(a, (q - 3) % (q - 1), m, 2), m, 2)
+    for _ in range(d - 1):
+        x = _fp_mulmod(x, x, m, 2)
+        trace = _fp_sub(trace, x, 2)  # trace + x in characteristic 2
+    return trace == [1]
 
 
 def _quadratic_roots_mod_p(f: list, p: int) -> list[int]:
@@ -286,9 +312,6 @@ class FiniteField:
             )
         return x.numerator * pow(den, -1, self.p) % self.p
 
-    def from_fraction(self, x: int | Fraction, context: str = "coefficient") -> "FieldElement":
-        return FieldElement(self, (self.residue(x, context),) + (0,) * (self.d - 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteField)
@@ -356,9 +379,6 @@ class FieldElement:
             raise DomainError("inverse of zero field element")
         return self ** (self.field.q - 2)
 
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
     def __rtruediv__(self, other):
         return self._check(other) * self.inverse()
 
@@ -377,17 +397,6 @@ class FieldElement:
     def frobenius(self) -> "FieldElement":
         """self^p, which is self itself in F_p."""
         return self if self.field.d == 1 else self ** self.field.p
-
-    def trace(self) -> int:
-        """Absolute trace down to F_p, returned as an int mod p."""
-        acc = self.field.zero()
-        x = self
-        for _ in range(self.field.d):
-            acc = acc + x
-            x = x.frobenius()
-        if any(acc.coeffs[1:]):
-            raise ArithmeticError(f"trace of {self} does not lie in F_{self.field.p}")
-        return acc.coeffs[0]
 
     def __bool__(self):
         return any(self.coeffs)
@@ -411,41 +420,6 @@ class FieldElement:
         if self.field.d == 1:
             return str(self.coeffs[0])
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
-def is_square_in_field(x: FieldElement) -> bool:
-    """Zero counts as a square; characteristic 2 is an error.
-
-    For odd q, x != 0 is a square in F_q exactly when N(x) = x^((q-1)/(p-1)) is
-    a square in F_p. N(x) is Res(modulus, x) over F_p, which is x itself at d = 1.
-    """
-    F, p = x.field, x.field.p
-    if p == 2:
-        raise DomainError("squareness via the norm needs odd characteristic")
-    if not x:
-        return True
-    norm = _fp_resultant(list(F.modulus), polys.trim(list(x.coeffs)), p)
-    return pow(norm, (p - 1) // 2, p) == 1
-
-
-def quadratic_irreducible(a: FieldElement, c: FieldElement) -> bool:
-    """Is X^2 - aX + c irreducible over the field of a and c?
-
-    Odd characteristic: discriminant a^2 - 4c a non-square (and nonzero).
-    Characteristic 2: a != 0 and Tr(c / a^2) = 1 (Artin-Schreier criterion).
-    """
-    if a.field.p == 2:
-        if not a:
-            return False  # X^2 + c is a Frobenius square
-        return (c / (a * a)).trace() == 1
-    disc = a * a - 4 * c
-    return bool(disc) and not is_square_in_field(disc)
-
-
-def quadratic_irreducible_mod_p(a: int, c: int, p: int) -> bool:
-    """Is X^2 - aX + c irreducible over F_p (p odd, a and c ints)? Euler's criterion on a^2 - 4c."""
-    disc = (a * a - 4 * c) % p
-    return disc != 0 and pow(disc, (p - 1) // 2, p) != 1
 
 
 # -- root finding ---------------------------------------------------------------
@@ -771,15 +745,24 @@ class ResiduePoint:
         """Per vector length d, the coordinates of alpha^0, ..., alpha^(d-1) in F_q, one row per coordinate."""
         return {}
 
+    def _power_rows(self, x: FieldElement, count: int) -> tuple:
+        """The F_q coordinates of x^0, ..., x^(count-1), one row per coordinate."""
+        powers = [self.field.one()]
+        while len(powers) < count:
+            powers.append(powers[-1] * x)
+        return tuple(zip(*(y.coeffs for y in powers)))
+
     def rows(self, d: int) -> tuple:
         """The F_q coordinates of alpha^0, ..., alpha^(d-1), one row per coordinate, built once per d."""
         rows = self._tables.get(d)
         if rows is None:
-            powers = [self.field.one()]
-            while len(powers) < d:
-                powers.append(powers[-1] * self.alpha_image)
-            rows = self._tables[d] = tuple(zip(*(x.coeffs for x in powers)))
+            rows = self._tables[d] = self._power_rows(self.alpha_image, d)
         return rows
+
+    @cached_property
+    def zeta_rows(self) -> tuple:
+        """The F_q coordinates of zeta^0, ..., zeta^(n-1) for the point's index n, one row per coordinate."""
+        return self._power_rows(self.zeta_image, self.cyclo_index)
 
     def image(self, residues) -> tuple[int, ...]:
         """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
@@ -789,20 +772,15 @@ class ResiduePoint:
         """F_q coordinates of the image of power-basis coordinates in alpha (ints or Fractions)."""
         return self.image([self.field.residue(v, "coefficient of alpha") for v in vec])
 
-    def reduce_vector(self, vec) -> FieldElement:
-        """Power-basis coordinates in alpha down to the residue field."""
-        return FieldElement(self.field, self.vector_image(vec))
+    def cyclo_image(self, residues, m: int) -> tuple[int, ...]:
+        """F_q coordinates of sum r_j zeta_m^j for ints r_j, where m divides the point's index n.
 
-    def reduce_cyclo(self, x: CycloElement) -> FieldElement:
-        """Image of an element of Q(zeta_m), for m dividing the point's index."""
-        if self.cyclo_index % x.n != 0:
-            raise DomainError(
-                f"cannot reduce Q(zeta_{x.n}) through a point for zeta_{self.cyclo_index}"
-            )
-        x = x.embed(self.cyclo_index)
-        z = self.zeta_image if self.zeta_image is not None else self.field.one()
-        coeffs = [self.field.from_fraction(c, "cyclotomic coordinate") for c in x.coeffs]
-        return polys.evaluate(coeffs, z)
+        zeta_m maps to zeta^(n/m), so zeta_m^j reads column j n/m of the zeta-power table.
+        """
+        if self.cyclo_index % m:
+            raise DomainError(f"cannot reduce Q(zeta_{m}) through a point for zeta_{self.cyclo_index}")
+        step = self.cyclo_index // m
+        return tuple(sum(map(operator.mul, residues, row[::step])) % self.ell for row in self.zeta_rows)
 
     def sort_key(self):
         zkey = self.zeta_image.sort_key() if self.zeta_image is not None else ()

@@ -3,10 +3,11 @@
 The verifier certifies reducibility congruences a_n(f) = a_n(E) mod ell up to
 the Sturm bound, through an explicit residue point (one ideal, coherent
 across all n), or, where a coefficient denominator rules residue points out,
-through per-n norm divisibility (weaker, labeled norm-certified). It also
-runs the Frobenius irreducibility scan: the characteristic polynomial
-X^2 - a_p X + p^(k-1) being irreducible at a residue point certifies that no
-such congruence can exist there.
+through per-n norm divisibility (weaker, labeled norm-certified). At residue
+points both sides are int tuples in F_q, and each point walks n on its own
+to its first mismatch. The Frobenius irreducibility scan tests
+X^2 - a_p X + p^(k-1) at each point with one int test over any F_q; an
+irreducible one certifies that no such congruence can exist there.
 `verify_fixture` is the entry point that combines both into one verdict.
 """
 
@@ -31,10 +32,9 @@ from .residues import (
     DenominatorObstruction,
     NewformFixture,
     ResiduePoint,
+    _fp_irreducible_quadratic,
     compositum_norm,
     find_residue_points,
-    quadratic_irreducible,
-    quadratic_irreducible_mod_p,
 )
 
 VERDICT_CERTIFIED = "certified"
@@ -156,7 +156,7 @@ def _eisenstein_candidates(fixture: NewformFixture, nu, window: int):
 
 
 def _compared(fixture: NewformFixture, ell: int, window: int):
-    """The compared (n, a_n(f)): n <= window coprime to ell, and n = 0 at level 1.
+    """The compared (n, a_n(f)): n <= window <= fixture.n_max coprime to ell, and n = 0 at level 1.
 
     At level 1 the congruence is between f and E itself, so Sturm's bound
     counts the constant term, a_0(f) = 0 (Sturm, LNM 1240). At level N > 1
@@ -164,55 +164,56 @@ def _compared(fixture: NewformFixture, ell: int, window: int):
     0, so a_0(E) is not compared. `verify_reducible` screens out an a_0(E)
     with ell in its denominator before either comparison runs.
     """
+    an = fixture.an
     if fixture.level == 1:
         yield 0, (0,) * fixture.degree()
     for n in range(1, window + 1):
         if n % ell:
-            yield n, fixture.a(n)
+            yield n, an[n]
 
 
 def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> list:
     """(point name, first compared n where a_n(f) and a_n(E) differ there, or None) per point.
 
-    Where a_n(f) has integer coordinates and a_n(E) is an int for 1 <= n <= window,
-    each point walks n on its own up to its first mismatch: a_n(f) = a_n(E) at
-    the point when the dot product of the raw coordinates with each row of its
-    alpha-power table, less a_n(E) in the first row, is 0 mod ell. Fraction
-    coordinates, CycloElement a_n(E) and a_0 at level 1 go n by n for all points
-    at once, reduced mod ell once per n, until every point has a mismatch.
+    Each point walks the compared n on its own, up to its first mismatch.
+    a_n(f) = a_n(E) at a point when, for each F_q coordinate, the dot product
+    of a_n(f)'s coordinates with that row of the point's alpha-power table,
+    less that coordinate of a_n(E), is 0 mod ell. Int coordinates and an int
+    a_n(E) are used raw. Fraction coordinates, a Fraction a_n(E) and the
+    coordinates of a CycloElement a_n(E) are reduced mod ell once per n, for
+    all points. a_n(E) is an int tuple: an int or Fraction fills the first
+    coordinate, and a CycloElement goes through each point's zeta-power table.
     """
-    coeffs = E.coeffs
-    walk = (fixture.denominator_lcm == 1 and E.truncation >= window
-            and all(type(c) is int for c in coeffs[1:window + 1]))
-    field = points[0].field
-    mismatch = [None] * len(points)
-    for n, a_n in _compared(fixture, ell, 0 if walk else window):
-        live = [i for i, m in enumerate(mismatch) if m is None]
-        if not live:
-            break
-        residues = [c % ell if type(c) is int else field.residue(c) for c in a_n]
-        target = E.coefficient(n)
-        if not isinstance(target, CycloElement):
-            target = (field.residue(target),) + (0,) * (field.d - 1)
-        for i in live:
-            pt = points[i]
-            rhs = pt.reduce_cyclo(target).coeffs if isinstance(target, CycloElement) else target
-            if pt.image(residues) != rhs:
-                mismatch[i] = n
-    if walk:
-        an = fixture.an
-        for i, pt in enumerate(points):
-            if mismatch[i] is not None:
-                continue
-            first, *rest = pt.rows(fixture.degree())
-            for n in range(1, window + 1):
-                if n % ell:
-                    a_n = an[n]
-                    if ((sum(map(mul, a_n, first)) - coeffs[n]) % ell
-                            or rest and any(sum(map(mul, a_n, row)) % ell for row in rest)):
-                        mismatch[i] = n
-                        break
-    return [(_point_name(pt), n) for pt, n in zip(points, mismatch)]
+    field, coeffs = points[0].field, E.coeffs
+    E.coefficient(window)  # a TruncationError for a series shorter than the window
+    reduce, pad = fixture.denominator_lcm > 1, (0,) * (field.d - 1)
+    shared = {}  # n -> (a_n(f), a_n(E)) reduced mod ell, the latter an int or (coordinates, m)
+
+    def reduced(a_n, c):
+        if reduce:
+            a_n = [field.residue(x) for x in a_n]
+        if isinstance(c, CycloElement):
+            return a_n, ([field.residue(x, "cyclotomic coordinate") for x in c.coeffs], c.n)
+        return a_n, c if type(c) is int else field.residue(c)
+
+    out = []
+    for pt in points:
+        first, *rest = pt.rows(fixture.degree())
+        mismatch = None
+        for n, a_n in _compared(fixture, ell, window):
+            c = coeffs[n]
+            if reduce or type(c) is not int:
+                a_n, c = shared[n] if n in shared else shared.setdefault(n, reduced(a_n, c))
+            if type(c) is int:
+                t, ts = c, pad
+            else:
+                t, *ts = pt.cyclo_image(*c)
+            if ((sum(map(mul, a_n, first)) - t) % ell
+                    or rest and any((sum(map(mul, a_n, row)) - u) % ell for row, u in zip(rest, ts))):
+                mismatch = n
+                break
+        out.append((_point_name(pt), mismatch))
+    return out
 
 
 def _norm_mode_check(fixture, E: QExpansion, n_cyclo: int, ell: int, window: int):
@@ -430,9 +431,8 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
     ell N, and the smallest p whose characteristic polynomial is irreducible
     (a certificate that no reducibility congruence can hold at that point).
     The points are `find_residue_points(fixture, 1, ell)`, built here unless
-    the caller passes them. Where a point's field is F_ell for an odd ell,
-    a_p and p^(k-1) stay ints mod ell and Euler's criterion on the
-    discriminant decides.
+    the caller passes them. a_p maps into F_q through the point's int table,
+    and `_fp_irreducible_quadratic` decides at every ell and field degree.
     """
     if not is_prime(ell):
         raise DomainError(f"{ell} is not prime")
@@ -456,19 +456,11 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
         p for p in primes_up_to(p_max)
         if p % ell != 0 and fixture.level % p != 0 and p in fixture.an
     ]
+    constants = [(p, [pow(p, k - 1, ell)]) for p in usable]
     out = []
     for pt in points:
-        tested = {}
-        witness = None
-        prime_field = pt.field.d == 1 and ell != 2
-        for p in usable:
-            pk = pow(p, k - 1, ell)
-            if prime_field:
-                irred = quadratic_irreducible_mod_p(pt.vector_image(fixture.a(p))[0], pk, ell)
-            else:
-                irred = quadratic_irreducible(pt.reduce_vector(fixture.a(p)), pt.field.element(pk))
-            tested[p] = irred
-            if irred and witness is None:
-                witness = p
+        modulus = list(pt.field.modulus)
+        tested = {p: _fp_irreducible_quadratic(pt.vector_image(fixture.a(p)), c, modulus, ell) for p, c in constants}
+        witness = next((p for p, irred in tested.items() if irred), None)
         out.append({"point": _point_name(pt), "tested": tested, "witness": witness})
     return ScanResult(fixture.label, ell, p_max, tuple(out), partial, tuple(warnings))

@@ -10,10 +10,14 @@ by U_p operators check the sigma_1(n d) construction of
 the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
-the data of a residue point are read here for the tests; the congruence
-comparison with a `FieldElement` per n and per point checks the integer
-kernel of `verify._point_outcomes`; the Euler criterion checks the norm
-square test of `residues.is_square_in_field`; the entry-by-entry `an` parser
+the data of a residue point are read here for the tests; Horner
+evaluation in `FieldElement` arithmetic (of a power-basis vector at alpha,
+of a Q(zeta_m) element at a point's zeta) checks a residue point's integer
+tables, and with it the congruence comparison with a `FieldElement` per n
+and per point checks `verify._point_outcomes`; the Euler criterion, and the
+discriminant and Artin-Schreier trace in `FieldElement` arithmetic, check
+the integer irreducibility test of the Frobenius scan,
+`residues._fp_irreducible_quadratic`; the entry-by-entry `an` parser
 checks the one-pass loader of `residues._parse_an`; and a plain ECM curve,
 with one inversion per point and every stage-2 pair, checks
 `exact._ecm_curve`. None of this is on the package's runtime path.
@@ -26,11 +30,19 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, FixtureError, QExpansion, exact, is_prime, polys, verify
+from excprimes import DomainError, DirichletCharacter, FixtureError, QExpansion, exact, is_prime, verify
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError
 from excprimes.residues import _integer, _parse_rational
+
+
+def evaluate(f: list, x):
+    """Horner evaluation; works for any coefficient/point ring."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
 # -- Q(zeta_n) in C ----------------------------------------------------------------
@@ -40,14 +52,14 @@ def embed_numeric(x: CycloElement, prec: int = 50):
     """Complex value with zeta_n = exp(2 pi i / n), via mpmath."""
     with mpmath.workdps(prec):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in x.coeffs]
-        return polys.evaluate(coeffs, mpmath.expjpi(mpmath.mpf(2) / x.n))
+        return evaluate(coeffs, mpmath.expjpi(mpmath.mpf(2) / x.n))
 
 
 def conj(x: CycloElement) -> CycloElement:
     """Complex conjugation, zeta_n -> zeta_n^(n-1)."""
     if x.n <= 2:
         return x
-    return polys.evaluate(x.coeffs, zeta(x.n, x.n - 1))
+    return evaluate(x.coeffs, zeta(x.n, x.n - 1))
 
 
 def is_rational(x: CycloElement) -> bool:
@@ -107,13 +119,50 @@ def describe(pt) -> dict:
     return out
 
 
+def _reduce(field, x, context: str = "coefficient"):
+    """An int or Fraction as a FieldElement of F_ell inside field."""
+    return field.element(field.residue(x, context))
+
+
 def reduce_vector_reference(pt, vec):
     """sum c_i alpha^i at a residue point, in FieldElement arithmetic."""
     acc, power = pt.field.zero(), pt.field.one()
     for c in vec:
-        acc = acc + pt.field.from_fraction(c, "coefficient of alpha") * power
+        acc = acc + _reduce(pt.field, c, "coefficient of alpha") * power
         power = power * pt.alpha_image
     return acc
+
+
+def reduce_cyclo_reference(pt, x: CycloElement):
+    """x in Q(zeta_m), m dividing the point's index n, at the point: embedded in Q(zeta_n), then Horner at zeta."""
+    if pt.cyclo_index % x.n:
+        raise DomainError(f"cannot reduce Q(zeta_{x.n}) through a point for zeta_{pt.cyclo_index}")
+    x = x.embed(pt.cyclo_index)
+    z = pt.zeta_image if pt.zeta_image is not None else pt.field.one()
+    return evaluate([_reduce(pt.field, c, "cyclotomic coordinate") for c in x.coeffs], z)
+
+
+def trace_reference(x) -> int:
+    """Absolute trace of a FieldElement down to F_p, the sum of its d Frobenius conjugates, as an int."""
+    acc, y = x.field.zero(), x
+    for _ in range(x.field.d):
+        acc, y = acc + y, y.frobenius()
+    if any(acc.coeffs[1:]):
+        raise ArithmeticError(f"trace of {x} does not lie in F_{x.field.p}")
+    return acc.coeffs[0]
+
+
+def quadratic_irreducible_reference(a, c) -> bool:
+    """Is X^2 - aX + c irreducible over the field of the FieldElements a and c?
+
+    Odd characteristic: the discriminant a^2 - 4c is a non-square (Euler's
+    criterion) and nonzero. Characteristic 2: a != 0 and Tr(c / a^2) = 1
+    (Artin-Schreier).
+    """
+    if a.field.p == 2:
+        return bool(a) and trace_reference(c * (a * a).inverse()) == 1
+    disc = a * a - 4 * c
+    return bool(disc) and not is_square_euler(disc)
 
 
 def is_square_euler(x) -> bool:
@@ -158,10 +207,10 @@ def point_outcomes_reference(fixture, E: QExpansion, points, ell: int, window: i
             break
         target = E.coefficient(n)
         if not isinstance(target, CycloElement):
-            target = points[0].field.from_fraction(target)
+            target = _reduce(points[0].field, target)
         for i in live:
             pt = points[i]
-            rhs = pt.reduce_cyclo(target) if isinstance(target, CycloElement) else target
+            rhs = reduce_cyclo_reference(pt, target) if isinstance(target, CycloElement) else target
             if reduce_vector_reference(pt, a_n) != rhs:
                 mismatch[i] = n
     return [(verify._point_name(pt), n) for pt, n in zip(points, mismatch)]

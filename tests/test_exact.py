@@ -92,7 +92,6 @@ def test_factorize_remultiplies_with_prime_parts(n):
         assert e >= 1 and is_prime(p)
         prod *= p ** e
     assert prod == n == fac.value
-    assert fac.proven
 
 
 def test_factorize_zero_and_negatives():
@@ -309,7 +308,7 @@ import sys
 from excprimes.exact import DomainError, FactoredInteger
 print(sys.flags.optimize)
 C, P = {_HARD}, {_ref_next_prime(10 ** 40)}
-print(FactoredInteger(-6 * C, ((2, 1), (3, 1)), True, C).cofactor == C)
+print(FactoredInteger(-6 * C, ((2, 1), (3, 1)), C).cofactor == C)
 for value, factors, cofactor, error in (
     (12, ((2, 1), (3, 1)), 1, ArithmeticError),
     (12, ((1, 1), (2, 2), (3, 1)), 1, DomainError),
@@ -322,7 +321,7 @@ for value, factors, cofactor, error in (
     (2 * 10 ** 32, ((2, 1),), 10 ** 32, DomainError),
 ):
     try:
-        FactoredInteger(value, factors, True, cofactor)
+        FactoredInteger(value, factors, cofactor)
     except error:
         print("raised")
 """

@@ -1,17 +1,19 @@
-"""The integer comparison of `verify._point_outcomes` against its FieldElement reference.
+"""The integer comparison of `verify._point_outcomes` and the integer Frobenius test against FieldElement references.
 
-With integer coordinates and int a_n(E), each residue point walks n on its
-own, taking dot products of the raw coordinates with its table of
-alpha-power coordinates; otherwise all points go together n by n on
-coordinates reduced mod ell once per n. The reference in
-`oracles.point_outcomes_reference` builds a FieldElement for a_n(f) and
+Each residue point walks n on its own, in one walk for every case: a_n(f)
+and a_n(E) are int tuples in F_q, from dot products of a_n(f)'s coordinates
+(raw ints, or Fractions reduced mod ell once per n for all points) with the
+point's table of alpha-power coordinates, and of a CycloElement a_n(E)'s
+reduced coordinates with its table of zeta-power coordinates. The reference
+in `oracles.point_outcomes_reference` builds a FieldElement for a_n(f) and
 a_n(E) at every n and every point. Both must name the same first mismatch at
-every point.
+every point. The Frobenius scan's one int test must agree with
+`oracles.quadratic_irreducible_reference` and with a count of roots.
 
-Counters of `FieldElement` builds pin the integer routes: verify builds
-none per compared n, root finding over F_ell itself builds one per root it
-returns, residue points of a quadratic field over F_ell build nothing more,
-and the Frobenius scan at F_ell builds none per tested prime.
+Counters of `FieldElement` builds pin the integer routes: once a point's
+tables exist, neither the comparison nor the Frobenius scan builds one, at
+any ell, 2 included; root finding over F_ell itself builds one per root it
+returns, and residue points of a quadratic field over F_ell build nothing more.
 """
 
 import functools
@@ -37,7 +39,7 @@ from excprimes import residues
 from excprimes.characters import trivial_character
 from excprimes.cyclotomic import CycloElement
 from excprimes.verify import _eisenstein_candidates, _point_outcomes, frobenius_scan
-from oracles import divisor_power_sums_reference, point_outcomes_reference
+from oracles import divisor_power_sums_reference, point_outcomes_reference, quadratic_irreducible_reference
 
 
 def _comparisons(fx, ell):
@@ -73,17 +75,22 @@ def test_kernel_matches_reference_on_every_bundled_candidate(name):
 # -- each route of the comparison -----------------------------------------------------
 
 
-def _image_calls(monkeypatch) -> list:
-    """A counter of `ResiduePoint.image` calls, which the shared n-by-n walk makes and the per-point walk does not."""
+def _calls(monkeypatch, owner, name: str) -> list:
+    """A counter of calls to owner.name until `monkeypatch.undo()`."""
     calls = [0]
-    image = residues.ResiduePoint.image
+    method = getattr(owner, name)
 
-    def counting(self, vec, image=image):
+    def counting(*args, method=method, **kwargs):
         calls[0] += 1
-        return image(self, vec)
+        return method(*args, **kwargs)
 
-    monkeypatch.setattr(residues.ResiduePoint, "image", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _image_calls(monkeypatch) -> list:
+    """A counter of `ResiduePoint.image` calls, which the walk does not make: it reads the point's rows itself."""
+    return _calls(monkeypatch, residues.ResiduePoint, "image")
 
 
 def _planted(k, level, ell, fails, window, fraction=False):
@@ -146,6 +153,7 @@ def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails
     E = eisenstein_E(12, trivial_character(), window)
     points = find_residue_points(fx, 1, ell)
     calls = _image_calls(monkeypatch)
+    reduced = _calls(monkeypatch, residues.FiniteField, "residue")
     got = _point_outcomes(fx, E, points, ell, window)
     walked = calls[0]
     monkeypatch.undo()
@@ -155,11 +163,13 @@ def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails
     else:
         assert len(points) == 2
         assert [n for _, n in got] == [fails[0] if pt.alpha_image.coeffs[0] == s else fails[1] for pt in points]
-    # Fractions go n by n; int coordinates walk each point alone, after a_0 at level 1
-    if fraction:
-        assert walked > len(points)
-    else:
-        assert walked == (len(points) if level == 1 else 0)
+    # one walk for every case: no `image` call; Fraction coordinates are reduced
+    # once per compared n (0 at level 1, and 1 up to the last first mismatch)
+    # for both points, int ones never; the Fraction a_0(E) at level 1 once
+    assert walked == 0
+    firsts = [n for _, n in got]
+    terms = (window if None in firsts else max(firsts)) + (level == 1)
+    assert reduced[0] == (2 * terms if fraction else 0) + (level == 1)
 
 
 def test_walk_compares_a_1():
@@ -178,8 +188,14 @@ def test_81_6c_every_candidate_in_its_degree_3_residue_fields(monkeypatch, fx81,
     kinds = set()
     for E, points, _ in _comparisons(fx81, ell):
         assert {pt.field.d for pt in points} == {3}
-        assert _point_outcomes(fx81, E, points, ell, window) == point_outcomes_reference(
-            fx81, E, points, ell, window)
+        for pt in points:  # the tables are built with the points' FieldElements, once
+            pt.rows(fx81.degree()), pt.zeta_rows
+        built = _field_elements_built(monkeypatch)
+        cyclo_built = _calls(monkeypatch, CycloElement, "__init__")
+        got = _point_outcomes(fx81, E, points, ell, window)
+        monkeypatch.undo()
+        assert (built[0], cyclo_built[0]) == (0, 0)  # no FieldElement, no CycloElement arithmetic
+        assert got == point_outcomes_reference(fx81, E, points, ell, window)
         kinds.add(type(E.coefficient(1)).__name__)
     assert kinds == {"int", "CycloElement"}  # the classical E_6 and the c = 3, 9 series
     # 81.6c has Fraction coordinates; over its field with int ones, E_6 walks each point alone.
@@ -376,11 +392,44 @@ def test_prime_field_scan_agrees_with_field_elements_and_builds_none_at_odd_ell(
     built = _field_elements_built(monkeypatch)
     scan = frobenius_scan(fx, ell, 100, points)
     monkeypatch.undo()
-    assert (built[0] == 0) == (ell != 2)  # characteristic 2 keeps the trace criterion on FieldElements
+    assert built[0] == 0  # at ell = 2 too, where the trace criterion runs on ints
     # only the long-window fixture has a point, alpha -> S mod ELL, where it is congruent
     assert {row["witness"] is None for row in scan.points} == ({False, True} if ell == ELL else {False})
     for pt, row in zip(points, scan.points):
         assert row["tested"]
         for p, irreducible in row["tested"].items():
-            a_p, pk = pt.reduce_vector(fx.a(p)), pt.field.element(pow(p, fx.weight - 1, ell))
-            assert irreducible == residues.quadratic_irreducible(a_p, pk), (pt, p)
+            a_p = residues.FieldElement(pt.field, pt.vector_image(fx.a(p)))
+            pk = pt.field.element(pow(p, fx.weight - 1, ell))
+            assert irreducible == quadratic_irreducible_reference(a_p, pk), (pt, p)
+
+
+# a_p for Q(omega), omega^2 + omega + 1 = 0, which stays irreducible mod 2, with its image in F_4
+# and whether X^2 - a_p X + 1 (p^(k-1) = 1 in F_2) is irreducible there: a_p in F_2 has a root
+# (a = 0: X^2 + 1 = (X + 1)^2, a = 1: the roots of X^2 + X + 1), and a_p outside F_2 has none
+F4_SCAN = {3: ([1, 0], False), 5: ([2, 4], False), 7: ([3, 2], False), 13: ([0, 1], True),
+           17: ([1, 3], True), 19: ([4, 0], False), 23: ([5, 5], True), 29: ([7, 8], False)}
+
+
+def test_scan_at_2_over_f4_matches_root_counts(monkeypatch):
+    """No bundled run reaches ell = 2 with d > 1: a quadratic field inert at 2 does, in F_4."""
+    rng = random.Random("scan-at-2")
+    an = {str(n): [str(rng.randint(-9, 9)), str(rng.randint(-9, 9))] for n in range(2, 31)}
+    an["1"] = ["1", "0"]
+    an.update((str(p), [str(c) for c in a_p]) for p, (a_p, _) in F4_SCAN.items())
+    fx = NewformFixture("f4", 4, 11, [1, 1, 1], an)
+    [pt] = find_residue_points(fx, 1, 2)
+    assert (pt.field.d, pt.degree) == (2, 2)
+    pt.rows(fx.degree())
+    built = _field_elements_built(monkeypatch)
+    [row] = frobenius_scan(fx, 2, 30, [pt]).points
+    monkeypatch.undo()
+    assert built[0] == 0
+    assert row["tested"] == {p: irreducible for p, (_, irreducible) in F4_SCAN.items()}
+    assert row["witness"] == 13
+    F = pt.field
+    elements = [residues.FieldElement(F, (u, v)) for u in range(2) for v in range(2)]
+    for p, irreducible in row["tested"].items():
+        a, c = residues.FieldElement(F, pt.vector_image(fx.a(p))), F.element(pow(p, fx.weight - 1, 2))
+        roots = sum(1 for x in elements if x * x - a * x + c == F.zero())
+        assert irreducible == (roots == 0), (p, a, roots)
+    assert frobenius_scan(fx, 2, 30).points == (row,)

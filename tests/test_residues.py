@@ -22,17 +22,24 @@ from excprimes import (
     find_residue_points,
     polys,
 )
+from excprimes.cyclotomic import CycloElement, euler_phi
 from excprimes.residues import (
     FieldElement,
+    _fp_irreducible_quadratic,
     _is_irreducible_over_q,
     factor_degree_multiset,
-    is_square_in_field,
     poly_roots_in_field,
-    quadratic_irreducible,
-    quadratic_irreducible_mod_p,
 )
 from excprimes import residues
-from oracles import describe, is_square_euler, parse_an_reference
+from oracles import (
+    describe,
+    evaluate,
+    is_square_euler,
+    parse_an_reference,
+    quadratic_irreducible_reference,
+    reduce_cyclo_reference,
+    trace_reference,
+)
 
 
 # -- finite fields ---------------------------------------------------------------
@@ -81,35 +88,42 @@ def test_frobenius_fixes_prime_field_and_trace_lands_there():
     for _ in range(3):
         y = y.frobenius()
     assert y == x  # Frobenius has order d
-    assert 0 <= x.trace() < 7
+    assert 0 <= trace_reference(x) < 7
 
 
 def test_from_fraction_and_denominator_obstruction():
     F = FiniteField(5, 1)
-    assert F.from_fraction(Fraction(1, 7)) == F.element(3)
+    assert F.residue(Fraction(1, 7)) == 3
     with pytest.raises(DenominatorObstruction):
-        F.from_fraction(Fraction(1, 10))
+        F.residue(Fraction(1, 10))
     # ints reduce without a Fraction, with the value Fraction(x) gives
     for x in (0, 7, -7, 10 ** 40 + 3, -(10 ** 40)):
         assert F.residue(x) == F.residue(Fraction(x)) == x % 5
 
 
+def _irreducible(a, c) -> bool:
+    """The scan's int test on the coordinates of the FieldElements a and c."""
+    return _fp_irreducible_quadratic(a.coeffs, c.coeffs, list(a.field.modulus), a.field.p)
+
+
 def test_squares_by_euler_criterion():
-    # the norm test and the Euler criterion both match the squares found by brute force
-    for ell, dmax in ((3, 4), (5, 3), (7, 2), (11, 2)):
+    # X^2 - x has no root exactly when x is not a square; the int test (by the
+    # norm of the discriminant 4x) and the Euler criterion both match the
+    # squares found by brute force, and in characteristic 2 every x is a square
+    for ell, dmax in ((2, 2), (3, 4), (5, 3), (7, 2), (11, 2)):
         for d in range(1, dmax + 1):
             F = FiniteField(ell, d)
             elements = _elements(F)
             squares = {(x * x).coeffs for x in elements}
             for x in elements:
-                assert is_square_in_field(x) == is_square_euler(x) == (x.coeffs in squares), (ell, d, x)
-    with pytest.raises(DomainError):
-        is_square_in_field(FiniteField(2, 2).one())
+                assert (not _irreducible(F.zero(), -x)) == (x.coeffs in squares), (ell, d, x)
+                if ell > 2:
+                    assert is_square_euler(x) == (x.coeffs in squares), (ell, d, x)
 
 
 def test_quadratic_irreducible_matches_brute_force():
     # degree 2 over a field: irreducible iff X^2 - aX + c has no root x, i.e. c != a x - x^2;
-    # over F_ell for odd ell the scan's int decision agrees on every (a, c)
+    # the scan's int test and the FieldElement reference agree on every (a, c)
     for ell, d in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)):
         F = FiniteField(ell, d)
         elements = _elements(F)
@@ -117,9 +131,7 @@ def test_quadratic_irreducible_matches_brute_force():
         for a in elements:
             for c in elements:
                 has_root = (a.coeffs, c.coeffs) in with_root
-                assert quadratic_irreducible(a, c) == (not has_root), (ell, d, a, c)
-                if d == 1 and ell > 2:
-                    assert quadratic_irreducible_mod_p(a.coeffs[0], c.coeffs[0], ell) == (not has_root)
+                assert _irreducible(a, c) == quadratic_irreducible_reference(a, c) == (not has_root), (ell, d, a, c)
 
 
 # -- root finding ----------------------------------------------------------------
@@ -468,12 +480,9 @@ def test_reduce_vector_is_a_ring_map(fx11_4, fx81):
     assert a * a == 2 * a + 2
     # multiplicativity of the reduced eigenvalues: a_2 a_5 = a_10
     pt81 = find_residue_points(fx81, 1, 7)[0]
-    a2 = pt81.reduce_vector(fx81.a(2))
-    a5 = pt81.reduce_vector(fx81.a(5))
-    a10 = pt81.reduce_vector(fx81.a(10))
+    a2, a5, a10, a4 = (FieldElement(pt81.field, pt81.vector_image(fx81.a(n))) for n in (2, 5, 10, 4))
     assert a2 * a5 == a10
     # and the prime-power recurrence a_4 = a_2^2 - 2^(k-1)
-    a4 = pt81.reduce_vector(fx81.a(4))
     assert a4 == a2 * a2 - 32
 
 
@@ -500,7 +509,7 @@ def _bundled_points() -> tuple:
 
 
 def _horner(pt, vec):
-    return polys.evaluate([pt.field.from_fraction(v) for v in vec], pt.alpha_image)
+    return evaluate([pt.field.element(pt.field.residue(v)) for v in vec], pt.alpha_image).coeffs
 
 
 def test_reduce_vector_matches_horner_on_every_fixture_coefficient():
@@ -508,7 +517,7 @@ def test_reduce_vector_matches_horner_on_every_fixture_coefficient():
     assert any(pt.field.q == 43 ** 3 for _, pt in points)
     for fx, pt in points:
         for n in sorted(fx.an):
-            assert pt.reduce_vector(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, describe(pt), n)
+            assert pt.vector_image(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, describe(pt), n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -519,7 +528,7 @@ def test_reduce_vector_matches_horner(data):
     rationals = st.builds(Fraction, st.integers(-(10 ** 12), 10 ** 12), denominators)
     coordinates = st.one_of(st.integers(-(10 ** 40), 10 ** 40), rationals)
     vec = data.draw(st.lists(coordinates, min_size=1, max_size=fx.degree()))
-    assert pt.reduce_vector(vec) == _horner(pt, vec)
+    assert pt.vector_image(vec) == _horner(pt, vec)
 
 
 def test_reduce_vector_denominator_obstruction_message(fx81):
@@ -527,7 +536,25 @@ def test_reduce_vector_denominator_obstruction_message(fx81):
     with pytest.raises(
         DenominatorObstruction, match=r"^coefficient of alpha: denominator 14 is divisible by 7$"
     ):
-        pt.reduce_vector([Fraction(1), Fraction(3, 14), Fraction(0), Fraction(0)])
+        pt.vector_image([Fraction(1), Fraction(3, 14), Fraction(0), Fraction(0)])
+
+
+@pytest.mark.parametrize("ell", [7, 13, 43])
+def test_zeta_table_images_match_horner_at_every_81_6c_point(fx81, ell):
+    """x in Q(zeta_m), m | n, maps through the zeta-power table as through embedding and Horner at zeta."""
+    rng = random.Random(f"zeta-table:{ell}")
+    for n in (2, 3, 6):
+        points = find_residue_points(fx81, n, ell)
+        assert points
+        for pt in points:
+            for m in (m for m in range(1, n + 1) if n % m == 0):
+                for _ in range(5):
+                    x = CycloElement(m, [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice((1, 2, 5, 12, 55)))
+                                         for _ in range(euler_phi(m))])
+                    residues_ = [pt.field.residue(c) for c in x.coeffs]
+                    assert pt.cyclo_image(residues_, m) == reduce_cyclo_reference(pt, x).coeffs, (n, m, x)
+        with pytest.raises(DomainError):
+            points[0].cyclo_image([1, 1, 1, 1], 4)
 
 
 def test_denominator_obstruction_routes_to_norm_mode(fx81):

@@ -291,7 +291,7 @@ def sylvester_resultant(f, g, one):
             rows[c], rows[pivot] = rows[pivot], rows[c]
             det = -det
         det = det * rows[c][c]
-        inv = one / rows[c][c]
+        inv = 1 / rows[c][c]
         for r in range(c + 1, m + n):
             if rows[r][c]:
                 factor = rows[r][c] * inv
