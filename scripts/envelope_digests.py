@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 131 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 176 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
 byte-identical is checked by comparing the output at its parent and at the
 change. The runs:
-  * the 21 fixture-verify jobs of bench/workloads.py;
+  * the 21 fixture-verify jobs of bench/workloads.py, as JSON and again
+    with --format text;
   * the 26 long-window jobs of bench/workloads.py at seeds 1000003 and 7;
   * `scan` on each bundled fixture at ell in {2, 3, 5, 7, 13, 43}, with
-    --pmax 100 and 20;
+    --pmax 100 and 20, and at --pmax 20 again with --format text;
   * `eisenstein --weight 6` for the primitive characters mod 3 and 9 that
     the fixture-verify jobs build, chi(3,1), chi(9,1), chi(9,2), chi(9,4)
     and chi(9,5), at --terms 5 and 54.
@@ -45,6 +46,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1000003, 7)
 SCAN_ELLS = (2, 3, 5, 7, 13, 43)
 SCAN_PMAX = (100, 20)
+TEXT_SCAN_PMAX = 20
+TEXT = ["--format", "text"]
 EISENSTEIN_CHARS = ((3, 1), (9, 1), (9, 2), (9, 4), (9, 5))
 EISENSTEIN_TERMS = (5, 54)
 PROG_NAME = "python -m excprimes.cli"  # what click names the subprocess runs
@@ -56,7 +59,8 @@ def argvs(checkout: str) -> list[list[str]]:
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
-    out = [job["argv"] for job in workloads.fixture_verify_jobs()]
+    verify = [job["argv"] for job in workloads.fixture_verify_jobs()]
+    out = verify + [argv + TEXT for argv in verify]
     for seed in SEEDS:
         jobs, _ = workloads.generate_long_window(seed, f"long-window-seed{seed}")
         out += [job["argv"] for job in jobs]
@@ -65,8 +69,8 @@ def argvs(checkout: str) -> list[list[str]]:
     for name in names:
         for ell in SCAN_ELLS:
             for pmax in SCAN_PMAX:
-                out.append(["scan", "--form", f"fixtures/{name}.json", "--ell", str(ell),
-                            "--pmax", str(pmax)])
+                argv = ["scan", "--form", f"fixtures/{name}.json", "--ell", str(ell), "--pmax", str(pmax)]
+                out += [argv, argv + TEXT] if pmax == TEXT_SCAN_PMAX else [argv]
     for modulus, index in EISENSTEIN_CHARS:
         for terms in EISENSTEIN_TERMS:
             out.append(["eisenstein", "--weight", "6", "--char-modulus", str(modulus),

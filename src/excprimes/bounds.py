@@ -50,16 +50,21 @@ def _square_part_root(fac) -> int:
     return c
 
 
+def _check_weight_level(k: int, N: int) -> None:
+    """Raise DomainError unless k is even and >= 2 and N is positive."""
+    if k < 2 or k % 2:
+        raise DomainError(f"weight must be even and >= 2, got {k}")
+    if N < 1:
+        raise DomainError(f"level must be positive, got {N}")
+
+
 def _reducible(k: int, N: int) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
     """(prime, clause) pairs, and (unfactored cofactor, clause) pairs.
 
     Together they cover every possibly-reducible ell: a prime of a clause's
     number is either listed or divides that clause's cofactor.
     """
-    if k < 2 or k % 2:
-        raise DomainError(f"weight must be even and >= 2, got {k}")
-    if N < 1:
-        raise DomainError(f"level must be positive, got {N}")
+    _check_weight_level(k, N)
     fac = factorize(N)
     level_primes = list(fac.primes())
     pairs: set[tuple[int, str]] = set()
@@ -299,10 +304,7 @@ def _dihedral_bound(k: int, N: int, D: int) -> int:
 
 def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralReport:
     """Square-free levels: explicit prime set. Otherwise an integer upper bound."""
-    if k < 2 or k % 2:
-        raise DomainError(f"weight must be even and >= 2, got {k}")
-    if N < 1:
-        raise DomainError(f"level must be positive, got {N}")
+    _check_weight_level(k, N)
     fac = factorize(N)
     assumptions = ("newform assumed non-CM",)
     if all(e == 1 for _, e in fac.factors):
@@ -320,10 +322,7 @@ def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralRe
 
 def exceptional_image_candidates(k: int, N: int) -> list[int]:
     """Primes where the projective image could be A4, S4 or A5."""
-    if k < 2 or k % 2:
-        raise DomainError(f"weight must be even and >= 2, got {k}")
-    if N < 1:
-        raise DomainError(f"level must be positive, got {N}")
+    _check_weight_level(k, N)
     primes = set(factorize(N).primes())
     primes.update(primes_up_to(4 * k - 3))
     return sorted(primes)

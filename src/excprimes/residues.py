@@ -1,11 +1,11 @@
 """Finite fields F_{ell^d}, newform fixtures, and residue points.
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
-hides its tuple of integer coordinates; FieldElements serve only where
-residue points are built: factor degrees and the modulus search, root
-finding at d > 1, Frobenius orbits, and each point's tables of the F_q
-coordinates of the powers of alpha and zeta. That polynomial work runs
-through the one polynomial core in `polys`, with F_p as the field of degree one.
+hides its tuple of integer coordinates; FieldElements serve only factor
+degrees, the modulus search and root finding at d > 1, through the one
+polynomial core in `polys` (F_p is the field of degree one). A root comes
+back as a coordinate tuple; Frobenius orbits and each point's tables of the
+F_q coordinates of the powers of alpha and zeta run on the int kernel below.
 
 A residue point answers in plain ints: an element of Q(alpha), or of
 Q(zeta_m) with m dividing the point's index, maps into F_q by one dot
@@ -18,10 +18,10 @@ mod p has its roots in F_p, and so its factor degrees, in closed form, and
 Frobenius fixes F_p without a power.
 
 A residue point is a concrete reduction of the coefficient field (and, when
-needed, a cyclotomic field) into one finite field: a pair (alpha_image,
-zeta_image) with f(alpha) = 0 and Phi_n(zeta) = 0. Points are produced up to
-Frobenius orbits with a lexicographically least canonical representative,
-which keeps reports byte-identical across runs.
+needed, a cyclotomic field) into one finite field: coordinate tuples
+(alpha_image, zeta_image) with f(alpha) = 0 and Phi_n(zeta) = 0. Points are
+produced up to Frobenius orbits with a lexicographically least canonical
+representative, which keeps reports byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -358,9 +358,6 @@ class FieldElement:
     def __sub__(self, other):
         return self + (-self._check(other))
 
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         other = self._check(other)
         field = self.field
@@ -394,10 +391,6 @@ class FieldElement:
             e >>= 1
         return result
 
-    def frobenius(self) -> "FieldElement":
-        """self^p, which is self itself in F_p."""
-        return self if self.field.d == 1 else self ** self.field.p
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -410,12 +403,6 @@ class FieldElement:
             and other.coeffs == self.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.field.p, self.field.d, self.coeffs))
-
-    def sort_key(self):
-        return self.coeffs
-
     def __repr__(self):
         if self.field.d == 1:
             return str(self.coeffs[0])
@@ -425,14 +412,13 @@ class FieldElement:
 # -- root finding ---------------------------------------------------------------
 
 
-def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
-    """All roots in F_q of an integer polynomial, sorted canonically.
+def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
+    """The distinct roots in F_q of an integer polynomial, as sorted coordinate tuples.
 
     gcd(x^q - x, f) is the product of the distinct linear factors of f over
     F_q; Cantor-Zassenhaus equal-degree splitting then separates them. Over
     F_p itself (d = 1) both steps run on int lists mod p, or for odd p and
-    degree <= 2 mod p a closed form does, and a FieldElement is built only
-    for each root returned.
+    degree <= 2 mod p a closed form does, and no FieldElement is built.
     """
     p = field.p
     fp = polys.trim([c % p for c in coeffs])
@@ -441,18 +427,18 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[FieldElement]:
     if len(fp) == 1:
         return []
     if field.d == 1 and len(fp) <= 3 and p != 2:
-        return [FieldElement(field, (r,)) for r in _quadratic_roots_mod_p(fp, p)]
+        return [(r,) for r in _quadratic_roots_mod_p(fp, p)]
     rng = random.Random(f"edf:{p}:{field.d}:{tuple(fp)}")
     roots = []
     if field.d == 1:
         h = _fp_gcd(fp, _fp_sub(_fp_powmod([0, 1], p, fp, p), [0, 1], p), p)
         _split_linear_product_mod_p(h, roots, rng, p)
-        return [FieldElement(field, (r,)) for r in sorted(set(roots))]
+        return [(r,) for r in sorted(set(roots))]
     f = polys.monic([field.element(c) for c in fp])
     x = [field.zero(), field.one()]
     h = polys.gcd(polys.sub(polys.powmod(x, field.q, f), x), f)
     _split_linear_product(h, roots, rng)
-    return sorted(set(roots), key=lambda r: r.sort_key())
+    return sorted({r.coeffs for r in roots})
 
 
 def _split_linear_product_mod_p(h: list, out: list, rng: random.Random, p: int):
@@ -731,12 +717,24 @@ def _is_irreducible_over_q(coeffs: list[int]) -> bool:
 # -- residue points ----------------------------------------------------------------
 
 
+def _coordinates(y: list, d: int) -> tuple[int, ...]:
+    """A remainder mod the degree-d modulus, as its d coordinates in F_q."""
+    return tuple(y) + (0,) * (d - len(y))
+
+
+def _frobenius(x: tuple | None, field: FiniteField) -> tuple[int, ...] | None:
+    """The coordinates of x^p in F_q = F_p[x]/(m): x itself at d = 1, and None (no zeta) stays None."""
+    if field.d == 1 or x is None:
+        return x
+    return _coordinates(_fp_powmod(list(x), field.p, list(field.modulus), field.p), field.d)
+
+
 @dataclass(frozen=True)
 class ResiduePoint:
     ell: int
     field: FiniteField
-    alpha_image: FieldElement
-    zeta_image: FieldElement | None
+    alpha_image: tuple[int, ...]
+    zeta_image: tuple[int, ...] | None
     cyclo_index: int
     degree: int
 
@@ -745,12 +743,12 @@ class ResiduePoint:
         """Per vector length d, the coordinates of alpha^0, ..., alpha^(d-1) in F_q, one row per coordinate."""
         return {}
 
-    def _power_rows(self, x: FieldElement, count: int) -> tuple:
+    def _power_rows(self, x: tuple | None, count: int) -> tuple:
         """The F_q coordinates of x^0, ..., x^(count-1), one row per coordinate."""
-        powers = [self.field.one()]
-        while len(powers) < count:
-            powers.append(powers[-1] * x)
-        return tuple(zip(*(y.coeffs for y in powers)))
+        powers, modulus = [[1]], list(self.field.modulus)
+        for _ in range(count - 1):
+            powers.append(_fp_mulmod(powers[-1], x, modulus, self.ell))
+        return tuple(zip(*(_coordinates(y, self.field.d) for y in powers)))
 
     def rows(self, d: int) -> tuple:
         """The F_q coordinates of alpha^0, ..., alpha^(d-1), one row per coordinate, built once per d."""
@@ -783,8 +781,7 @@ class ResiduePoint:
         return tuple(sum(map(operator.mul, residues, row[::step])) % self.ell for row in self.zeta_rows)
 
     def sort_key(self):
-        zkey = self.zeta_image.sort_key() if self.zeta_image is not None else ()
-        return (self.alpha_image.sort_key(), zkey)
+        return (self.alpha_image, self.zeta_image or ())
 
 
 def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[ResiduePoint]:
@@ -818,28 +815,18 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
     points = []
     for a in alpha_roots:
         for z in zeta_roots:
-            key = (a.coeffs, z.coeffs if z is not None else None)
-            if key in seen:
+            if (a, z) in seen:
                 continue
-            orbit = []
-            aa, zz = a, z
-            while True:
-                orbit.append((aa, zz))
-                seen.add((aa.coeffs, zz.coeffs if zz is not None else None))
-                aa = aa.frobenius()
-                zz = zz.frobenius() if zz is not None else None
-                if (aa.coeffs, zz.coeffs if zz is not None else None) == key:
-                    break
-            rep = min(
-                orbit,
-                key=lambda t: (t[0].sort_key(), t[1].sort_key() if t[1] is not None else ()),
-            )
-            points.append(
-                ResiduePoint(ell, field, rep[0], rep[1], n, len(orbit))
-            )
+            orbit = [(a, z)]
+            while (image := tuple(_frobenius(x, field) for x in orbit[-1])) != orbit[0]:
+                orbit.append(image)
+            seen.update(orbit)
+            # an orbit's pairs differ, its zeta images all None or all tuples: min never orders None
+            alpha, zeta = min(orbit)
+            points.append(ResiduePoint(ell, field, alpha, zeta, n, len(orbit)))
     expected = sum(
         cf * cp * math.gcd(df, dp) for df, cf in fdegs for dp, cp in pdegs
     )
     if len(points) != expected:
         raise ArithmeticError(f"found {len(points)} residue points mod {ell}, expected {expected}")
-    return sorted(points, key=lambda pt: pt.sort_key())
+    return sorted(points, key=ResiduePoint.sort_key)

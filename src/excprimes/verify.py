@@ -113,10 +113,10 @@ def _divides_rational(ell: int, x: Fraction) -> bool:
 
 
 def _point_name(pt: ResiduePoint) -> str:
-    alpha = ",".join(str(c) for c in pt.alpha_image.coeffs)
+    alpha = ",".join(map(str, pt.alpha_image))
     if pt.zeta_image is None:
         return f"(alpha=[{alpha}])"
-    zeta = ",".join(str(c) for c in pt.zeta_image.coeffs)
+    zeta = ",".join(map(str, pt.zeta_image))
     return f"(alpha=[{alpha}], zeta=[{zeta}])"
 
 
@@ -133,7 +133,7 @@ def _eisenstein_candidates(fixture: NewformFixture, nu, window: int):
             if c == 1:
                 raise DomainError(
                     "weight 2 with trivial character has no Eisenstein series; "
-                    "use verify_weight2_squarefree"
+                    "leaving nu unset tests the sign-twisted E' at square-free level"
                 )
             desc = f"Eprime(weight 2, nu=chi({c},{nu_.index}), steinberg={steinberg})"
             return desc, eprime_twisted(nu_, steinberg, window), nu_.order

@@ -10,10 +10,11 @@ by U_p operators check the sigma_1(n d) construction of
 the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
-the data of a residue point are read here for the tests; Horner
-evaluation in `FieldElement` arithmetic (of a power-basis vector at alpha,
-of a Q(zeta_m) element at a point's zeta) checks a residue point's integer
-tables, and with it the congruence comparison with a `FieldElement` per n
+the data of a residue point are read here for the tests; Frobenius as a
+`FieldElement` power checks the integer orbits of `find_residue_points`;
+Horner evaluation in `FieldElement` arithmetic (of a power-basis vector at
+alpha, of a Q(zeta_m) element at a point's zeta) checks a residue point's
+integer tables, and with it the congruence comparison with a `FieldElement` per n
 and per point checks `verify._point_outcomes`; the Euler criterion, and the
 discriminant and Artin-Schreier trace in `FieldElement` arithmetic, check
 the integer irreducibility test of the Frobenius scan,
@@ -110,11 +111,11 @@ def describe(pt) -> dict:
         "ell": pt.ell,
         "field_degree": pt.field.d,
         "field_modulus": list(pt.field.modulus),
-        "alpha": list(pt.alpha_image.coeffs),
+        "alpha": list(pt.alpha_image),
         "degree": pt.degree,
     }
     if pt.zeta_image is not None:
-        out["zeta"] = list(pt.zeta_image.coeffs)
+        out["zeta"] = list(pt.zeta_image)
         out["cyclo_index"] = pt.cyclo_index
     return out
 
@@ -129,7 +130,7 @@ def reduce_vector_reference(pt, vec):
     acc, power = pt.field.zero(), pt.field.one()
     for c in vec:
         acc = acc + _reduce(pt.field, c, "coefficient of alpha") * power
-        power = power * pt.alpha_image
+        power = power * pt.field.element(pt.alpha_image)
     return acc
 
 
@@ -138,15 +139,20 @@ def reduce_cyclo_reference(pt, x: CycloElement):
     if pt.cyclo_index % x.n:
         raise DomainError(f"cannot reduce Q(zeta_{x.n}) through a point for zeta_{pt.cyclo_index}")
     x = x.embed(pt.cyclo_index)
-    z = pt.zeta_image if pt.zeta_image is not None else pt.field.one()
+    z = pt.field.element(pt.zeta_image if pt.zeta_image is not None else 1)
     return evaluate([_reduce(pt.field, c, "cyclotomic coordinate") for c in x.coeffs], z)
+
+
+def frobenius_reference(x):
+    """x^p for a FieldElement x, by its power; x itself in F_p."""
+    return x if x.field.d == 1 else x ** x.field.p
 
 
 def trace_reference(x) -> int:
     """Absolute trace of a FieldElement down to F_p, the sum of its d Frobenius conjugates, as an int."""
     acc, y = x.field.zero(), x
     for _ in range(x.field.d):
-        acc, y = acc + y, y.frobenius()
+        acc, y = acc + y, frobenius_reference(y)
     if any(acc.coeffs[1:]):
         raise ArithmeticError(f"trace of {x} does not lie in F_{x.field.p}")
     return acc.coeffs[0]

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from excprimes import (
     reducible_primes,
     reducible_weight2_signs,
 )
-from excprimes.bounds import _dihedral_bound, _ln_upper
+from excprimes.bounds import _dihedral_bound, _ln_upper, _reducible
 
 
 FROZEN_SETS = {
@@ -98,6 +99,19 @@ def test_reducible_input_validation():
         reducible_primes(3, 11)
     with pytest.raises(DomainError):
         reducible_primes(4, 0)
+
+
+def test_weight_and_level_errors_read_the_same_in_every_family():
+    cases = [
+        (3, 11, "weight must be even and >= 2, got 3"),
+        (0, 11, "weight must be even and >= 2, got 0"),
+        (4, 0, "level must be positive, got 0"),
+        (4, -9, "level must be positive, got -9"),
+    ]
+    for check in (_reducible, dihedral_candidates, exceptional_image_candidates):
+        for k, N, message in cases:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                check(k, N)
 
 
 def test_weight2_sign_reports():

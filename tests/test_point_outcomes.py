@@ -12,8 +12,9 @@ every point. The Frobenius scan's one int test must agree with
 
 Counters of `FieldElement` builds pin the integer routes: once a point's
 tables exist, neither the comparison nor the Frobenius scan builds one, at
-any ell, 2 included; root finding over F_ell itself builds one per root it
-returns, and residue points of a quadratic field over F_ell build nothing more.
+any ell, 2 included; root finding over F_ell itself and the residue points
+of a quadratic field over F_ell build none, and beyond F_ell they are built
+only for factor degrees, the modulus search and root finding.
 """
 
 import functools
@@ -162,7 +163,7 @@ def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails
         assert [n for _, n in got] == [0] * len(points)
     else:
         assert len(points) == 2
-        assert [n for _, n in got] == [fails[0] if pt.alpha_image.coeffs[0] == s else fails[1] for pt in points]
+        assert [n for _, n in got] == [fails[0] if pt.alpha_image[0] == s else fails[1] for pt in points]
     # one walk for every case: no `image` call; Fraction coordinates are reduced
     # once per compared n (0 at level 1, and 1 up to the last first mismatch)
     # for both points, int ones never; the Fraction a_0(E) at level 1 once
@@ -202,7 +203,7 @@ def test_81_6c_every_candidate_in_its_degree_3_residue_fields(monkeypatch, fx81,
     # a_31 is off by alpha - c, with c the first F_q coordinate of alpha at the first point,
     # so there the mismatch shows only in the other coordinates.
     E = eisenstein_E(6, trivial_character(), window)
-    c = find_residue_points(_int_fixture_over_81_6c_field(ell, 31, window), 1, ell)[0].alpha_image.coeffs[0]
+    c = find_residue_points(_int_fixture_over_81_6c_field(ell, 31, window), 1, ell)[0].alpha_image[0]
     fx = _int_fixture_over_81_6c_field(ell, 31, window, shift=c)
     points = find_residue_points(fx, 1, ell)
     assert points[0].image([-c, 1, 0, 0])[0] == 0
@@ -342,10 +343,10 @@ def test_field_elements_built_by_verify_do_not_grow_with_the_window(monkeypatch)
         assert result.verdict == "certified"
         counts[result.checked_up_to] = built[0]
     assert set(counts) == {400, 800}
-    assert 0 < counts[800] <= counts[400]
+    assert counts[800] == counts[400] == 0  # at D = 1 building the residue points takes none either
 
 
-def test_prime_field_roots_build_one_field_element_per_root(monkeypatch):
+def test_prime_field_roots_build_no_field_element(monkeypatch):
     ell = 691
     F = residues.FiniteField(ell, 1)
     poly = [-3, 0, 1]  # 3 is not a square mod 691
@@ -354,29 +355,64 @@ def test_prime_field_roots_build_one_field_element_per_root(monkeypatch):
     built = _field_elements_built(monkeypatch)
     roots = residues.poly_roots_in_field(poly, F)
     monkeypatch.undo()
-    assert [r.coeffs for r in roots] == [(0,), (5,), (100,), (690,)]
-    assert built[0] == len(roots)
+    assert roots == [(0,), (5,), (100,), (690,)]
+    assert built[0] == 0
 
 
 @pytest.mark.parametrize("n_cyclo, roots", [(1, 2), (3, 4)])  # 3 | ELL - 1, so Phi_3 splits too
-def test_quadratic_prime_field_points_build_one_field_element_per_root_and_no_powmod(monkeypatch, n_cyclo, roots):
+def test_quadratic_prime_field_points_build_no_field_element_or_powmod(monkeypatch, n_cyclo, roots):
     """Factor degrees, roots and Frobenius orbits at D = 1 take closed forms on ints."""
     fx = long_window_fixture(239, 2)
     built = _field_elements_built(monkeypatch)
-    powmods = [0]
-    powmod = residues.polys.powmod
+    powmods = _calls(monkeypatch, residues.polys, "powmod")
+    found = [0]
+    roots_in_field = residues.poly_roots_in_field
 
-    def counting(*args, powmod=powmod):
-        powmods[0] += 1
-        return powmod(*args)
+    def counting(*args):
+        out = roots_in_field(*args)
+        found[0] += len(out)
+        return out
 
-    monkeypatch.setattr(residues.polys, "powmod", counting)
+    monkeypatch.setattr(residues, "poly_roots_in_field", counting)
     points = find_residue_points(fx, n_cyclo, ELL)
     monkeypatch.undo()
-    assert (built[0], powmods[0]) == (roots, 0)
+    assert (built[0], powmods[0], found[0]) == (0, 0, roots)
     assert len(points) == (4 if n_cyclo == 3 else 2)
     assert {(pt.field.d, pt.degree) for pt in points} == {(1, 1)}
-    assert sorted({pt.alpha_image.coeffs[0] for pt in points}) == sorted((S, ELL - S))
+    assert sorted({pt.alpha_image[0] for pt in points}) == sorted((S, ELL - S))
+
+
+@pytest.mark.parametrize("ell, n_cyclo, field_degree", [(5, 3, 6), (7, 3, 3), (43, 3, 3), (1171, 3, 2), (43, 1, 3)])
+def test_points_beyond_f_ell_use_field_elements_in_three_callers(
+        monkeypatch, fx81, ell, n_cyclo, field_degree):
+    """At D > 1, outside factor degrees, the modulus search and root finding, orbits and tables build none."""
+    counts, depth = [0, 0], [0]  # FieldElements built outside those three callers, and inside
+    init = residues.FieldElement.__init__
+
+    def counting(self, field, coeffs):
+        counts[depth[0] > 0] += 1
+        init(self, field, coeffs)
+
+    def entered(fn):
+        def wrapped(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(residues.FieldElement, "__init__", counting)
+    monkeypatch.setattr(residues, "poly_roots_in_field", entered(residues.poly_roots_in_field))
+    monkeypatch.setattr(residues, "factor_degree_multiset", entered(residues.factor_degree_multiset))
+    monkeypatch.setattr(residues.FiniteField, "_find_modulus",
+                        staticmethod(entered(residues.FiniteField._find_modulus)))
+    points = find_residue_points(fx81, n_cyclo, ell)
+    for pt in points:
+        pt.rows(fx81.degree()), pt.zeta_rows
+    monkeypatch.undo()
+    assert {pt.field.d for pt in points} == {field_degree}
+    assert counts[0] == 0 < counts[1]
 
 
 @pytest.mark.parametrize("name, ell", [("11-2a", 7), ("11-2a", 3), ("11-2a", 2), ("long-window", ELL)])

@@ -34,6 +34,7 @@ from excprimes import residues
 from oracles import (
     describe,
     evaluate,
+    frobenius_reference,
     is_square_euler,
     parse_an_reference,
     quadratic_irreducible_reference,
@@ -74,19 +75,19 @@ def test_field_ring_axioms(params, data):
     if a:
         assert a * a.inverse() == F.one()
     # Frobenius is a field automorphism
-    assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-    assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+    assert frobenius_reference(a + b) == frobenius_reference(a) + frobenius_reference(b)
+    assert frobenius_reference(a * b) == frobenius_reference(a) * frobenius_reference(b)
 
 
 def test_frobenius_fixes_prime_field_and_trace_lands_there():
     F = FiniteField(7, 3)
     for c in range(7):
         x = F.element(c)
-        assert x.frobenius() == x
+        assert frobenius_reference(x) == x
     x = F.element([1, 2, 3])
     y = x
     for _ in range(3):
-        y = y.frobenius()
+        y = frobenius_reference(y)
     assert y == x  # Frobenius has order d
     assert 0 <= trace_reference(x) < 7
 
@@ -148,9 +149,9 @@ def test_poly_roots_vanish_and_respect_degree():
         for r in roots:
             acc = F.zero()
             for c in reversed(QUARTIC):
-                acc = acc * r + F.element(c)
+                acc = acc * F.element(r) + F.element(c)
             assert not acc
-    assert poly_roots_in_field(QUARTIC, FiniteField(43, 1))[0] == FiniteField(43, 1).element(13)
+    assert poly_roots_in_field(QUARTIC, FiniteField(43, 1))[0] == (13,)
 
 
 def test_factor_degree_multiset_consistency():
@@ -219,8 +220,7 @@ def test_root_finding_matches_enumeration(params, coeffs):
         with pytest.raises(DomainError):
             poly_roots_in_field(coeffs, F)
         return
-    roots = [r.coeffs for r in poly_roots_in_field(coeffs, F)]
-    assert roots == _roots_by_enumeration(coeffs, F)
+    assert poly_roots_in_field(coeffs, F) == _roots_by_enumeration(coeffs, F)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 43, 131, 691, 3617])
@@ -238,7 +238,7 @@ def test_prime_field_roots_match_enumeration(ell):
         "nonzero constant mod ell": ([1 + ell, ell, 2 * ell], set()),
     }
     for name, (coeffs, expected) in cases.items():
-        roots = [r.coeffs for r in poly_roots_in_field(coeffs, F)]
+        roots = poly_roots_in_field(coeffs, F)
         assert roots == _roots_by_enumeration(coeffs, F) == sorted((r,) for r in expected), (name, coeffs)
     with pytest.raises(DomainError):
         poly_roots_in_field([ell, -ell, 3 * ell], F)
@@ -298,7 +298,7 @@ def test_closed_forms_match_the_general_routes_on_every_polynomial(p):
                 with pytest.raises(DomainError):
                     factor_degree_multiset(coeffs, p)
                 continue
-            assert [r.coeffs for r in poly_roots_in_field(coeffs, F)] == roots, coeffs
+            assert poly_roots_in_field(coeffs, F) == roots, coeffs
             assert factor_degree_multiset(coeffs, p) == degrees, coeffs
     assert kinds == {"constant", "linear", "zero", "square", "non-square"}
 
@@ -314,14 +314,14 @@ def test_closed_forms_at_every_2_adic_valuation_of_p_minus_1(p):
         if rng.random() < 0.2:
             s = r
         split = [lead * r * s, -lead * (r + s), lead]
-        assert [x.coeffs[0] for x in poly_roots_in_field(split, F)] == sorted({r, s})
+        assert [x[0] for x in poly_roots_in_field(split, F)] == sorted({r, s})
         assert factor_degree_multiset(split, p) == ([(1, 1)] if r == s else [(1, 2)])
         # (X - r)^2 - nonsquare * t^2 has no root
         t = rng.randrange(1, p)
         inert = [r * r - nonsquare * t * t, -2 * r, 1]
         assert poly_roots_in_field(inert, F) == [] and factor_degree_multiset(inert, p) == [(2, 1)]
         coeffs = [rng.randrange(p), rng.randrange(p), rng.randrange(1, p)]
-        roots = [x.coeffs[0] for x in poly_roots_in_field(coeffs, F)]
+        roots = [x[0] for x in poly_roots_in_field(coeffs, F)]
         assert all((coeffs[2] * x * x + coeffs[1] * x + coeffs[0]) % p == 0 for x in roots)
         degrees = _degrees_by_polys(coeffs, p)
         assert factor_degree_multiset(coeffs, p) == degrees
@@ -336,11 +336,11 @@ def test_closed_forms_stay_out_of_characteristic_2_higher_degrees_and_extension_
     F2 = FiniteField(2, 1)
     for coeffs, degrees in (([1, 1, 1], [(2, 1)]), ([0, 1, 1], [(1, 2)]), ([1, 0, 1], [(1, 1)]), ([1, 1], [(1, 1)])):
         assert factor_degree_multiset(coeffs, 2) == degrees
-        assert [r.coeffs for r in poly_roots_in_field(coeffs, F2)] == _roots_by_enumeration(coeffs, F2)
+        assert poly_roots_in_field(coeffs, F2) == _roots_by_enumeration(coeffs, F2)
     assert factor_degree_multiset(QUARTIC, 43) == [(1, 1), (3, 1)]
     for params in ((5, 2), (5, 4)):  # X^2 - 2 over F_25 and F_625
         F = FiniteField(*params)
-        assert [r.coeffs for r in poly_roots_in_field([-2, 0, 1], F)] == _roots_by_enumeration([-2, 0, 1], F)
+        assert poly_roots_in_field([-2, 0, 1], F) == _roots_by_enumeration([-2, 0, 1], F)
     assert len(poly_roots_in_field([-2, 0, 1], FiniteField(5, 2))) == 2
 
 
@@ -351,12 +351,12 @@ def test_large_field_root_finding_agrees_with_enumeration():
     for r in roots:
         acc = F_big.zero()
         for c in reversed(QUARTIC):
-            acc = acc * r + F_big.element(c)
+            acc = acc * F_big.element(r) + F_big.element(c)
         assert not acc
-    in_prime_field = [r for r in roots if all(c == 0 for c in r.coeffs[1:])]
+    in_prime_field = [r for r in roots if all(c == 0 for c in r[1:])]
     small = poly_roots_in_field(QUARTIC, FiniteField(1171, 1))
-    assert sorted(r.coeffs[0] for r in in_prime_field) == sorted(
-        r.coeffs[0] for r in small
+    assert sorted(r[0] for r in in_prime_field) == sorted(
+        r[0] for r in small
     )
 
 
@@ -476,7 +476,7 @@ def test_residue_point_count_matches_gcd_formula(fx81, fx11_4):
 def test_reduce_vector_is_a_ring_map(fx11_4, fx81):
     pt = find_residue_points(fx11_4, 1, 61)[0]
     # alpha^2 = 2 alpha + 2 must hold for the reduced image
-    a = pt.alpha_image
+    a = pt.field.element(pt.alpha_image)
     assert a * a == 2 * a + 2
     # multiplicativity of the reduced eigenvalues: a_2 a_5 = a_10
     pt81 = find_residue_points(fx81, 1, 7)[0]
@@ -509,7 +509,54 @@ def _bundled_points() -> tuple:
 
 
 def _horner(pt, vec):
-    return evaluate([pt.field.element(pt.field.residue(v)) for v in vec], pt.alpha_image).coeffs
+    F = pt.field
+    return evaluate([F.element(F.residue(v)) for v in vec], F.element(pt.alpha_image)).coeffs
+
+
+def _orbit(x, step) -> list:
+    """x, step(x), step(step(x)), ... up to the first return to x."""
+    orbit = [x]
+    while (y := step(orbit[-1])) != x:
+        orbit.append(y)
+    return orbit
+
+
+# the field degrees of the points at cyclotomic index 1 and 3 (81.6c), or 1 and 3 or 7 (the
+# toy fields F_4 and F_8 at ell = 2, which no bundled run reaches with d > 1)
+ORBIT_FIELD_DEGREES = {
+    ("81-6c", 5): {3, 6}, ("81-6c", 7): {3}, ("81-6c", 43): {3}, ("81-6c", 1171): {2},
+    ("f4", 2): {2}, ("f8", 2): {3},
+}
+
+
+@pytest.mark.parametrize("name, ell", ORBIT_FIELD_DEGREES)
+def test_integer_orbits_and_tables_match_field_element_powers(fx81, name, ell):
+    """Each image's `_frobenius` orbit and each point's power tables, against FieldElement powers."""
+    # Phi_3 and Phi_7 factor mod 2 into factors of the degrees of x^2 + x + 1 and x^3 + x + 1,
+    # so at cyclotomic index 3 and 7 zeta lands in F_4 and in F_8 as alpha does
+    toys = {"f4": ([1, 1, 1], (1, 3)), "f8": ([1, 1, 0, 1], (1, 7))}
+    if name in toys:
+        field_poly, indices = toys[name]
+        fx = NewformFixture(name, 4, 11, field_poly, {"1": ["1"] + ["0"] * (len(field_poly) - 2)})
+    else:
+        fx, indices = fx81, (1, 3)
+    seen = set()
+    for n in indices:
+        for pt in find_residue_points(fx, n, ell):
+            F = pt.field
+            seen.add(F.d)
+            orbits = []
+            for image in (pt.alpha_image, pt.zeta_image):
+                if image is not None:
+                    orbit = _orbit(image, lambda x: residues._frobenius(x, F))
+                    assert orbit == [y.coeffs for y in _orbit(F.element(image), frobenius_reference)], (n, image)
+                    orbits.append(len(orbit))
+            assert math.lcm(*orbits) == pt.degree
+            a, z = F.element(pt.alpha_image), F.element(1 if pt.zeta_image is None else pt.zeta_image)
+            for d in range(1, fx.degree() + 1):
+                assert pt.rows(d) == tuple(zip(*((a ** i).coeffs for i in range(d)))), (n, d)
+            assert pt.zeta_rows == tuple(zip(*((z ** j).coeffs for j in range(n)))), n
+    assert seen == ORBIT_FIELD_DEGREES[name, ell]
 
 
 def test_reduce_vector_matches_horner_on_every_fixture_coefficient():

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 from click.testing import CliRunner
 
+import excprimes
 from excprimes import (
     DomainError,
     INSUFFICIENT,
@@ -367,6 +369,19 @@ def test_cli_verify_a_character_whose_square_modulus_misses_the_level_exits_2():
         "error: nu has modulus 3, but 3^2 does not divide the level 11: "
         "its series is not a family at this level\n"
     )
+
+
+def test_cli_verify_weight2_trivial_character_names_no_function():
+    """An explicit trivial nu at weight 2 is a usage error whose text points at a CLI choice."""
+    argv = ["verify", "--form", fixture_path("11-2a.json"), "--ell", "5",
+            "--char-modulus", "1", "--char-index", "0"]
+    res = CliRunner().invoke(main, argv)
+    _assert_usage_exit(res)
+    assert res.stderr == (
+        "error: weight 2 with trivial character has no Eisenstein series; "
+        "leaving nu unset tests the sign-twisted E' at square-free level\n"
+    )
+    assert not set(re.findall(r"\w+", res.stderr)) & set(excprimes.__all__)
 
 
 def test_cli_verify_envelopes_do_not_depend_on_the_job_order():
