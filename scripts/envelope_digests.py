@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 176 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 181 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
@@ -10,6 +10,9 @@ change. The runs:
   * the 26 long-window jobs of bench/workloads.py at seeds 1000003 and 7;
   * `scan` on each bundled fixture at ell in {2, 3, 5, 7, 13, 43}, with
     --pmax 100 and 20, and at --pmax 20 again with --format text;
+  * `verify --form fixtures/11-2a.json` at ell in {7, 13, 17, 19, 23}, which
+    reach the weight-2 Steinberg series E' beside the one certified
+    fixture-verify job that does;
   * `eisenstein --weight 6` for the primitive characters mod 3 and 9 that
     the fixture-verify jobs build, chi(3,1), chi(9,1), chi(9,2), chi(9,4)
     and chi(9,5), at --terms 5 and 54.
@@ -48,6 +51,7 @@ SCAN_ELLS = (2, 3, 5, 7, 13, 43)
 SCAN_PMAX = (100, 20)
 TEXT_SCAN_PMAX = 20
 TEXT = ["--format", "text"]
+WEIGHT2_ELLS = (7, 13, 17, 19, 23)
 EISENSTEIN_CHARS = ((3, 1), (9, 1), (9, 2), (9, 4), (9, 5))
 EISENSTEIN_TERMS = (5, 54)
 PROG_NAME = "python -m excprimes.cli"  # what click names the subprocess runs
@@ -71,6 +75,7 @@ def argvs(checkout: str) -> list[list[str]]:
             for pmax in SCAN_PMAX:
                 argv = ["scan", "--form", f"fixtures/{name}.json", "--ell", str(ell), "--pmax", str(pmax)]
                 out += [argv, argv + TEXT] if pmax == TEXT_SCAN_PMAX else [argv]
+    out += [["verify", "--form", "fixtures/11-2a.json", "--ell", str(ell)] for ell in WEIGHT2_ELLS]
     for modulus, index in EISENSTEIN_CHARS:
         for terms in EISENSTEIN_TERMS:
             out.append(["eisenstein", "--weight", "6", "--char-modulus", str(modulus),

@@ -306,16 +306,17 @@ def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralRe
     """Square-free levels: explicit prime set. Otherwise an integer upper bound."""
     _check_weight_level(k, N)
     fac = factorize(N)
+    squarefree = all(e == 1 for _, e in fac.factors)
+    D = dim_new(k, N) if degree is None and not squarefree else degree
+    if D is not None and D < 1:
+        raise DomainError(f"field degree must be >= 1, got {D}")
     assumptions = ("newform assumed non-CM",)
-    if all(e == 1 for _, e in fac.factors):
+    if squarefree:
         primes = set(fac.primes())
         primes.update(primes_up_to(k))
         if is_prime(2 * k - 1):
             primes.add(2 * k - 1)
         return DihedralReport(k, N, True, tuple(sorted(primes)), None, None, assumptions)
-    D = degree if degree is not None else dim_new(k, N)
-    if D < 1:
-        raise DomainError(f"field degree must be >= 1, got {D}")
     bound = _dihedral_bound(k, N, D)
     return DihedralReport(k, N, False, None, bound, D, assumptions)
 

@@ -1,8 +1,8 @@
 """Truncated exact q-expansions and the Eisenstein series used for congruences.
 
-A QExpansion is read-only and stores coefficients 0..truncation; reading past
-the truncation raises rather than zero-fill. Coefficients are CycloElement,
-exact int (sigma_{k-1}(n) in E_k for trivial nu), or int in [0, ell) (mod ell).
+A read-only QExpansion holds a_0..a_truncation, and reading past it raises. a_n is
+a CycloElement, an int (sigma_{k-1}(n) in E_k for trivial nu) or an int mod ell.
+Both weight-2 E' series are E_2 or E_2^nu after one step per Steinberg prime.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, primes_up_to
+from .exact import DomainError, is_prime, primes_up_to
 from .cyclotomic import CycloElement
 from .characters import DirichletCharacter
 from .bernoulli import bernoulli_classical
-from .residues import FiniteField
 
 
 class TruncationError(ValueError):
@@ -53,11 +52,7 @@ class QExpansion:
     def __eq__(self, other):
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.weight == other.weight
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return (self.weight, self.coeffs) == (other.weight, other.coeffs)
 
     __hash__ = None
 
@@ -139,65 +134,54 @@ def _divisor_power_sums(e: int, truncation: int) -> list[int]:
     return sig
 
 
+def _steinberg_primes(primes, modulus: int = 1) -> list[int]:
+    """The Steinberg primes as a list, read once: distinct primes, none dividing modulus."""
+    primes = list(primes)
+    if len(set(primes)) != len(primes):
+        raise DomainError("steinberg primes must be distinct")
+    for p in primes:
+        if not is_prime(p):
+            raise DomainError(f"steinberg prime {p} is not prime")
+        if modulus % p == 0:
+            raise DomainError(f"steinberg prime {p} divides the character modulus {modulus}")
+    return primes
+
+
+def _stabilised(coeffs, steps, ell=None) -> list:
+    """alpha g + beta V_p g for each (p, alpha, beta) in turn, reduced mod ell if given.
+
+    n runs down to 0, so a_{n/p} is read unchanged; beta is added only where
+    a_{n/p} != 0, so a zero coefficient keeps its field.
+    """
+    a = list(coeffs)
+    for p, alpha, beta in steps:
+        for n in range(len(a) - 1, -1, -1):
+            b = 0 if n % p else a[n // p]
+            a[n] = alpha * a[n] + beta * b if b else alpha * a[n]
+    return a if ell is None else [c % ell for c in a]
+
+
 def eprime_weight2_steinberg(signs, ell: int, truncation: int) -> QExpansion:
     """[prod_i (s_i U_{p_i} - p_i Id)] E_2 reduced mod ell; signs = [(p_i, s_i)], N = prod p_i.
 
-    a_n = sum over d | N of c_d sigma_1(n d), c_d = prod_{p | d} s_p prod_{p | N/d} (-p),
-    for n >= 1; as sigma_1 is multiplicative, with n = m prod p^e and m prime
-    to N this is sigma_1(m) prod_p (s_p + (s_p - 1) p sigma_1(p^e)).
-    The constant term is (-1/24) prod (s_p - p).
+    U_p E_2 = (1 + p) E_2 - p V_p E_2 (Diamond-Shurman 5.2), so s U_p - p is one step.
     """
-    primes = [p for p, _ in signs]
-    if len(set(primes)) != len(primes):
-        raise DomainError("steinberg primes must be distinct")
+    signs = list(signs)
+    N = math.prod(_steinberg_primes(p for p, _ in signs))
     for _, s in signs:
         if s not in (1, -1):
             raise DomainError(f"steinberg sign must be +-1, got {s}")
-    N = math.prod(primes)
-    if (6 * N) % ell == 0:
-        raise DomainError(f"ell = {ell} divides 6N = {6 * N}")
-    F = FiniteField(ell, 1)
-    sig = _divisor_power_sums(1, truncation)
-    coeffs = [F.residue(Fraction(-1, 24) * math.prod(s - p for p, s in signs))]
-    for n in range(1, truncation + 1):
-        m, a_n = n, 1
-        for p, s in signs:
-            sigma_pe = 1  # sigma_1(p^e) for p^e exactly dividing n
-            while m % p == 0:
-                m //= p
-                sigma_pe = p * sigma_pe + 1
-            a_n *= s + (s - 1) * p * sigma_pe
-        coeffs.append(a_n * sig[m] % ell)
-    return QExpansion(coeffs, 2, N)
+    if not is_prime(ell) or (6 * N) % ell == 0:
+        raise DomainError(f"ell = {ell} must be a prime not dividing 6N = {6 * N}")
+    e2 = [-pow(24, -1, ell)] + _divisor_power_sums(1, truncation)[1:]
+    steps = [(p, s * (1 + p) - p, -s * p) for p, s in signs]
+    return QExpansion(_stabilised(e2, steps, ell), 2, N)
 
 
 def eprime_twisted(nu: DirichletCharacter, steinberg_primes, truncation: int) -> QExpansion:
-    """E + sum over nonempty subsets S of {p_i}: (-1)^|S| (prod S) nu^(-1)(prod S) E(prod S tau)."""
-    c = nu.modulus
-    if c <= 1 or not nu.is_primitive():
-        raise DomainError("eprime_twisted needs a primitive character of modulus > 1")
-    primes = sorted(set(steinberg_primes))
-    if len(primes) != len(list(steinberg_primes)):
-        raise DomainError("steinberg primes must be distinct")
-    for p in primes:
-        if c % p == 0:
-            raise DomainError(f"steinberg prime {p} divides the character modulus {c}")
-    base = eisenstein_E(2, nu, truncation)
-    nu_inv = nu.inverse()
-    coeffs = list(base.coeffs)
-    t = len(primes)
-    for mask in range(1, 1 << t):
-        u = 1
-        bits = 0
-        for i in range(t):
-            if mask >> i & 1:
-                u *= primes[i]
-                bits += 1
-        scalar = (-1) ** bits * u * nu_inv.value(u)
-        for n in range(0, truncation // u + 1):
-            if base.coeffs[n]:
-                coeffs[n * u] = coeffs[n * u] + scalar * base.coeffs[n]
-    level = c * c
-    for p in primes:
-        level *= p
-    return QExpansion(coeffs, 2, level)
+    """prod over the Steinberg primes p of (1 - p nu^(-1)(p) V_p), applied to E_2^nu."""
+    c = nu.modulus  # eisenstein_E rejects an imprimitive nu and c = 1
+    primes = _steinberg_primes(steinberg_primes, c)
+    steps = [(p, 1, -p * nu.inverse().value(p)) for p in primes]
+    coeffs = _stabilised(eisenstein_E(2, nu, truncation).coeffs, steps)
+    return QExpansion(coeffs, 2, c * c * math.prod(primes))

@@ -5,9 +5,11 @@ Bernoulli and Eisenstein routes; the q-expansion operators V_m, T_r, twist
 and theta, and E_2 - u E_2(u tau), check identities of the series the
 package builds; an additive divisor sieve checks the multiplicative one of
 `eisenstein._divisor_power_sums`, and E_2 and the weight-2 E' built from it
-by U_p operators check the sigma_1(n d) construction of
-`eprime_weight2_steinberg`; Gauss sums and the von Staudt-Clausen denominator check
-the character and Bernoulli layers; B_{k,chi} summed over Bernoulli
+by U_p operators check the stabilisation steps of
+`eprime_weight2_steinberg`; the 2^t subset expansion of the twisted E'
+checks the value and the `str` of each coefficient of `eprime_twisted`;
+Gauss sums and the von Staudt-Clausen denominator check the character and
+Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
 the data of a residue point are read here for the tests; Frobenius as a
@@ -31,7 +33,9 @@ from fractions import Fraction
 
 import mpmath
 
-from excprimes import DomainError, DirichletCharacter, FixtureError, QExpansion, exact, is_prime, verify
+from excprimes import (
+    DomainError, DirichletCharacter, FixtureError, QExpansion, eisenstein_E, exact, is_prime, verify,
+)
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError
@@ -471,3 +475,24 @@ def eprime_weight2_by_operators(signs, truncation: int) -> list[Fraction]:
     for p, s in signs:  # a_n -> s a_{pn} - p a_n, for every n with pn still known
         g = [s * g[p * n] - p * g[n] for n in range((len(g) - 1) // p + 1)]
     return g[: truncation + 1]
+
+
+def eprime_twisted_by_subsets(nu: DirichletCharacter, steinberg_primes, truncation: int) -> QExpansion:
+    """E + sum over nonempty subsets S of {p_i}: (-1)^|S| (prod S) nu^(-1)(prod S) E(prod S tau).
+
+    The 2^t subset expansion of E = E_2^nu, adding each term only where the
+    base coefficient is nonzero; it checks the value and the `str` of every
+    coefficient of `eprime_twisted`, which takes one step per prime.
+    """
+    primes = sorted(steinberg_primes)
+    base = eisenstein_E(2, nu, truncation)
+    nu_inv = nu.inverse()
+    coeffs = list(base.coeffs)
+    for mask in range(1, 1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        u = math.prod(chosen)
+        scalar = (-1) ** len(chosen) * u * nu_inv.value(u)
+        for n in range(0, truncation // u + 1):
+            if base.coeffs[n]:
+                coeffs[n * u] = coeffs[n * u] + scalar * base.coeffs[n]
+    return QExpansion(coeffs, 2, nu.modulus ** 2 * math.prod(primes))

@@ -27,6 +27,7 @@ from oracles import (
     divisor_power_sums_reference,
     e2_series,
     eisenstein_E2u,
+    eprime_twisted_by_subsets,
     eprime_weight2_by_operators,
     is_rational,
     rational_value,
@@ -284,6 +285,44 @@ def test_eprime_twisted_coefficients():
         eprime_twisted(NU9, [3], 10)  # steinberg prime divides the modulus
     with pytest.raises(DomainError):
         eprime_twisted(trivial_character(), [2], 10)
+
+
+@pytest.mark.parametrize("primes", [(2, 5), (5, 7, 11)])
+@pytest.mark.parametrize("modulus", [3, 4, 9])
+def test_eprime_twisted_matches_the_subset_expansion(modulus, primes):
+    for nu in enumerate_characters(modulus, "primitive"):
+        if any(modulus % p == 0 for p in primes):
+            with pytest.raises(DomainError, match="divides the character modulus"):
+                eprime_twisted(nu, primes, 40)
+            continue
+        want = eprime_twisted_by_subsets(nu, primes, 40)
+        got = eprime_twisted(nu, primes[::-1], 40)
+        assert (got.coeffs, got.weight, got.level) == (want.coeffs, want.weight, want.level)
+        # the same str and the same field Q(zeta_n), also where a_n = 0
+        assert [(str(c), c.n) for c in got.coeffs] == [(str(c), c.n) for c in want.coeffs], (nu, primes)
+
+
+def test_steinberg_prime_one_is_rejected_before_any_loop():
+    with pytest.raises(DomainError, match="steinberg prime 1 is not prime"):
+        eprime_weight2_steinberg([(1, 1)], 7, 10)
+    with pytest.raises(DomainError, match="steinberg prime 1 is not prime"):
+        eprime_twisted(NU9, [1], 10)
+
+
+def test_composite_steinberg_primes_are_rejected():
+    with pytest.raises(DomainError, match="steinberg prime 4 is not prime"):
+        eprime_twisted(NU9, [4], 10)
+    with pytest.raises(DomainError, match="steinberg prime 4 is not prime"):
+        eprime_weight2_steinberg([(4, 1)], 7, 10)
+
+
+def test_steinberg_primes_are_read_once():
+    from_generator = eprime_twisted(NU9, (p for p in [2]), 10)
+    assert from_generator == eprime_twisted(NU9, [2], 10) and from_generator.level == 162
+    with pytest.raises(DomainError, match="steinberg primes must be distinct"):
+        eprime_twisted(NU9, (p for p in [2, 2]), 10)
+    signs = iter([(11, 1)])
+    assert eprime_weight2_steinberg(signs, 7, 5).coeffs == (1, 1, 3, 4, 0, 6)
 
 
 def test_trivial_character_series_is_sigma_nu():
