@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 181 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 335 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
@@ -8,6 +8,8 @@ change. The runs:
   * the 21 fixture-verify jobs of bench/workloads.py, as JSON and again
     with --format text;
   * the 26 long-window jobs of bench/workloads.py at seeds 1000003 and 7;
+  * the 77 bound-grid jobs of bench/workloads.py that are not in its
+    HANG_POINTS, as JSON and again with --format text;
   * `scan` on each bundled fixture at ell in {2, 3, 5, 7, 13, 43}, with
     --pmax 100 and 20, and at --pmax 20 again with --format text;
   * `verify --form fixtures/11-2a.json` at ell in {7, 13, 17, 19, 23}, which
@@ -68,6 +70,9 @@ def argvs(checkout: str) -> list[list[str]]:
     for seed in SEEDS:
         jobs, _ = workloads.generate_long_window(seed, f"long-window-seed{seed}")
         out += [job["argv"] for job in jobs]
+    hangs = [["bound", "--weight", str(k), "--level", str(n)] for k, n in workloads.HANG_POINTS]
+    bound = [job["argv"] for job in workloads.bound_grid_jobs() if job["argv"] not in hangs]
+    out += bound + [argv + TEXT for argv in bound]
     names = sorted(f[:-len(".json")] for f in os.listdir(os.path.join(checkout, "fixtures"))
                    if f.endswith(".json"))
     for name in names:

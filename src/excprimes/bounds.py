@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (
     DomainError, FactoredInteger, decimal_string, factorize, is_prime, lcm_pow_minus_one,
     primes_up_to,
 )
+from .cyclotomic import CycloElement
 from .characters import DirichletCharacter, enumerate_characters, square_inverse_eps
 from .bernoulli import VacuousClauseError, bernoulli_classical, bernoulli_norm_numerator
 from .dimensions import dim_new
@@ -31,10 +31,9 @@ def _chi_name(chi: DirichletCharacter) -> str:
     return f"chi({chi.modulus},{chi.index})"
 
 
-def _factored_norm(value) -> FactoredInteger | None:
-    """The factored absolute norm of a cyclotomic value; None when the norm is 0."""
-    nrm = value.norm() if hasattr(value, "norm") else Fraction(value)
-    nrm = Fraction(nrm)
+def _factored_norm(value: CycloElement) -> FactoredInteger | None:
+    """The factored absolute norm of a cyclotomic integer; None when the norm is 0."""
+    nrm = value.norm()
     if nrm == 0:
         return None
     if nrm.denominator != 1:
@@ -44,10 +43,7 @@ def _factored_norm(value) -> FactoredInteger | None:
 
 def _square_part_root(fac) -> int:
     """Largest c with c^2 dividing the factored integer."""
-    c = 1
-    for p, e in fac.factors:
-        c *= p ** (e // 2)
-    return c
+    return math.prod(p ** (e // 2) for p, e in fac.factors)
 
 
 def _check_weight_level(k: int, N: int) -> None:
@@ -66,109 +62,77 @@ def _reducible(k: int, N: int) -> tuple[list[tuple[int, str]], list[tuple[int, s
     """
     _check_weight_level(k, N)
     fac = factorize(N)
-    level_primes = list(fac.primes())
-    pairs: set[tuple[int, str]] = set()
+    c = _square_part_root(fac)
+    steinberg = [p for p, e in fac.factors if e == 1]
+    pairs = {(ell, GATE_SMALL) for ell in primes_up_to(k + 1)}
+    pairs.update((p, GATE_LEVEL) for p in fac.primes())
     unfactored: set[tuple[int, str]] = set()
 
-    def add(factored: FactoredInteger, clause: str) -> None:
-        for ell in factored.primes():
-            pairs.add((ell, clause))
-        if factored.cofactor != 1:
-            unfactored.add((factored.cofactor, clause))
+    def add(n: int | FactoredInteger, clause: str) -> None:
+        """List the primes of the clause's number n, and any cofactor that ECM left unsplit."""
+        if isinstance(n, int):
+            n = factorize(n, partial=True)
+        pairs.update((ell, clause) for ell in n.primes())
+        if n.cofactor != 1:
+            unfactored.add((n.cofactor, clause))
 
-    for ell in primes_up_to(k + 1):
-        pairs.add((ell, GATE_SMALL))
-    for p in level_primes:
-        pairs.add((p, GATE_LEVEL))
+    def add_norm(value: CycloElement, clause: str) -> None:
+        nrm = _factored_norm(value)
+        if nrm is None:
+            raise ArithmeticError(f"a prime power minus a root of unity cannot vanish: {clause}")
+        add(nrm, clause)
 
-    squarefree = all(e == 1 for _, e in fac.factors)
-    c = _square_part_root(fac)
+    def add_eps_clauses(nu: DirichletCharacter, weight: int, power: str, bernoulli: str) -> None:
+        """Norms of power - eps^(-1)(p) at each p | c and of bernoulli, eps = square_inverse_eps(nu)."""
+        eps = square_inverse_eps(nu)
+        eps_inv, name = eps.inverse(), _chi_name(nu)
+        for p, e in fac.factors:
+            if e > 1:
+                clause = f"norm of {power} - eps^(-1)(p) at p = {p}, nu = {name}"
+                add_norm(p ** weight - eps_inv.value(p), clause)
+        try:
+            add(bernoulli_norm_numerator(weight, eps), f"numerator of norm of {bernoulli}, nu = {name}")
+        except VacuousClauseError:
+            pass
 
     if N == 1:
         # Swinnerton-Dyer, LNM 350: at level 1, ell > k+1 is reducible only
         # when ell divides the numerator of B_k/2k
-        clause = "divides the numerator of B_k/2k"
-        add(factorize((bernoulli_classical(k) / (2 * k)).numerator, partial=True), clause)
-    elif squarefree:
+        add((bernoulli_classical(k) / (2 * k)).numerator, "divides the numerator of B_k/2k")
+    elif c == 1:
         if k > 2:
-            g = 0
-            for p in level_primes:
-                g = math.gcd(g, lcm_pow_minus_one(p, k))
-            clause = "divides gcd over p | N of lcm(p^k - 1, p^(k-2) - 1)"
-            add(factorize(g, partial=True), clause)
+            g = math.gcd(*(lcm_pow_minus_one(p, k) for p in steinberg))
+            add(g, "divides gcd over p | N of lcm(p^k - 1, p^(k-2) - 1)")
         else:
-            lcm_val = 1
-            for p in level_primes:
-                lcm_val = math.lcm(lcm_val, p * p - 1)
-            clause = "divides lcm over p | N of p^2 - 1"
-            add(factorize(lcm_val, partial=True), clause)
+            add(math.lcm(*(p * p - 1 for p in steinberg)), "divides lcm over p | N of p^2 - 1")
     elif c * c == N:
         for p, e in fac.factors:
             if e == 2:
-                clause = f"p = {p} with v_p(N) = 2: ell divides p^2 - 1"
-                for ell in factorize(p * p - 1).primes():
-                    pairs.add((ell, clause))
+                add(p * p - 1, f"p = {p} with v_p(N) = 2: ell divides p^2 - 1")
         for nu in enumerate_characters(c, "primitive"):
-            eps = square_inverse_eps(nu)
-            eps_inv = eps.inverse()
-            for p in factorize(c).primes():
-                nrm = _factored_norm(p ** k - eps_inv.value(p))
-                if nrm is None:
-                    raise ArithmeticError("p^k minus a root of unity cannot vanish")
-                add(nrm, f"norm of p^k - eps^(-1)(p) at p = {p}, nu = {_chi_name(nu)}")
-            try:
-                bn = bernoulli_norm_numerator(k, eps)
-            except VacuousClauseError:
-                continue
-            add(bn, f"numerator of norm of B_(k,eps)/2k, nu = {_chi_name(nu)}")
-    elif (
-        k == 2
-        and all(e == 1 for _, e in fac.factors if e % 2)
-        and c > 1
-        and (c % 2 == 1 or c % 4 == 0)
-    ):
-        steinberg = [p for p, e in fac.factors if e == 1]
+            add_eps_clauses(nu, k, "p^k", "B_(k,eps)/2k")
+    elif k == 2 and all(e == 1 for _, e in fac.factors if e % 2) and c % 4 != 2:
+        # c > 1 and c % 4 != 2, so there is a primitive nu mod c
+        for p in steinberg:
+            add(p - 1, f"divides p - 1 for p = {p}")
         for nu in enumerate_characters(c, "primitive"):
-            eps = square_inverse_eps(nu)
-            eps_inv = eps.inverse()
-            name = _chi_name(nu)
             for p in steinberg:
-                nrm = _factored_norm(p * p - nu.value(p) ** 2)
-                if nrm is None:
-                    raise ArithmeticError("p^2 minus a root of unity cannot vanish")
-                add(nrm, f"norm of p^2 - nu^2(p) at p = {p}, nu = {name}")
-                clause = f"divides p - 1 for p = {p}"
-                for ell in factorize(p - 1).primes() if p > 2 else ():
-                    pairs.add((ell, clause))
-            for p in factorize(c).primes():
-                nrm = _factored_norm(p * p - eps_inv.value(p))
-                if nrm is None:
-                    raise ArithmeticError("p^2 minus a root of unity cannot vanish")
-                add(nrm, f"norm of p^2 - eps^(-1)(p) at p = {p}, nu = {name}")
-            try:
-                bn = bernoulli_norm_numerator(2, eps)
-            except VacuousClauseError:
-                continue
-            add(bn, f"numerator of norm of B_(2,eps)/4, nu = {name}")
+                clause = f"norm of p^2 - nu^2(p) at p = {p}, nu = {_chi_name(nu)}"
+                add_norm(p * p - nu.value(p) ** 2, clause)
+            add_eps_clauses(nu, 2, "p^2", "B_(2,eps)/4")
     else:
         v2 = dict(fac.factors).get(2, 0)
         if v2 == 2 or (v2 >= 3 and v2 % 2 == 1):
             pairs.add((3, "2-adic valuation of the level forces ell = 3"))
         for p, e in fac.factors:
             if e % 2 == 1 and e >= 3:
-                clause = f"p = {p} with odd v_p(N) >= 3: ell divides p^2 - 1"
-                for ell in factorize(p * p - 1).primes():
-                    pairs.add((ell, clause))
-        steinberg = [p for p, e in fac.factors if e == 1]
-        if steinberg:
-            for eta in enumerate_characters(c, "even"):
-                name = _chi_name(eta)
-                for p in steinberg:
-                    for exp in (k, k - 2):
-                        nrm = _factored_norm(p ** exp - eta.value(p))
-                        if nrm is None:
-                            continue  # p^0 = eta(p): vacuous clause, dropped
-                        add(nrm, f"norm of p^{exp} - eta(p) at p = {p}, eta = {name}")
+                add(p * p - 1, f"p = {p} with odd v_p(N) >= 3: ell divides p^2 - 1")
+        for eta in enumerate_characters(c, "even") if steinberg else ():
+            for p in steinberg:
+                for exp in (k, k - 2):
+                    value = p ** exp - eta.value(p)
+                    if value:  # p^0 = eta(p): vacuous clause, dropped
+                        add_norm(value, f"norm of p^{exp} - eta(p) at p = {p}, eta = {_chi_name(eta)}")
     return sorted(pairs), sorted(unfactored)
 
 

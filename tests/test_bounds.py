@@ -38,6 +38,54 @@ FROZEN_SETS = {
     (8, 1): [2, 3, 5, 7],
 }
 
+# The full _reducible answer, {clause: primes} and the unfactored list, at one
+# (k, N) per shape of the level: N = 1, square-free (k > 2 and k = 2), N = c^2
+# with v_2 = 4 (no p^2 - 1 clause at 2), the weight-2 shape with v_2 = 4, and
+# the general shape (v_2 = 3 forces 3, odd v_p >= 3 at 2 and 3; at k = 2 the
+# vacuous p^0 = eta(p) clause is dropped).
+SMALL = "small prime gate (ell <= k+1)"
+LEVEL = "divides the level"
+FROZEN_CLAUSES = {
+    (12, 1): ({SMALL: [2, 3, 5, 7, 11, 13], "divides the numerator of B_k/2k": [691]}, []),
+    (4, 11): ({
+        SMALL: [2, 3, 5],
+        LEVEL: [11],
+        "divides gcd over p | N of lcm(p^k - 1, p^(k-2) - 1)": [2, 3, 5, 61],
+    }, []),
+    (2, 210): ({SMALL: [2, 3], LEVEL: [2, 3, 5, 7], "divides lcm over p | N of p^2 - 1": [2, 3]}, []),
+    (4, 144): ({
+        SMALL: [2, 3, 5],
+        LEVEL: [2, 3],
+        "p = 3 with v_p(N) = 2: ell divides p^2 - 1": [2],
+        "norm of p^k - eps^(-1)(p) at p = 2, nu = chi(12,3)": [3, 5],
+        "norm of p^k - eps^(-1)(p) at p = 3, nu = chi(12,3)": [2, 5],
+    }, []),
+    (2, 80): ({
+        SMALL: [2, 3],
+        LEVEL: [2, 5],
+        "divides p - 1 for p = 5": [2],
+        "norm of p^2 - nu^2(p) at p = 5, nu = chi(4,1)": [2, 3],
+        "norm of p^2 - eps^(-1)(p) at p = 2, nu = chi(4,1)": [3],
+    }, []),
+    (2, 1080): ({
+        SMALL: [2, 3],
+        LEVEL: [2, 3, 5],
+        "2-adic valuation of the level forces ell = 3": [3],
+        "p = 2 with odd v_p(N) >= 3: ell divides p^2 - 1": [3],
+        "p = 3 with odd v_p(N) >= 3: ell divides p^2 - 1": [2],
+        "norm of p^2 - eta(p) at p = 5, eta = chi(6,0)": [2, 3],
+    }, []),
+    (4, 1080): ({
+        SMALL: [2, 3, 5],
+        LEVEL: [2, 3, 5],
+        "2-adic valuation of the level forces ell = 3": [3],
+        "p = 2 with odd v_p(N) >= 3: ell divides p^2 - 1": [3],
+        "p = 3 with odd v_p(N) >= 3: ell divides p^2 - 1": [2],
+        "norm of p^4 - eta(p) at p = 5, eta = chi(6,0)": [2, 3, 13],
+        "norm of p^2 - eta(p) at p = 5, eta = chi(6,0)": [2, 3],
+    }, []),
+}
+
 # Primes dividing the numerator of B_k/2k: the level-1 Eisenstein congruences
 # (691 is Ramanujan's congruence for Delta).
 LEVEL_ONE_PRIMES = {
@@ -53,6 +101,12 @@ LEVEL_ONE_PRIMES = {
 def test_frozen_reducible_sets():
     for (k, N), want in FROZEN_SETS.items():
         assert reducible_primes(k, N) == want, (k, N)
+
+
+def test_frozen_clauses_per_level_shape():
+    for (k, N), (clauses, unfactored) in FROZEN_CLAUSES.items():
+        pairs = sorted((p, clause) for clause, primes in clauses.items() for p in primes)
+        assert _reducible(k, N) == (pairs, unfactored), (k, N)
 
 
 def test_level_one_bernoulli_clause():

@@ -171,8 +171,9 @@ def test_checks_survive_python_O():
     done = _python(
         "from fractions import Fraction\n"
         "from excprimes import bounds\n"
+        "from excprimes.cyclotomic import CycloElement\n"
         "try:\n"
-        "    bounds._factored_norm(Fraction(1, 2))\n"
+        "    bounds._factored_norm(CycloElement(1, [Fraction(1, 2)]))\n"
         "except ArithmeticError as exc:\n"
         "    print('raised:', exc)\n",
         "-O",
