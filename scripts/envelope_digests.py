@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 335 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 366 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
@@ -17,7 +17,12 @@ change. The runs:
     fixture-verify job that does;
   * `eisenstein --weight 6` for the primitive characters mod 3 and 9 that
     the fixture-verify jobs build, chi(3,1), chi(9,1), chi(9,2), chi(9,4)
-    and chi(9,5), at --terms 5 and 54.
+    and chi(9,5), at --terms 5 and 54;
+  * `characters --modulus m` for m in {1, 8, 9, 16, 32, 45, 64, 81, 100,
+    125, 243}, whose tables print each character's conductor;
+  * `dims --weight 12 --level N` for N in {4, 9, 13, 36, 49, 91, 1105} and
+    every level of bench/workloads.py's bound grid, whose reports print the
+    elliptic point counts nu2 and nu3.
 
 By default each run is a subprocess `python -m excprimes.cli ...` that
 imports the package from the checkout's src/. With --in-process every run
@@ -56,6 +61,8 @@ TEXT = ["--format", "text"]
 WEIGHT2_ELLS = (7, 13, 17, 19, 23)
 EISENSTEIN_CHARS = ((3, 1), (9, 1), (9, 2), (9, 4), (9, 5))
 EISENSTEIN_TERMS = (5, 54)
+CHARACTER_MODULI = (1, 8, 9, 16, 32, 45, 64, 81, 100, 125, 243)
+DIMS_LEVELS = (4, 9, 13, 36, 49, 91, 1105)
 PROG_NAME = "python -m excprimes.cli"  # what click names the subprocess runs
 
 
@@ -85,6 +92,9 @@ def argvs(checkout: str) -> list[list[str]]:
         for terms in EISENSTEIN_TERMS:
             out.append(["eisenstein", "--weight", "6", "--char-modulus", str(modulus),
                         "--char-index", str(index), "--terms", str(terms)])
+    out += [["characters", "--modulus", str(m)] for m in CHARACTER_MODULI]
+    grid_levels = {int(job["argv"][4]) for job in workloads.bound_grid_jobs()}
+    out += [["dims", "--weight", "12", "--level", str(n)] for n in sorted(grid_levels.union(DIMS_LEVELS))]
     return out
 
 

@@ -274,6 +274,9 @@ def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralRe
     D = dim_new(k, N) if degree is None and not squarefree else degree
     if D is not None and D < 1:
         raise DomainError(f"field degree must be >= 1, got {D}")
+    if degree is not None and degree > dim_new(k, N):  # a newform's conjugates are distinct newforms
+        raise DomainError(f"field degree must be <= dim S_{k}^new(Gamma_0({N})) = {dim_new(k, N)}, "
+                          f"got {degree}")
     assumptions = ("newform assumed non-CM",)
     if squarefree:
         primes = set(fac.primes())

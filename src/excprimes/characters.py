@@ -7,6 +7,13 @@ Generator convention (stable across runs, used for CLI addressing):
   - 2^1: no generators; 2^2: [-1] of order 2; 2^e (e >= 3): [-1, 5] of
     orders [2, 2^(e-2)].
 
+For f <= e, the generators mod p^f are the reductions mod p^f of those mod
+p^e (g + p = g mod p), and a generator missing mod p^f reduces to 1 there
+(5 mod 4, every unit mod 2). So a character mod p^e induced from p^f has
+the exponents of its associate mod p^f, the last one times p^(e-f) when
+both have the same generators, and 0 on a generator missing mod p^f: the
+conductor and the primitive associate follow from the exponents alone.
+
 A character is (modulus, exponents): exponent t on a generator of order d
 means the generator maps to zeta_d^t. Characters are addressed externally
 as (modulus, index) with index ranking exponent tuples lexicographically
@@ -114,7 +121,7 @@ class DirichletCharacter:
         for e, d in zip(exps, orders):
             order = math.lcm(order, d // math.gcd(d, e))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "conductor", self._compute_conductor())
+        object.__setattr__(self, "conductor", self._descent()[0])
         idx = 0
         for e, d in zip(exps, orders):
             idx = idx * d + e
@@ -122,37 +129,6 @@ class DirichletCharacter:
 
     def __setattr__(self, *args):
         raise AttributeError("DirichletCharacter is immutable")
-
-    def _compute_conductor(self) -> int:
-        cond = 1
-        pos = 0
-        for p, e, gens in _group(self.modulus):
-            exps = self.exponents[pos : pos + len(gens)]
-            pos += len(gens)
-            if p != 2:
-                (_, d) = gens[0]
-                o = d // math.gcd(d, exps[0])
-                if o > 1:
-                    vp = 0
-                    while o % p == 0:
-                        o //= p
-                        vp += 1
-                    cond *= p ** (1 + vp)
-            else:
-                if e == 1:
-                    continue
-                if e == 2:
-                    if exps[0] % 2 == 1:
-                        cond *= 4
-                else:
-                    s, j = exps
-                    d5 = gens[1][1]
-                    o5 = d5 // math.gcd(d5, j)
-                    if o5 > 1:
-                        cond *= 4 * o5
-                    elif s % 2 == 1:
-                        cond *= 4
-        return cond
 
     # -- evaluation ----------------------------------------------------------
 
@@ -229,41 +205,34 @@ class DirichletCharacter:
 
     # -- conductor descent -----------------------------------------------------
 
+    def _descent(self) -> tuple[int, tuple[int, ...]]:
+        """(conductor, exponents of the primitive associate), one CRT component at a time.
+
+        A component mod p^e whose last generator carries exponent x != 0 has
+        conductor p^e / s with s = gcd(x, p^e) = p^(e-f); the associate keeps
+        the component's exponents with x replaced by x / s. Mod 2^e (e >= 3)
+        with x = 0 on 5, only -1 can be nontrivial, and then the conductor is 4.
+        """
+        cond, exps, pos = 1, [], 0
+        for p, e, gens in _group(self.modulus):
+            xs = list(self.exponents[pos : pos + len(gens)])
+            pos += len(gens)
+            if xs and xs[-1]:
+                s = math.gcd(xs[-1], p ** e)
+                cond *= p ** e // s
+                xs[-1] //= s
+            elif len(xs) == 2 and xs[0]:
+                cond *= 4
+                xs = xs[:1]
+            else:
+                continue
+            exps += xs
+        return cond, tuple(exps)
+
     def primitive_associate(self) -> "DirichletCharacter":
         """The primitive character mod conductor inducing this one."""
-        f = self.conductor
-        if f == self.modulus:
-            return self
-        exps = []
-        for p, e, gens in _group(f):
-            pe = p ** e
-            for g, d in gens:
-                x = self._lift_unit(g, pe)
-                t = self.value_exponent(x) * d
-                if t.denominator != 1:
-                    raise ArithmeticError(f"chi({x}) is not a {d}-th root of unity")
-                exps.append(t.numerator % d)
-        out = DirichletCharacter(f, tuple(exps))
-        if out.conductor != f:
-            raise ArithmeticError(f"the primitive associate has conductor {out.conductor}, not {f}")
-        return out
-
-    def _lift_unit(self, a: int, pe: int) -> int:
-        """x = a mod pe, x = 1 mod (other prime powers of modulus), unit mod m."""
-        m = self.modulus
-        p_part = rest = 1
-        for p, e in factorize(m).factors:
-            if pe % p == 0:
-                p_part = p ** e  # pe divides the p-part of m; lift a through it
-            else:
-                rest *= p ** e
-        if p_part % pe or math.gcd(a, pe) != 1:
-            raise ArithmeticError(f"{a} is not a unit mod {pe}, or {pe} is not in the modulus")
-        # CRT: x = a mod p_part, x = 1 mod rest
-        x = (1 + rest * ((a - 1) * pow(rest, -1, p_part))) % (p_part * rest)
-        if x % pe != a % pe or math.gcd(x, m) != 1:
-            raise ArithmeticError(f"the CRT lift {x} of {a} is wrong")
-        return x
+        f, exps = self._descent()
+        return self if f == self.modulus else DirichletCharacter(f, exps)
 
 
 def character_count(m: int) -> int:

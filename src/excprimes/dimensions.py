@@ -35,8 +35,8 @@ def level_invariants(N: int) -> LevelInvariants:
     for p, _ in fac:
         index = index // p * (p + 1)
 
-    nu2 = _count_elliptic(N, fac, -1)
-    nu3 = _count_elliptic(N, fac, -3)
+    nu2 = _count_elliptic(N, fac, 2)
+    nu3 = _count_elliptic(N, fac, 3)
 
     nu_inf = 0
     for d in _divisors(N):
@@ -49,31 +49,13 @@ def level_invariants(N: int) -> LevelInvariants:
     return LevelInvariants(N, index, nu2, nu3, nu_inf, genus)
 
 
-def _count_elliptic(N: int, fac, disc: int) -> int:
-    """Number of elliptic points of order 2 (disc=-1 => i) or 3 (disc=-3)."""
-    if disc == -1:
-        if N % 4 == 0:
-            return 0
-        count = 1
-        for p, _ in fac:
-            if p == 2:
-                continue
-            if p % 4 == 1:
-                count *= 2
-            elif p % 4 == 3:
-                return 0
-        return count
-    if N % 9 == 0:
+def _count_elliptic(N: int, fac, q: int) -> int:
+    """Elliptic points of order q = 2 or 3: 0 when q^2 | N, else the product
+    over p | N of 1 + (-4/p) (q = 2) or 1 + (-3/p) (q = 3)."""
+    if N % (q * q) == 0:
         return 0
-    count = 1
-    for p, _ in fac:
-        if p == 3:
-            continue
-        if p % 3 == 1:
-            count *= 2
-        elif p % 3 == 2:
-            return 0
-    return count
+    m = 4 if q == 2 else 3  # (-4/p) and (-3/p) are +1 at p = 1 mod m, -1 at the other p != q
+    return math.prod(1 if p == q else 2 * (p % m == 1) for p, _ in fac)
 
 
 def _divisors(N: int) -> list[int]:

@@ -11,6 +11,9 @@ checks the value and the `str` of each coefficient of `eprime_twisted`;
 Gauss sums and the von Staudt-Clausen denominator check the character and
 Bernoulli layers; B_{k,chi} summed over Bernoulli
 polynomials checks the power-sum route of `bernoulli_generalized`; the
+conductor from the orders of the generators' images and the primitive
+associate read off values at CRT lifts check the exponent arithmetic of
+`DirichletCharacter._descent`; the
 rational value of a Q(zeta_n) element, the triviality of a character and
 the data of a residue point are read here for the tests; Frobenius as a
 `FieldElement` power checks the integer orbits of `find_residue_points`;
@@ -37,6 +40,7 @@ from excprimes import (
     DomainError, DirichletCharacter, FixtureError, QExpansion, eisenstein_E, exact, is_prime, verify,
 )
 from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
+from excprimes.characters import _group
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError
 from excprimes.residues import _integer, _parse_rational
@@ -81,6 +85,67 @@ def rational_value(x: CycloElement) -> Fraction:
 
 def is_trivial(chi: DirichletCharacter) -> bool:
     return chi.order == 1
+
+
+def conductor_reference(chi: DirichletCharacter) -> int:
+    """The conductor, component by component from the orders of the generators' images."""
+    cond = 1
+    pos = 0
+    for p, e, gens in _group(chi.modulus):
+        exps = chi.exponents[pos : pos + len(gens)]
+        pos += len(gens)
+        if p != 2:
+            (_, d) = gens[0]
+            o = d // math.gcd(d, exps[0])
+            if o > 1:
+                vp = 0
+                while o % p == 0:
+                    o //= p
+                    vp += 1
+                cond *= p ** (1 + vp)
+        elif e == 2:
+            if exps[0] % 2 == 1:
+                cond *= 4
+        elif e >= 3:
+            s, j = exps
+            d5 = gens[1][1]
+            o5 = d5 // math.gcd(d5, j)
+            if o5 > 1:
+                cond *= 4 * o5
+            elif s % 2 == 1:
+                cond *= 4
+    return cond
+
+
+def _lift_unit(m: int, a: int, pe: int) -> int:
+    """x = a mod pe, x = 1 mod (the other prime powers of m), a unit mod m."""
+    p_part = rest = 1
+    for p, e in exact.factorize(m).factors:
+        if pe % p == 0:
+            p_part = p ** e  # pe divides the p-part of m; lift a through it
+        else:
+            rest *= p ** e
+    if p_part % pe or math.gcd(a, pe) != 1:
+        raise ArithmeticError(f"{a} is not a unit mod {pe}, or {pe} is not in the modulus")
+    # CRT: x = a mod p_part, x = 1 mod rest
+    x = (1 + rest * ((a - 1) * pow(rest, -1, p_part))) % (p_part * rest)
+    if x % pe != a % pe or math.gcd(x, m) != 1:
+        raise ArithmeticError(f"the CRT lift {x} of {a} is wrong")
+    return x
+
+
+def primitive_associate_by_values(chi: DirichletCharacter) -> DirichletCharacter:
+    """The primitive associate, read off chi's values at CRT lifts of the conductor's generators."""
+    f = conductor_reference(chi)
+    exps = []
+    for p, e, gens in _group(f):
+        for g, d in gens:
+            x = _lift_unit(chi.modulus, g, p ** e)
+            t = chi.value_exponent(x) * d
+            if t.denominator != 1:
+                raise ArithmeticError(f"chi({x}) is not a {d}-th root of unity")
+            exps.append(t.numerator % d)
+    return DirichletCharacter(f, tuple(exps))
 
 
 def gauss_sum_exact(psi: DirichletCharacter) -> CycloElement:

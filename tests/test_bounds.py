@@ -222,6 +222,16 @@ def test_dihedral_bound_for_non_squarefree_levels():
     assert d["bound"] == str(rep.bound) and d["degree"] == 5
 
 
+@pytest.mark.parametrize("k, N, dim", [(2, 1888, 58), (6, 81, 18), (4, 4, 0), (2, 11, 1), (12, 1, 1)])
+def test_degree_above_the_new_dimension_is_outside_the_domain(k, N, dim):
+    """A newform's Galois conjugates are distinct newforms, so its degree is at most dim S_k^new."""
+    assert dim_new(k, N) == dim
+    if dim:
+        assert dihedral_candidates(k, N, degree=dim).degree in (dim, None)
+    with pytest.raises(DomainError, match=rf"<= dim S_{k}\^new\(Gamma_0\({N}\)\) = {dim}, got {dim + 1}$"):
+        dihedral_candidates(k, N, degree=dim + 1)
+
+
 # The non-square-free points of the benchmark's bound grid.
 NON_SQUAREFREE_GRID = [(k, n) for k in (2, 4, 6, 8, 12, 16, 20, 22) for n in (81, 121, 225, 441, 1089)]
 

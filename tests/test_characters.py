@@ -13,7 +13,10 @@ from excprimes import (
     trivial_character,
     zeta,
 )
-from oracles import is_rational, is_trivial, rational_value
+from excprimes.characters import _component_generators
+from oracles import (
+    conductor_reference, is_rational, is_trivial, primitive_associate_by_values, rational_value,
+)
 
 
 def test_character_count_is_euler_phi():
@@ -90,6 +93,30 @@ def test_primitive_associate_agrees_on_units():
             for a in range(1, m + 1):
                 if math.gcd(a, m) == 1:  # chi(a) = e^(2 pi i t) with t in [0, 1)
                     assert chi.value_exponent(a) == chi0.value_exponent(a)
+
+
+def test_descent_matches_the_value_based_reference():
+    for m in (64, 128, 243, 125, 343, 4 * 81 * 25):
+        for chi in enumerate_characters(m, "all"):
+            assert chi.conductor == conductor_reference(chi)
+            chi0, ref = chi.primitive_associate(), primitive_associate_by_values(chi)
+            assert (chi0.modulus, chi0.exponents) == (ref.modulus, ref.exponents)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 40487])
+def test_generators_mod_p_f_are_reductions_of_those_mod_p_e(p):
+    """The invariant the descent relies on; 40487 takes the g + p branch above p^1."""
+    for e in range(1, 5):
+        gens_e = _component_generators(p, e)
+        for f in range(1, e + 1):
+            gens_f = _component_generators(p, f)
+            assert [g % p ** f for g, _ in gens_e[: len(gens_f)]] == [g for g, _ in gens_f]
+            assert all(g % p ** f == 1 for g, _ in gens_e[len(gens_f):])
+            if gens_f and len(gens_f) == len(gens_e):
+                assert gens_e[-1][1] == gens_f[-1][1] * p ** (e - f)
+    if p == 40487:  # its least primitive root 5 has 5^(p-1) = 1 mod p^2
+        assert pow(5, p - 1, p * p) == 1
+        assert [_component_generators(p, e)[0][0] for e in (1, 2, 3)] == [5, p + 5, p + 5]
 
 
 def test_order_divides_group_order_and_matches_values():

@@ -556,6 +556,8 @@ F11_2, F81 = fixture_path("11-2a.json"), fixture_path("81-6c.json")
 BAD_ARGUMENTS = {
     "bound-degree-0": ["bound", "--weight", "6", "--level", "81", "--degree", "0"],
     "bound-degree-0-squarefree": ["bound", "--weight", "2", "--level", "11", "--degree", "0"],
+    "bound-degree-above-dim-new": ["bound", "--weight", "4", "--level", "4", "--degree", "100000"],
+    "bound-degree-above-dim-new-squarefree": ["bound", "--weight", "2", "--level", "11", "--degree", "2"],
     "bound-weight-3": ["bound", "--weight", "3", "--level", "11"],
     "bound-level-0": ["bound", "--weight", "4", "--level", "0"],
     "dims-weight-3": ["dims", "--weight", "3", "--level", "11"],
