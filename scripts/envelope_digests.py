@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 366 runs, to check byte identity.
+"""Digests of the CLI's output on a fixed set of 375 runs, to check byte identity.
 
 Two checkouts print the same lines exactly when every run gives the same
 exit code, stdout and stderr, so a change that must keep the envelopes
@@ -22,7 +22,11 @@ change. The runs:
     125, 243}, whose tables print each character's conductor;
   * `dims --weight 12 --level N` for N in {4, 9, 13, 36, 49, 91, 1105} and
     every level of bench/workloads.py's bound grid, whose reports print the
-    elliptic point counts nu2 and nu3.
+    elliptic point counts nu2 and nu3;
+  * `bound` at the five levels with no newform, (k, N) in {(2, 1), (4, 1),
+    (2, 2), (2, 4), (4, 4)}, square-free or not, and `bound --weight 6
+    --level 81` with --degree 0, 1, 18 and 19, where 18 is
+    dim S_6^new(Gamma_0(81)), which pin the domain of `bound` byte for byte.
 
 By default each run is a subprocess `python -m excprimes.cli ...` that
 imports the package from the checkout's src/. With --in-process every run
@@ -63,6 +67,8 @@ EISENSTEIN_CHARS = ((3, 1), (9, 1), (9, 2), (9, 4), (9, 5))
 EISENSTEIN_TERMS = (5, 54)
 CHARACTER_MODULI = (1, 8, 9, 16, 32, 45, 64, 81, 100, 125, 243)
 DIMS_LEVELS = (4, 9, 13, 36, 49, 91, 1105)
+NO_NEWFORM = ((2, 1), (4, 1), (2, 2), (2, 4), (4, 4))  # dim S_k^new(Gamma_0(N)) = 0
+DEGREES_81 = (0, 1, 18, 19)  # around dim S_6^new(Gamma_0(81)) = 18
 PROG_NAME = "python -m excprimes.cli"  # what click names the subprocess runs
 
 
@@ -95,6 +101,8 @@ def argvs(checkout: str) -> list[list[str]]:
     out += [["characters", "--modulus", str(m)] for m in CHARACTER_MODULI]
     grid_levels = {int(job["argv"][4]) for job in workloads.bound_grid_jobs()}
     out += [["dims", "--weight", "12", "--level", str(n)] for n in sorted(grid_levels.union(DIMS_LEVELS))]
+    out += [["bound", "--weight", str(k), "--level", str(n)] for k, n in NO_NEWFORM]
+    out += [["bound", "--weight", "6", "--level", "81", "--degree", str(d)] for d in DEGREES_81]
     return out
 
 

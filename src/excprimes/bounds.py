@@ -267,16 +267,18 @@ def _dihedral_bound(k: int, N: int, D: int) -> int:
 
 
 def dihedral_candidates(k: int, N: int, degree: int | None = None) -> DihedralReport:
-    """Square-free levels: explicit prime set. Otherwise an integer upper bound."""
+    """Square-free levels: explicit prime set. Otherwise an integer upper bound. No newform: a DomainError."""
     _check_weight_level(k, N)
     fac = factorize(N)
     squarefree = all(e == 1 for _, e in fac.factors)
-    D = dim_new(k, N) if degree is None and not squarefree else degree
+    new = dim_new(k, N)
+    if not new:
+        raise DomainError(f"no newform to bound: dim S_{k}^new(Gamma_0({N})) = 0")
+    D = new if degree is None and not squarefree else degree
     if D is not None and D < 1:
         raise DomainError(f"field degree must be >= 1, got {D}")
-    if degree is not None and degree > dim_new(k, N):  # a newform's conjugates are distinct newforms
-        raise DomainError(f"field degree must be <= dim S_{k}^new(Gamma_0({N})) = {dim_new(k, N)}, "
-                          f"got {degree}")
+    if degree is not None and degree > new:  # a newform's conjugates are distinct newforms
+        raise DomainError(f"field degree must be <= dim S_{k}^new(Gamma_0({N})) = {new}, got {degree}")
     assumptions = ("newform assumed non-CM",)
     if squarefree:
         primes = set(fac.primes())

@@ -1,27 +1,28 @@
 """Finite fields F_{ell^d}, newform fixtures, and residue points.
 
-F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. A FieldElement
-hides its tuple of integer coordinates; FieldElements serve only factor
-degrees, the modulus search and root finding at d > 1, through the one
-polynomial core in `polys` (F_p is the field of degree one). A root comes
-back as a coordinate tuple; Frobenius orbits and each point's tables of the
-F_q coordinates of the powers of alpha and zeta run on the int kernel below.
+F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. FiniteField and
+FieldElement stay inside root finding: they serve only factor degrees, the
+modulus search and root finding at d > 1, through the one polynomial core in
+`polys` (F_p is the field of degree one). A root comes back as a coordinate
+tuple, and everything after it runs on the int kernel below.
 
-A residue point answers in plain ints: an element of Q(alpha), or of
-Q(zeta_m) with m dividing the point's index, maps into F_q by one dot
-product mod ell of its reduced coordinates with each row of a table. A
-small F_p kernel on int lists finds roots over F_p itself (d = 1) by
-Cantor-Zassenhaus, and decides whether X^2 - aX + c is irreducible over
-any F_q: Euler's criterion on the norm of the discriminant for odd q, the
+A residue point is a concrete reduction of the coefficient field (and, when
+needed, a cyclotomic field) into one finite field, as plain frozen data in
+ints: the modulus, coordinate tuples (alpha_image, zeta_image) with
+f(alpha) = 0 and Phi_n(zeta) = 0, and the tables of the F_q coordinates of
+the powers of alpha and zeta, built with the point. An element of Q(alpha),
+or of Q(zeta_m) with m dividing the point's index, maps into F_q by one dot
+product mod ell of its coordinates, reduced by `residue`, with each row of a
+table. Points are produced up to Frobenius orbits with a lexicographically
+least canonical representative, which keeps reports byte-identical across
+runs.
+
+A small F_p kernel on int lists finds roots over F_p itself (d = 1) by
+Cantor-Zassenhaus, and decides whether X^2 - aX + c is irreducible over any
+F_q: Euler's criterion on the norm of the discriminant for odd q, the
 Artin-Schreier trace for q = 2^d. For odd p, a polynomial of degree 1 or 2
 mod p has its roots in F_p, and so its factor degrees, in closed form, and
 Frobenius fixes F_p without a power.
-
-A residue point is a concrete reduction of the coefficient field (and, when
-needed, a cyclotomic field) into one finite field: coordinate tuples
-(alpha_image, zeta_image) with f(alpha) = 0 and Phi_n(zeta) = 0. Points are
-produced up to Frobenius orbits with a lexicographically least canonical
-representative, which keeps reports byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, zip_longest
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
@@ -302,15 +302,6 @@ class FiniteField:
 
     def one(self) -> "FieldElement":
         return self.element(1)
-
-    def residue(self, x: int | Fraction, context: str = "coefficient") -> int:
-        """x mod p as an int in [0, p) for an int or Fraction x with a denominator prime to p."""
-        den = x.denominator
-        if den % self.p == 0:
-            raise DenominatorObstruction(
-                f"{context}: denominator {den} is divisible by {self.p}"
-            )
-        return x.numerator * pow(den, -1, self.p) % self.p
 
     def __eq__(self, other):
         return (
@@ -717,58 +708,55 @@ def _is_irreducible_over_q(coeffs: list[int]) -> bool:
 # -- residue points ----------------------------------------------------------------
 
 
+def residue(x: int | Fraction, ell: int, context: str = "coefficient") -> int:
+    """x mod ell as an int in [0, ell) for an int or Fraction x with a denominator prime to ell."""
+    den = x.denominator
+    if den % ell == 0:
+        raise DenominatorObstruction(f"{context}: denominator {den} is divisible by {ell}")
+    return x.numerator * pow(den, -1, ell) % ell
+
+
 def _coordinates(y: list, d: int) -> tuple[int, ...]:
     """A remainder mod the degree-d modulus, as its d coordinates in F_q."""
     return tuple(y) + (0,) * (d - len(y))
 
 
-def _frobenius(x: tuple | None, field: FiniteField) -> tuple[int, ...] | None:
-    """The coordinates of x^p in F_q = F_p[x]/(m): x itself at d = 1, and None (no zeta) stays None."""
-    if field.d == 1 or x is None:
+def _frobenius(x: tuple | None, modulus: tuple, ell: int) -> tuple[int, ...] | None:
+    """The coordinates of x^ell in F_q = F_ell[x]/(modulus): x itself at d = 1, and None (no zeta) stays None."""
+    if len(modulus) == 2 or x is None:
         return x
-    return _coordinates(_fp_powmod(list(x), field.p, list(field.modulus), field.p), field.d)
+    return _coordinates(_fp_powmod(list(x), ell, list(modulus), ell), len(modulus) - 1)
+
+
+def _power_rows(x: tuple | None, count: int, modulus: tuple, ell: int) -> tuple:
+    """The F_q coordinates of x^0, ..., x^(count-1), one row per coordinate."""
+    powers, m = [[1]], list(modulus)
+    for _ in range(count - 1):
+        powers.append(_fp_mulmod(powers[-1], x, m, ell))
+    return tuple(zip(*(_coordinates(y, len(m) - 1) for y in powers)))
 
 
 @dataclass(frozen=True)
 class ResiduePoint:
+    """Q(alpha), and Q(zeta_n) for the index n, reduced into F_q = F_ell[x]/(modulus).
+
+    rows holds the F_q coordinates of alpha^0, ..., alpha^(D-1), D the fixture's degree, and zeta_rows
+    those of zeta^0, ..., zeta^(n-1), one row per coordinate; degree is the size of the Frobenius orbit.
+    """
+
     ell: int
-    field: FiniteField
+    modulus: tuple[int, ...]
     alpha_image: tuple[int, ...]
     zeta_image: tuple[int, ...] | None
     cyclo_index: int
     degree: int
-
-    @cached_property
-    def _tables(self) -> dict:
-        """Per vector length d, the coordinates of alpha^0, ..., alpha^(d-1) in F_q, one row per coordinate."""
-        return {}
-
-    def _power_rows(self, x: tuple | None, count: int) -> tuple:
-        """The F_q coordinates of x^0, ..., x^(count-1), one row per coordinate."""
-        powers, modulus = [[1]], list(self.field.modulus)
-        for _ in range(count - 1):
-            powers.append(_fp_mulmod(powers[-1], x, modulus, self.ell))
-        return tuple(zip(*(_coordinates(y, self.field.d) for y in powers)))
-
-    def rows(self, d: int) -> tuple:
-        """The F_q coordinates of alpha^0, ..., alpha^(d-1), one row per coordinate, built once per d."""
-        rows = self._tables.get(d)
-        if rows is None:
-            rows = self._tables[d] = self._power_rows(self.alpha_image, d)
-        return rows
-
-    @cached_property
-    def zeta_rows(self) -> tuple:
-        """The F_q coordinates of zeta^0, ..., zeta^(n-1) for the point's index n, one row per coordinate."""
-        return self._power_rows(self.zeta_image, self.cyclo_index)
-
-    def image(self, residues) -> tuple[int, ...]:
-        """F_q coordinates of sum r_i alpha^i for ints r_i: one dot product mod ell per coordinate."""
-        return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in self.rows(len(residues)))
+    rows: tuple[tuple[int, ...], ...]
+    zeta_rows: tuple[tuple[int, ...], ...]
 
     def vector_image(self, vec) -> tuple[int, ...]:
-        """F_q coordinates of the image of power-basis coordinates in alpha (ints or Fractions)."""
-        return self.image([self.field.residue(v, "coefficient of alpha") for v in vec])
+        """F_q coordinates of sum v_i alpha^i for ints or Fractions v_i: one dot product mod ell per row."""
+        residues = [residue(v, self.ell, "coefficient of alpha") for v in vec]
+        return tuple(sum(map(operator.mul, residues, row)) % self.ell for row in self.rows)
 
     def cyclo_image(self, residues, m: int) -> tuple[int, ...]:
         """F_q coordinates of sum r_j zeta_m^j for ints r_j, where m divides the point's index n.
@@ -779,9 +767,6 @@ class ResiduePoint:
             raise DomainError(f"cannot reduce Q(zeta_{m}) through a point for zeta_{self.cyclo_index}")
         step = self.cyclo_index // m
         return tuple(sum(map(operator.mul, residues, row[::step])) % self.ell for row in self.zeta_rows)
-
-    def sort_key(self):
-        return (self.alpha_image, self.zeta_image or ())
 
 
 def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[ResiduePoint]:
@@ -806,11 +791,9 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
     D = math.lcm(*degs_all)
     field = FiniteField(ell, D)
     alpha_roots = poly_roots_in_field(f, field)
-    if phi is not None:
-        zeta_roots = poly_roots_in_field(phi, field)
-    else:
-        zeta_roots = [None]
+    zeta_roots = [None] if phi is None else poly_roots_in_field(phi, field)
 
+    modulus = field.modulus
     seen = set()
     points = []
     for a in alpha_roots:
@@ -818,15 +801,17 @@ def find_residue_points(fixture: NewformFixture, n: int, ell: int) -> list[Resid
             if (a, z) in seen:
                 continue
             orbit = [(a, z)]
-            while (image := tuple(_frobenius(x, field) for x in orbit[-1])) != orbit[0]:
+            while (image := tuple(_frobenius(x, modulus, ell) for x in orbit[-1])) != orbit[0]:
                 orbit.append(image)
             seen.update(orbit)
             # an orbit's pairs differ, its zeta images all None or all tuples: min never orders None
             alpha, zeta = min(orbit)
-            points.append(ResiduePoint(ell, field, alpha, zeta, n, len(orbit)))
+            points.append(ResiduePoint(ell, modulus, alpha, zeta, n, len(orbit),
+                                       _power_rows(alpha, len(f) - 1, modulus, ell),
+                                       _power_rows(zeta, n, modulus, ell)))
     expected = sum(
         cf * cp * math.gcd(df, dp) for df, cf in fdegs for dp, cp in pdegs
     )
     if len(points) != expected:
         raise ArithmeticError(f"found {len(points)} residue points mod {ell}, expected {expected}")
-    return sorted(points, key=ResiduePoint.sort_key)
+    return sorted(points, key=lambda pt: (pt.alpha_image, pt.zeta_image or ()))

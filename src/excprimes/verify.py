@@ -35,6 +35,7 @@ from .residues import (
     _fp_irreducible_quadratic,
     compositum_norm,
     find_residue_points,
+    residue,
 )
 
 VERDICT_CERTIFIED = "certified"
@@ -184,21 +185,21 @@ def _point_outcomes(fixture, E: QExpansion, points, ell: int, window: int) -> li
     all points. a_n(E) is an int tuple: an int or Fraction fills the first
     coordinate, and a CycloElement goes through each point's zeta-power table.
     """
-    field, coeffs = points[0].field, E.coeffs
+    coeffs = E.coeffs
     E.coefficient(window)  # a TruncationError for a series shorter than the window
-    reduce, pad = fixture.denominator_lcm > 1, (0,) * (field.d - 1)
+    reduce, pad = fixture.denominator_lcm > 1, (0,) * (len(points[0].rows) - 1)
     shared = {}  # n -> (a_n(f), a_n(E)) reduced mod ell, the latter an int or (coordinates, m)
 
     def reduced(a_n, c):
         if reduce:
-            a_n = [field.residue(x) for x in a_n]
+            a_n = [residue(x, ell) for x in a_n]
         if isinstance(c, CycloElement):
-            return a_n, ([field.residue(x, "cyclotomic coordinate") for x in c.coeffs], c.n)
-        return a_n, c if type(c) is int else field.residue(c)
+            return a_n, ([residue(x, ell, "cyclotomic coordinate") for x in c.coeffs], c.n)
+        return a_n, c if type(c) is int else residue(c, ell)
 
     out = []
     for pt in points:
-        first, *rest = pt.rows(fixture.degree())
+        first, *rest = pt.rows
         mismatch = None
         for n, a_n in _compared(fixture, ell, window):
             c = coeffs[n]
@@ -459,7 +460,7 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
     constants = [(p, [pow(p, k - 1, ell)]) for p in usable]
     out = []
     for pt in points:
-        modulus = list(pt.field.modulus)
+        modulus = list(pt.modulus)
         tested = {p: _fp_irreducible_quadratic(pt.vector_image(fixture.a(p)), c, modulus, ell) for p, c in constants}
         witness = next((p for p, irred in tested.items() if irred), None)
         out.append({"point": _point_name(pt), "tested": tested, "witness": witness})

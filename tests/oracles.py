@@ -14,8 +14,9 @@ polynomials checks the power-sum route of `bernoulli_generalized`; the
 conductor from the orders of the generators' images and the primitive
 associate read off values at CRT lifts check the exponent arithmetic of
 `DirichletCharacter._descent`; the
-rational value of a Q(zeta_n) element, the triviality of a character and
-the data of a residue point are read here for the tests; Frobenius as a
+rational value of a Q(zeta_n) element, the triviality of a character,
+the data of a residue point and its `FiniteField`, rebuilt from ell and the
+point's modulus, are read here for the tests; Frobenius as a
 `FieldElement` power checks the integer orbits of `find_residue_points`;
 Horner evaluation in `FieldElement` arithmetic (of a power-basis vector at
 alpha, of a Q(zeta_m) element at a point's zeta) checks a residue point's
@@ -31,6 +32,7 @@ with one inversion per point and every stage-2 pair, checks
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -43,7 +45,7 @@ from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.characters import _group
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError
-from excprimes.residues import _integer, _parse_rational
+from excprimes.residues import FiniteField, _integer, _parse_rational, residue
 
 
 def evaluate(f: list, x):
@@ -178,8 +180,8 @@ def describe(pt) -> dict:
     """The data of a residue point: its field, the images of alpha and zeta, its orbit size."""
     out = {
         "ell": pt.ell,
-        "field_degree": pt.field.d,
-        "field_modulus": list(pt.field.modulus),
+        "field_degree": len(pt.modulus) - 1,
+        "field_modulus": list(pt.modulus),
         "alpha": list(pt.alpha_image),
         "degree": pt.degree,
     }
@@ -189,17 +191,31 @@ def describe(pt) -> dict:
     return out
 
 
+@functools.cache
+def _field(ell: int, d: int) -> FiniteField:
+    return FiniteField(ell, d)
+
+
+def field_of(pt) -> FiniteField:
+    """The FiniteField of a residue point, rebuilt from its ell and the degree of its modulus."""
+    field = _field(pt.ell, len(pt.modulus) - 1)
+    if field.modulus != pt.modulus:
+        raise ArithmeticError(f"point modulus {pt.modulus} is not the field's {field.modulus}")
+    return field
+
+
 def _reduce(field, x, context: str = "coefficient"):
     """An int or Fraction as a FieldElement of F_ell inside field."""
-    return field.element(field.residue(x, context))
+    return field.element(residue(x, field.p, context))
 
 
 def reduce_vector_reference(pt, vec):
     """sum c_i alpha^i at a residue point, in FieldElement arithmetic."""
-    acc, power = pt.field.zero(), pt.field.one()
+    field = field_of(pt)
+    acc, power = field.zero(), field.one()
     for c in vec:
-        acc = acc + _reduce(pt.field, c, "coefficient of alpha") * power
-        power = power * pt.field.element(pt.alpha_image)
+        acc = acc + _reduce(field, c, "coefficient of alpha") * power
+        power = power * field.element(pt.alpha_image)
     return acc
 
 
@@ -208,8 +224,9 @@ def reduce_cyclo_reference(pt, x: CycloElement):
     if pt.cyclo_index % x.n:
         raise DomainError(f"cannot reduce Q(zeta_{x.n}) through a point for zeta_{pt.cyclo_index}")
     x = x.embed(pt.cyclo_index)
-    z = pt.field.element(pt.zeta_image if pt.zeta_image is not None else 1)
-    return evaluate([_reduce(pt.field, c, "cyclotomic coordinate") for c in x.coeffs], z)
+    field = field_of(pt)
+    z = field.element(pt.zeta_image if pt.zeta_image is not None else 1)
+    return evaluate([_reduce(field, c, "cyclotomic coordinate") for c in x.coeffs], z)
 
 
 def frobenius_reference(x):
@@ -282,7 +299,7 @@ def point_outcomes_reference(fixture, E: QExpansion, points, ell: int, window: i
             break
         target = E.coefficient(n)
         if not isinstance(target, CycloElement):
-            target = _reduce(points[0].field, target)
+            target = _reduce(field_of(points[0]), target)
         for i in live:
             pt = points[i]
             rhs = reduce_cyclo_reference(pt, target) if isinstance(target, CycloElement) else target

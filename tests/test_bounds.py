@@ -228,8 +228,20 @@ def test_degree_above_the_new_dimension_is_outside_the_domain(k, N, dim):
     assert dim_new(k, N) == dim
     if dim:
         assert dihedral_candidates(k, N, degree=dim).degree in (dim, None)
-    with pytest.raises(DomainError, match=rf"<= dim S_{k}\^new\(Gamma_0\({N}\)\) = {dim}, got {dim + 1}$"):
+        match = rf"<= dim S_{k}\^new\(Gamma_0\({N}\)\) = {dim}, got {dim + 1}$"
+    else:
+        match = rf"^no newform to bound: dim S_{k}\^new\(Gamma_0\({N}\)\) = 0$"
+    with pytest.raises(DomainError, match=match):
         dihedral_candidates(k, N, degree=dim + 1)
+
+
+@pytest.mark.parametrize("k, N", [(2, 1), (4, 1), (2, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("degree", [None, 0, 1])
+def test_a_level_with_no_newform_has_no_bound_at_any_shape(k, N, degree):
+    """dim S_k^new = 0 is one DomainError, read before any degree check, square-free or not."""
+    assert dim_new(k, N) == 0
+    with pytest.raises(DomainError, match=rf"^no newform to bound: dim S_{k}\^new\(Gamma_0\({N}\)\) = 0$"):
+        dihedral_candidates(k, N, degree)
 
 
 # The non-square-free points of the benchmark's bound grid.

@@ -10,9 +10,9 @@ a_n(E) at every n and every point. Both must name the same first mismatch at
 every point. The Frobenius scan's one int test must agree with
 `oracles.quadratic_irreducible_reference` and with a count of roots.
 
-Counters of `FieldElement` builds pin the integer routes: once a point's
-tables exist, neither the comparison nor the Frobenius scan builds one, at
-any ell, 2 included; root finding over F_ell itself and the residue points
+Counters of `FieldElement` builds pin the integer routes: a point's tables
+are built with it, and neither the comparison nor the Frobenius scan builds
+one, at any ell, 2 included; root finding over F_ell itself and the residue points
 of a quadratic field over F_ell build none, and beyond F_ell they are built
 only for factor degrees, the modulus search and root finding.
 """
@@ -37,10 +37,13 @@ from excprimes import (
     verify_fixture,
 )
 from excprimes import residues
+from excprimes import verify as verify_module
 from excprimes.characters import trivial_character
 from excprimes.cyclotomic import CycloElement
 from excprimes.verify import _eisenstein_candidates, _point_outcomes, frobenius_scan
-from oracles import divisor_power_sums_reference, point_outcomes_reference, quadratic_irreducible_reference
+from oracles import (
+    divisor_power_sums_reference, field_of, point_outcomes_reference, quadratic_irreducible_reference,
+)
 
 
 def _comparisons(fx, ell):
@@ -90,8 +93,12 @@ def _calls(monkeypatch, owner, name: str) -> list:
 
 
 def _image_calls(monkeypatch) -> list:
-    """A counter of `ResiduePoint.image` calls, which the walk does not make: it reads the point's rows itself."""
-    return _calls(monkeypatch, residues.ResiduePoint, "image")
+    """A counter of `ResiduePoint.vector_image` calls, which the walk does not make: it reads the point's rows itself."""
+    return _calls(monkeypatch, residues.ResiduePoint, "vector_image")
+
+
+def _field_degree(pt) -> int:
+    return len(pt.modulus) - 1
 
 
 def _planted(k, level, ell, fails, window, fraction=False):
@@ -154,7 +161,7 @@ def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails
     E = eisenstein_E(12, trivial_character(), window)
     points = find_residue_points(fx, 1, ell)
     calls = _image_calls(monkeypatch)
-    reduced = _calls(monkeypatch, residues.FiniteField, "residue")
+    reduced = _calls(monkeypatch, verify_module, "residue")
     got = _point_outcomes(fx, E, points, ell, window)
     walked = calls[0]
     monkeypatch.undo()
@@ -164,7 +171,7 @@ def test_first_mismatches_where_they_were_planted(monkeypatch, level, ell, fails
     else:
         assert len(points) == 2
         assert [n for _, n in got] == [fails[0] if pt.alpha_image[0] == s else fails[1] for pt in points]
-    # one walk for every case: no `image` call; Fraction coordinates are reduced
+    # one walk for every case: no `vector_image` call; Fraction coordinates are reduced
     # once per compared n (0 at level 1, and 1 up to the last first mismatch)
     # for both points, int ones never; the Fraction a_0(E) at level 1 once
     assert walked == 0
@@ -188,9 +195,7 @@ def test_81_6c_every_candidate_in_its_degree_3_residue_fields(monkeypatch, fx81,
     window = min(fx81.n_max, sturm_bound(6, 81))
     kinds = set()
     for E, points, _ in _comparisons(fx81, ell):
-        assert {pt.field.d for pt in points} == {3}
-        for pt in points:  # the tables are built with the points' FieldElements, once
-            pt.rows(fx81.degree()), pt.zeta_rows
+        assert {_field_degree(pt) for pt in points} == {3}
         built = _field_elements_built(monkeypatch)
         cyclo_built = _calls(monkeypatch, CycloElement, "__init__")
         got = _point_outcomes(fx81, E, points, ell, window)
@@ -206,13 +211,13 @@ def test_81_6c_every_candidate_in_its_degree_3_residue_fields(monkeypatch, fx81,
     c = find_residue_points(_int_fixture_over_81_6c_field(ell, 31, window), 1, ell)[0].alpha_image[0]
     fx = _int_fixture_over_81_6c_field(ell, 31, window, shift=c)
     points = find_residue_points(fx, 1, ell)
-    assert points[0].image([-c, 1, 0, 0])[0] == 0
+    assert points[0].vector_image([-c, 1, 0, 0])[0] == 0
     calls = _image_calls(monkeypatch)
     got = _point_outcomes(fx, E, points, ell, window)
     assert calls[0] == 0
     monkeypatch.undo()
     assert got == point_outcomes_reference(fx, E, points, ell, window)
-    assert [n for _, n in got] == [31] * len(points) and {pt.field.d for pt in points} == {3}
+    assert [n for _, n in got] == [31] * len(points) and {_field_degree(pt) for pt in points} == {3}
 
 
 @pytest.mark.parametrize("ell", [5, 7, 13, 17])
@@ -311,7 +316,7 @@ def test_long_window_certifies_and_refutes_where_it_was_built_to():
     E = eisenstein_E(K, trivial_character(), 400)
     for ell, degree in ((ELL, 1), (OTHER, 2)):
         points = find_residue_points(fx, 1, ell)
-        assert {pt.field.d for pt in points} == {degree}
+        assert {_field_degree(pt) for pt in points} == {degree}
         got = _point_outcomes(fx, E, points, ell, 400)
         assert got == point_outcomes_reference(fx, E, points, ell, 400)
     certified = verify_fixture(fx, ELL)
@@ -378,7 +383,7 @@ def test_quadratic_prime_field_points_build_no_field_element_or_powmod(monkeypat
     monkeypatch.undo()
     assert (built[0], powmods[0], found[0]) == (0, 0, roots)
     assert len(points) == (4 if n_cyclo == 3 else 2)
-    assert {(pt.field.d, pt.degree) for pt in points} == {(1, 1)}
+    assert {(_field_degree(pt), pt.degree) for pt in points} == {(1, 1)}
     assert sorted({pt.alpha_image[0] for pt in points}) == sorted((S, ELL - S))
 
 
@@ -408,10 +413,8 @@ def test_points_beyond_f_ell_use_field_elements_in_three_callers(
     monkeypatch.setattr(residues.FiniteField, "_find_modulus",
                         staticmethod(entered(residues.FiniteField._find_modulus)))
     points = find_residue_points(fx81, n_cyclo, ell)
-    for pt in points:
-        pt.rows(fx81.degree()), pt.zeta_rows
     monkeypatch.undo()
-    assert {pt.field.d for pt in points} == {field_degree}
+    assert {_field_degree(pt) for pt in points} == {field_degree}
     assert counts[0] == 0 < counts[1]
 
 
@@ -422,9 +425,7 @@ def test_prime_field_scan_agrees_with_field_elements_and_builds_none_at_odd_ell(
     else:
         fx = NewformFixture.from_json_file(fixture_path(f"{name}.json"))
     points = find_residue_points(fx, 1, ell)
-    assert {pt.field.d for pt in points} == {1}
-    for pt in points:
-        pt.rows(fx.degree())  # each point's alpha-power table is built once, before any p
+    assert {_field_degree(pt) for pt in points} == {1}
     built = _field_elements_built(monkeypatch)
     scan = frobenius_scan(fx, ell, 100, points)
     monkeypatch.undo()
@@ -433,9 +434,10 @@ def test_prime_field_scan_agrees_with_field_elements_and_builds_none_at_odd_ell(
     assert {row["witness"] is None for row in scan.points} == ({False, True} if ell == ELL else {False})
     for pt, row in zip(points, scan.points):
         assert row["tested"]
+        F = field_of(pt)
         for p, irreducible in row["tested"].items():
-            a_p = residues.FieldElement(pt.field, pt.vector_image(fx.a(p)))
-            pk = pt.field.element(pow(p, fx.weight - 1, ell))
+            a_p = residues.FieldElement(F, pt.vector_image(fx.a(p)))
+            pk = F.element(pow(p, fx.weight - 1, ell))
             assert irreducible == quadratic_irreducible_reference(a_p, pk), (pt, p)
 
 
@@ -454,15 +456,14 @@ def test_scan_at_2_over_f4_matches_root_counts(monkeypatch):
     an.update((str(p), [str(c) for c in a_p]) for p, (a_p, _) in F4_SCAN.items())
     fx = NewformFixture("f4", 4, 11, [1, 1, 1], an)
     [pt] = find_residue_points(fx, 1, 2)
-    assert (pt.field.d, pt.degree) == (2, 2)
-    pt.rows(fx.degree())
+    assert (_field_degree(pt), pt.degree) == (2, 2)
     built = _field_elements_built(monkeypatch)
     [row] = frobenius_scan(fx, 2, 30, [pt]).points
     monkeypatch.undo()
     assert built[0] == 0
     assert row["tested"] == {p: irreducible for p, (_, irreducible) in F4_SCAN.items()}
     assert row["witness"] == 13
-    F = pt.field
+    F = field_of(pt)
     elements = [residues.FieldElement(F, (u, v)) for u in range(2) for v in range(2)]
     for p, irreducible in row["tested"].items():
         a, c = residues.FieldElement(F, pt.vector_image(fx.a(p))), F.element(pow(p, fx.weight - 1, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -29,11 +30,13 @@ from excprimes.residues import (
     _is_irreducible_over_q,
     factor_degree_multiset,
     poly_roots_in_field,
+    residue,
 )
 from excprimes import residues
 from oracles import (
     describe,
     evaluate,
+    field_of,
     frobenius_reference,
     is_square_euler,
     parse_an_reference,
@@ -93,13 +96,12 @@ def test_frobenius_fixes_prime_field_and_trace_lands_there():
 
 
 def test_from_fraction_and_denominator_obstruction():
-    F = FiniteField(5, 1)
-    assert F.residue(Fraction(1, 7)) == 3
-    with pytest.raises(DenominatorObstruction):
-        F.residue(Fraction(1, 10))
+    assert residue(Fraction(1, 7), 5) == 3
+    with pytest.raises(DenominatorObstruction, match=r"^coefficient: denominator 10 is divisible by 5$"):
+        residue(Fraction(1, 10), 5)
     # ints reduce without a Fraction, with the value Fraction(x) gives
     for x in (0, 7, -7, 10 ** 40 + 3, -(10 ** 40)):
-        assert F.residue(x) == F.residue(Fraction(x)) == x % 5
+        assert residue(x, 5) == residue(Fraction(x), 5) == x % 5
 
 
 def _irreducible(a, c) -> bool:
@@ -476,11 +478,11 @@ def test_residue_point_count_matches_gcd_formula(fx81, fx11_4):
 def test_reduce_vector_is_a_ring_map(fx11_4, fx81):
     pt = find_residue_points(fx11_4, 1, 61)[0]
     # alpha^2 = 2 alpha + 2 must hold for the reduced image
-    a = pt.field.element(pt.alpha_image)
+    a = field_of(pt).element(pt.alpha_image)
     assert a * a == 2 * a + 2
     # multiplicativity of the reduced eigenvalues: a_2 a_5 = a_10
     pt81 = find_residue_points(fx81, 1, 7)[0]
-    a2, a5, a10, a4 = (FieldElement(pt81.field, pt81.vector_image(fx81.a(n))) for n in (2, 5, 10, 4))
+    a2, a5, a10, a4 = (FieldElement(field_of(pt81), pt81.vector_image(fx81.a(n))) for n in (2, 5, 10, 4))
     assert a2 * a5 == a10
     # and the prime-power recurrence a_4 = a_2^2 - 2^(k-1)
     assert a4 == a2 * a2 - 32
@@ -509,8 +511,8 @@ def _bundled_points() -> tuple:
 
 
 def _horner(pt, vec):
-    F = pt.field
-    return evaluate([F.element(F.residue(v)) for v in vec], F.element(pt.alpha_image)).coeffs
+    F = field_of(pt)
+    return evaluate([F.element(residue(v, pt.ell)) for v in vec], F.element(pt.alpha_image)).coeffs
 
 
 def _orbit(x, step) -> list:
@@ -529,9 +531,8 @@ ORBIT_FIELD_DEGREES = {
 }
 
 
-@pytest.mark.parametrize("name, ell", ORBIT_FIELD_DEGREES)
-def test_integer_orbits_and_tables_match_field_element_powers(fx81, name, ell):
-    """Each image's `_frobenius` orbit and each point's power tables, against FieldElement powers."""
+def _orbit_fixture_points(fx81, name, ell):
+    """(fixture, point) at cyclotomic index 1 and 3 (81.6c), or 1 and 3 or 7 (the toy fields)."""
     # Phi_3 and Phi_7 factor mod 2 into factors of the degrees of x^2 + x + 1 and x^3 + x + 1,
     # so at cyclotomic index 3 and 7 zeta lands in F_4 and in F_8 as alpha does
     toys = {"f4": ([1, 1, 1], (1, 3)), "f8": ([1, 1, 0, 1], (1, 7))}
@@ -540,28 +541,44 @@ def test_integer_orbits_and_tables_match_field_element_powers(fx81, name, ell):
         fx = NewformFixture(name, 4, 11, field_poly, {"1": ["1"] + ["0"] * (len(field_poly) - 2)})
     else:
         fx, indices = fx81, (1, 3)
+    return [(fx, pt) for n in indices for pt in find_residue_points(fx, n, ell)]
+
+
+@pytest.mark.parametrize("name, ell", ORBIT_FIELD_DEGREES)
+def test_integer_orbits_and_tables_match_field_element_powers(fx81, name, ell):
+    """Each image's `_frobenius` orbit and each point's power tables, against FieldElement powers."""
     seen = set()
-    for n in indices:
-        for pt in find_residue_points(fx, n, ell):
-            F = pt.field
-            seen.add(F.d)
-            orbits = []
-            for image in (pt.alpha_image, pt.zeta_image):
-                if image is not None:
-                    orbit = _orbit(image, lambda x: residues._frobenius(x, F))
-                    assert orbit == [y.coeffs for y in _orbit(F.element(image), frobenius_reference)], (n, image)
-                    orbits.append(len(orbit))
-            assert math.lcm(*orbits) == pt.degree
-            a, z = F.element(pt.alpha_image), F.element(1 if pt.zeta_image is None else pt.zeta_image)
-            for d in range(1, fx.degree() + 1):
-                assert pt.rows(d) == tuple(zip(*((a ** i).coeffs for i in range(d)))), (n, d)
-            assert pt.zeta_rows == tuple(zip(*((z ** j).coeffs for j in range(n)))), n
+    for fx, pt in _orbit_fixture_points(fx81, name, ell):
+        F, n = field_of(pt), pt.cyclo_index
+        seen.add(F.d)
+        orbits = []
+        for image in (pt.alpha_image, pt.zeta_image):
+            if image is not None:
+                orbit = _orbit(image, lambda x: residues._frobenius(x, pt.modulus, ell))
+                assert orbit == [y.coeffs for y in _orbit(F.element(image), frobenius_reference)], (n, image)
+                orbits.append(len(orbit))
+        assert math.lcm(*orbits) == pt.degree
+        a, z = F.element(pt.alpha_image), F.element(1 if pt.zeta_image is None else pt.zeta_image)
+        assert pt.rows == tuple(zip(*((a ** i).coeffs for i in range(fx.degree())))), n
+        assert pt.zeta_rows == tuple(zip(*((z ** j).coeffs for j in range(n)))), n
     assert seen == ORBIT_FIELD_DEGREES[name, ell]
+
+
+def _plain(x) -> bool:
+    return x is None or type(x) is int or type(x) is tuple and all(map(_plain, x))
+
+
+@pytest.mark.parametrize("name, ell", ORBIT_FIELD_DEGREES)
+def test_residue_points_are_plain_data(fx81, name, ell):
+    """Every field of a point is an int, None or a tuple of them: no FiniteField, no memo."""
+    for _, pt in _orbit_fixture_points(fx81, name, ell):
+        assert all(_plain(getattr(pt, f.name)) for f in dataclasses.fields(pt)), pt
+        assert set(vars(pt)) == {f.name for f in dataclasses.fields(pt)}  # nothing cached beside them
 
 
 def test_reduce_vector_matches_horner_on_every_fixture_coefficient():
     points = _bundled_points()
-    assert any(pt.field.q == 43 ** 3 for _, pt in points)
+    assert any((pt.ell, len(pt.modulus) - 1) == (43, 3) for _, pt in points)
     for fx, pt in points:
         for n in sorted(fx.an):
             assert pt.vector_image(fx.a(n)) == _horner(pt, fx.a(n)), (fx.label, describe(pt), n)
@@ -598,7 +615,7 @@ def test_zeta_table_images_match_horner_at_every_81_6c_point(fx81, ell):
                 for _ in range(5):
                     x = CycloElement(m, [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice((1, 2, 5, 12, 55)))
                                          for _ in range(euler_phi(m))])
-                    residues_ = [pt.field.residue(c) for c in x.coeffs]
+                    residues_ = [residue(c, ell) for c in x.coeffs]
                     assert pt.cyclo_image(residues_, m) == reduce_cyclo_reference(pt, x).coeffs, (n, m, x)
         with pytest.raises(DomainError):
             points[0].cyclo_image([1, 1, 1, 1], 4)

@@ -558,6 +558,11 @@ BAD_ARGUMENTS = {
     "bound-degree-0-squarefree": ["bound", "--weight", "2", "--level", "11", "--degree", "0"],
     "bound-degree-above-dim-new": ["bound", "--weight", "4", "--level", "4", "--degree", "100000"],
     "bound-degree-above-dim-new-squarefree": ["bound", "--weight", "2", "--level", "11", "--degree", "2"],
+    "bound-no-newform-2-1": ["bound", "--weight", "2", "--level", "1"],
+    "bound-no-newform-4-1": ["bound", "--weight", "4", "--level", "1"],
+    "bound-no-newform-2-2": ["bound", "--weight", "2", "--level", "2"],
+    "bound-no-newform-2-4": ["bound", "--weight", "2", "--level", "4"],
+    "bound-no-newform-4-4": ["bound", "--weight", "4", "--level", "4"],
     "bound-weight-3": ["bound", "--weight", "3", "--level", "11"],
     "bound-level-0": ["bound", "--weight", "4", "--level", "0"],
     "dims-weight-3": ["dims", "--weight", "3", "--level", "11"],
