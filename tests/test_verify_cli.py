@@ -1,6 +1,4 @@
-import hashlib
 import json
-import os
 import re
 
 import pytest
@@ -382,25 +380,6 @@ def test_cli_verify_weight2_trivial_character_names_no_function():
         "leaving nu unset tests the sign-twisted E' at square-free level\n"
     )
     assert not set(re.findall(r"\w+", res.stderr)) & set(excprimes.__all__)
-
-
-def test_cli_verify_envelopes_do_not_depend_on_the_job_order():
-    from excprimes.eisenstein import _twisted_series
-
-    jobs = [["verify", "--form", fixture_path(f"{name}.json"), "--ell", str(ell)]
-            for name in ("81-6c", "81-6c-printed") for ell in (7, 43, 1171)]
-
-    def digests(order):
-        _twisted_series.cache_clear()
-        out = {}
-        for argv in order:
-            res = CliRunner().invoke(main, argv)
-            out[tuple(argv)] = (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest())
-        return out
-
-    forward = digests(jobs)
-    assert forward == digests(jobs[::-1])
-    assert {code for code, _ in forward.values()} == {0, 3}
 
 
 def test_cli_verify_weight2_preference():

@@ -317,6 +317,44 @@ def test_cli_delta_exit_codes(tmp_path):
         assert json.loads(res.stdout)["outputs"]["verdict"] == verdict
 
 
+# -- 2.8a at 17: congruent to the 2-stabilised E_8, not to E_8 (ROADMAP item 2) ----
+
+
+def eta_2_8a(m: int) -> list[int]:
+    """a_1, ..., a_m of 2.8a = eta(z)^8 eta(2z)^8 = q prod_n (1 - q^n)^8 (1 - q^2n)^8."""
+    prod = [1] + [0] * (m - 1)
+    for n in range(1, m):
+        for step in (n, 2 * n):
+            for _ in range(8):
+                for i in range(m - 1, step - 1, -1):
+                    prod[i] -= prod[i - step]
+    return prod
+
+
+def test_2_8a_is_congruent_to_the_stabilised_E8_mod_17():
+    from oracles import divisor_power_sums_reference
+
+    an = eta_2_8a(41)
+    assert an[:7] == [1, -8, 12, 64, -210, -96, 1016]
+    sigma7 = divisor_power_sums_reference(7, 41)
+    for n in range(1, 42):
+        stabilised = sigma7[n] - (sigma7[n // 2] if n % 2 == 0 else 0)
+        assert (an[n - 1] - stabilised) % 17 == 0, n
+
+
+# verify compares against the unstabilised E_8 and reads refuted-at-2 today.
+# ell = 2 is not pinned: it is certified only through the ell | n skip (item 3).
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason="ROADMAP item 2")
+def test_2_8a_is_certified_at_17():
+    from excprimes import NewformFixture, verify_fixture
+
+    fx = NewformFixture.from_dict({
+        "label": "2.8a", "weight": 8, "level": 2, "field_poly": [0, 1],
+        "an": {str(n): [str(a)] for n, a in enumerate(eta_2_8a(41), start=1)},
+    })
+    assert verify_fixture(fx, 17).verdict == "certified"
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump({job_id(j): run_job(j) for j in JOBS}, fh, indent=1, sort_keys=True)
