@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 381 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 382 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -32,7 +32,9 @@ lists each changed argv in CHANGES.md. The runs:
   * `bound` at the five levels with no newform, (k, N) in {(2, 1), (4, 1),
     (2, 2), (2, 4), (4, 4)}, square-free or not, and `bound --weight 6
     --level 81` with --degree 0, 1, 18 and 19, where 18 is
-    dim S_6^new(Gamma_0(81)), which pin the domain of `bound` byte for byte.
+    dim S_6^new(Gamma_0(81)), which pin the domain of `bound` byte for byte;
+  * `scan --form fixtures/11-4a.json --ell 5 --pmax 30000000`, whose pmax is
+    far past the fixture's last coefficient, where the scan stops sieving.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
 order above, from a temporary directory holding a copy of fixtures/ and the
@@ -71,6 +73,7 @@ CHARACTER_MODULI = (1, 8, 9, 16, 32, 45, 64, 81, 100, 125, 243)
 DIMS_LEVELS = (4, 9, 13, 36, 49, 91, 1105)
 NO_NEWFORM = ((2, 1), (4, 1), (2, 2), (2, 4), (4, 4))  # dim S_k^new(Gamma_0(N)) = 0
 DEGREES_81 = (0, 1, 18, 19)  # around dim S_6^new(Gamma_0(81)) = 18
+FAR_PMAX_SCAN = ["scan", "--form", "fixtures/11-4a.json", "--ell", "5", "--pmax", "30000000"]
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
@@ -110,6 +113,7 @@ def argvs() -> list[list[str]]:
     out += [["dims", "--weight", "12", "--level", str(n)] for n in sorted(grid_levels.union(DIMS_LEVELS))]
     out += [["bound", "--weight", str(k), "--level", str(n)] for k, n in NO_NEWFORM]
     out += [["bound", "--weight", "6", "--level", "81", "--degree", str(d)] for d in DEGREES_81]
+    out.append(FAR_PMAX_SCAN)
     return out
 
 

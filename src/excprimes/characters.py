@@ -187,9 +187,6 @@ class DirichletCharacter:
     def inverse(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
 
-    def __pow__(self, k: int) -> "DirichletCharacter":
-        return DirichletCharacter(self.modulus, tuple(k * e for e in self.exponents))
-
     def __eq__(self, other):
         return (
             isinstance(other, DirichletCharacter)

@@ -8,19 +8,18 @@ function's domain, 3 inconclusive, 4 internal error.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 import click
 
 from . import __version__
 from .exact import DomainError, FactorCache, set_factor_cache
 from .characters import character_by_index, enumerate_characters
-from .cyclotomic import CycloElement
 from .residues import DenominatorObstruction, FixtureError, NewformFixture
 
 EXIT_OK = 0
@@ -28,19 +27,6 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
-
-
-def _canonical(obj):
-    """Recursively render exact values as canonical strings for JSON."""
-    if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, CycloElement):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
 
 
 class Reporter:
@@ -68,8 +54,8 @@ class Reporter:
                 "tool": "excprimes",
                 "version": __version__,
                 "command": self.subcommand,
-                "inputs": _canonical(self.inputs),
-                "outputs": _canonical(outputs),
+                "inputs": self.inputs,
+                "outputs": outputs,
                 "warnings": list(self.warnings),
             }
             if self.timing:
@@ -104,28 +90,44 @@ def _under_a_directory(ctx, param, path):
     return path
 
 
-def _common_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
-                      default="json", show_default=True, help="Report format.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
+def _reported(*inputs):
+    """A command's common options, Reporter and exit; `inputs` names its envelope inputs.
+
+    Placed directly above the command function, it adds --format, --out,
+    --cache-dir and --timing, builds the Reporter from the command's name and
+    the named options, calls the body with `rep` and the command's own
+    options, and exits with the code the body returns.
+    """
+    def decorate(body):
+        @click.option("--timing", is_flag=True, default=False,
+                      help="Include elapsed time (breaks byte-for-byte determinism).")
+        @click.option("--cache-dir", type=click.Path(file_okay=False),
                       default=None, callback=_under_a_directory,
-                      help="Write the report to this file instead of stdout.")(fn)
-    fn = click.option("--cache-dir", type=click.Path(file_okay=False),
+                      help="Directory for the persistent factorization cache.")
+        @click.option("--out", type=click.Path(dir_okay=False, writable=True),
                       default=None, callback=_under_a_directory,
-                      help="Directory for the persistent factorization cache.")(fn)
-    fn = click.option("--timing", is_flag=True, default=False,
-                      help="Include elapsed time (breaks byte-for-byte determinism).")(fn)
-    return fn
+                      help="Write the report to this file instead of stdout.")
+        @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
+                      default="json", show_default=True, help="Report format.")
+        @functools.wraps(body)
+        def command(fmt, out, cache_dir, timing, **params):
+            named = {name: params[name] for name in inputs}
+            rep = Reporter(click.get_current_context().command.name, named, fmt, out, cache_dir, timing)
+            sys.exit(body(rep, **params))
+        return command
+    return decorate
 
 
 class _Group(click.Group):
     """The one place where an exception from a command becomes an exit code.
 
-    The library makes every value check: a malformed fixture, or a value
-    outside a function's domain, exits EXIT_USAGE with the library's message.
-    Any other Exception exits EXIT_INTERNAL, never 1 (refuted). Click's own
+    A command that returns exits through `_reported` with the code it
+    returns; an exception from its body or from its Reporter lands here. The
+    library makes every value check: a malformed fixture, or a value outside
+    a function's domain, exits EXIT_USAGE with the library's message. Any
+    other Exception exits EXIT_INTERNAL, never 1 (refuted). Click's own
     errors keep their codes; a BaseException passes through. The factor
-    cache a command installed is released however the command ends.
+    cache that `_reported` installed is released however the command ends.
     """
 
     def invoke(self, ctx):
@@ -157,11 +159,9 @@ def main():
 @click.option("--level", type=int, required=True, help="Level N >= 1.")
 @click.option("--degree", type=int, default=None,
               help="Coefficient-field degree for the dihedral bound (default: new-subspace dimension).")
-@_common_options
-def cmd_bound(weight, level, degree, fmt, out, cache_dir, timing):
+@_reported("weight", "level", "degree")
+def cmd_bound(rep, weight, level, degree):
     """Candidate primes: reducible, dihedral, and exceptional projective image."""
-    inputs = {"weight": weight, "level": level, "degree": degree}
-    rep = Reporter("bound", inputs, fmt, out, cache_dir, timing)
     from .bounds import candidate_report
 
     outputs = candidate_report(weight, level, degree).to_dict()
@@ -180,7 +180,7 @@ def cmd_bound(weight, level, degree, fmt, out, cache_dir, timing):
     for a in outputs["assumptions"]:
         lines.append(f"assumption: {a}")
     rep.emit(outputs, lines)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command("verify")
@@ -191,13 +191,11 @@ def cmd_bound(weight, level, degree, fmt, out, cache_dir, timing):
 @click.option("--char-index", type=int, default=None, help="Index of nu (with --char-modulus).")
 @click.option("--pmax", type=int, default=100, show_default=True,
               help="Scan limit for the irreducibility certificate attached to refutations.")
-@_common_options
-def cmd_verify(form, ell, char_modulus, char_index, pmax, fmt, out, cache_dir, timing):
+@_reported("form", "ell", "char_modulus", "char_index")
+def cmd_verify(rep, form, ell, char_modulus, char_index, pmax):
     """Certify (or refute) the reducibility congruence for a fixture at ell."""
     if (char_modulus is None) != (char_index is None):
         raise click.UsageError("--char-modulus and --char-index must be given together")
-    inputs = {"form": form, "ell": ell, "char_modulus": char_modulus, "char_index": char_index}
-    rep = Reporter("verify", inputs, fmt, out, cache_dir, timing)
     fixture = NewformFixture.from_json_file(form)
     from .verify import verify_fixture
 
@@ -218,21 +216,15 @@ def cmd_verify(form, ell, char_modulus, char_index, pmax, fmt, out, cache_dir, t
         for pt in result.scan.points:
             lines.append(f"  scan {pt['point']}: witness {pt['witness']}")
     rep.emit(result.to_dict(), lines)
-    if result.refuted:
-        sys.exit(EXIT_REFUTED)
-    if result.certified:
-        sys.exit(EXIT_OK)
-    sys.exit(EXIT_INCONCLUSIVE)
+    return EXIT_REFUTED if result.refuted else EXIT_OK if result.certified else EXIT_INCONCLUSIVE
 
 
 @main.command("dims")
 @click.option("--weight", type=int, required=True, help="Even weight k >= 2.")
 @click.option("--level", type=int, required=True, help="Level N >= 1.")
-@_common_options
-def cmd_dims(weight, level, fmt, out, cache_dir, timing):
+@_reported("weight", "level")
+def cmd_dims(rep, weight, level):
     """Dimensions and the Sturm bound for weight k on Gamma_0(N)."""
-    inputs = {"weight": weight, "level": level}
-    rep = Reporter("dims", inputs, fmt, out, cache_dir, timing)
     from .dimensions import dim_cusp_forms, dim_new, level_invariants, sturm_bound
 
     inv = level_invariants(level)
@@ -252,7 +244,7 @@ def cmd_dims(weight, level, fmt, out, cache_dir, timing):
         f"{key}: {val}" for key, val in outputs.items() if key not in ("weight", "level")
     ]
     rep.emit(outputs, lines)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command("eisenstein")
@@ -261,14 +253,9 @@ def cmd_dims(weight, level, fmt, out, cache_dir, timing):
 @click.option("--char-index", type=int, required=True, help="Index of nu (see 'characters').")
 @click.option("--terms", type=click.IntRange(min=1), required=True,
               help="Number of q-expansion terms (through q^terms).")
-@_common_options
-def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir, timing):
+@_reported("weight", "char_modulus", "char_index", "terms")
+def cmd_eisenstein(rep, weight, char_modulus, char_index, terms):
     """q-expansion of the Eisenstein series attached to nu at the given weight."""
-    inputs = {
-        "weight": weight, "char_modulus": char_modulus,
-        "char_index": char_index, "terms": terms,
-    }
-    rep = Reporter("eisenstein", inputs, fmt, out, cache_dir, timing)
     from .eisenstein import eisenstein_E
 
     nu = character_by_index(char_modulus, char_index)
@@ -285,7 +272,7 @@ def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir,
     for n in range(terms + 1):
         lines.append(f"a_{n} = {E.coefficient(n)}")
     rep.emit(outputs, lines)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command("scan")
@@ -293,11 +280,9 @@ def cmd_eisenstein(weight, char_modulus, char_index, terms, fmt, out, cache_dir,
               help="Fixture JSON file.")
 @click.option("--ell", type=int, required=True, help="Prime ell.")
 @click.option("--pmax", type=int, required=True, help="Scan primes p <= pmax.")
-@_common_options
-def cmd_scan(form, ell, pmax, fmt, out, cache_dir, timing):
+@_reported("form", "ell", "pmax")
+def cmd_scan(rep, form, ell, pmax):
     """Frobenius irreducibility scan of X^2 - a_p X + p^(k-1) at each residue point."""
-    inputs = {"form": form, "ell": ell, "pmax": pmax}
-    rep = Reporter("scan", inputs, fmt, out, cache_dir, timing)
     fixture = NewformFixture.from_json_file(form)
     from .verify import frobenius_scan
 
@@ -311,16 +296,14 @@ def cmd_scan(form, ell, pmax, fmt, out, cache_dir, timing):
     for w in result.warnings:
         lines.append(f"warning: {w}")
     rep.emit(result.to_dict(), lines)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 @main.command("characters")
 @click.option("--modulus", type=int, required=True, help="List the character table mod this modulus.")
-@_common_options
-def cmd_characters(modulus, fmt, out, cache_dir, timing):
+@_reported("modulus")
+def cmd_characters(rep, modulus):
     """Index / order / conductor / parity table for characters mod m."""
-    inputs = {"modulus": modulus}
-    rep = Reporter("characters", inputs, fmt, out, cache_dir, timing)
     rows = []
     sample = [a for a in range(2, min(modulus, 11)) if math.gcd(a, modulus) == 1]
     for chi in enumerate_characters(modulus, "all"):
@@ -330,19 +313,19 @@ def cmd_characters(modulus, fmt, out, cache_dir, timing):
             "conductor": chi.conductor,
             "parity": "even" if chi.is_even() else "odd",
             "primitive": chi.is_primitive(),
-            "values": {str(a): chi.value(a) for a in sample},
+            "values": {str(a): str(chi.value(a)) for a in sample},
         })
     outputs = {"modulus": modulus, "characters": rows}
     lines = [f"characters mod {modulus} ({len(rows)} total)"]
     for r in rows:
-        vals = ", ".join(f"chi({a})={_canonical(v)}" for a, v in r["values"].items())
+        vals = ", ".join(f"chi({a})={v}" for a, v in r["values"].items())
         lines.append(
             f"index {r['index']}: order {r['order']}, conductor {r['conductor']}, "
             f"{r['parity']}, {'primitive' if r['primitive'] else 'imprimitive'}"
             + (f"; {vals}" if vals else "")
         )
     rep.emit(outputs, lines)
-    sys.exit(EXIT_OK)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -364,9 +364,6 @@ class FactoredInteger:
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
 
-    def __int__(self) -> int:
-        return self.value
-
     def __str__(self) -> str:
         if not self.factors:
             return str(self.value)

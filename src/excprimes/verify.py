@@ -273,11 +273,6 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
         )
     sturm = sturm_bound(fixture.weight, fixture.level)
     window = min(fixture.n_max, sturm)
-    if window < 1:
-        return VerificationResult(
-            fixture.label, ell, RESIDUE, "(none)", 0, sturm,
-            INSUFFICIENT, (), tuple(warnings),
-        )
     candidates = _eisenstein_candidates(fixture, nu, window)
     if not candidates:
         return VerificationResult(
@@ -288,8 +283,7 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
     results, index1 = [], None
     for desc, E, n_cyclo in candidates:
         a0 = E.coefficient(0)
-        a0_coeffs = a0.coeffs if isinstance(a0, CycloElement) else (a0,)
-        if fixture.level == 1 and any(Fraction(c).denominator % ell == 0 for c in a0_coeffs):
+        if fixture.level == 1 and any(c.denominator % ell == 0 for c in a0.coeffs):
             # E has no ell-integral reduction, so Sturm's bound says nothing either way
             results.append(VerificationResult(
                 fixture.label, ell, RESIDUE, desc, 0, sturm,
@@ -454,7 +448,7 @@ def frobenius_scan(fixture: NewformFixture, ell: int, p_max: int, points=None) -
             "partial scan"
         )
     usable = [
-        p for p in primes_up_to(p_max)
+        p for p in primes_up_to(min(p_max, max(fixture.an)))
         if p % ell != 0 and fixture.level % p != 0 and p in fixture.an
     ]
     constants = [(p, [pow(p, k - 1, ell)]) for p in usable]

@@ -163,6 +163,18 @@ def test_scan_prime_selection_and_partial_flag(fx11_2):
     assert any("partial scan" in w for w in s2.warnings)
 
 
+def test_scan_sieves_only_to_the_last_fixture_coefficient(fx11_4, monkeypatch):
+    # only primes p with a_p in the fixture can be tested, so a large pmax
+    # must not cost a sieve to pmax
+    limits, sieve = [], excprimes.verify.primes_up_to
+    monkeypatch.setattr(excprimes.verify, "primes_up_to", lambda n: limits.append(n) or sieve(n))
+    s = frobenius_scan(fx11_4, 5, 30_000_000)
+    assert limits == [max(fx11_4.an)]
+    assert list(s.points[0]["tested"]) == [2, 3]
+    assert s.partial and s.p_max == 30_000_000
+    assert any("partial scan" in w for w in s.warnings)
+
+
 def test_scan_characteristic_two_artin_schreier(fx11_2):
     s = frobenius_scan(fx11_2, 2, 10)
     assert len(s.points) == 1
