@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 382 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 384 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -34,12 +34,18 @@ lists each changed argv in CHANGES.md. The runs:
     --level 81` with --degree 0, 1, 18 and 19, where 18 is
     dim S_6^new(Gamma_0(81)), which pin the domain of `bound` byte for byte;
   * `scan --form fixtures/11-4a.json --ell 5 --pmax 30000000`, whose pmax is
-    far past the fixture's last coefficient, where the scan stops sieving.
+    far past the fixture's last coefficient, where the scan stops sieving;
+  * `bound --weight 22 --level 81 --factors factors.txt`, as JSON and again
+    with --format text, where README's factor hint completes the 44-digit
+    cofactor that the unhinted (22, 81) runs above report. The gate replays
+    in reverse, so these runs come before those, which shows that a hint
+    does not outlive its command.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
-order above, from a temporary directory holding a copy of fixtures/ and the
-generated long-window fixtures, so the paths in the envelopes do not depend
-on where that directory is. bench/workloads.py is imported and only read.
+order above, from a temporary directory holding a copy of fixtures/, the
+generated long-window fixtures and the hint file, so the paths in the
+envelopes do not depend on where that directory is. bench/workloads.py is
+imported and only read.
 One JSON line per run: the argv, the exit code and the sha256 of stdout and
 of stderr.
 
@@ -74,14 +80,18 @@ DIMS_LEVELS = (4, 9, 13, 36, 49, 91, 1105)
 NO_NEWFORM = ((2, 1), (4, 1), (2, 2), (2, 4), (4, 4))  # dim S_k^new(Gamma_0(N)) = 0
 DEGREES_81 = (0, 1, 18, 19)  # around dim S_6^new(Gamma_0(81)) = 18
 FAR_PMAX_SCAN = ["scan", "--form", "fixtures/11-4a.json", "--ell", "5", "--pmax", "30000000"]
+HINTS = "factors.txt"
+HINT_LINE = ("6402103229047855566623041627192831804155994231"
+             "=157,16640620490166841687,2450493213137653603679509")  # README's (22, 81) example
+HINTED_BOUND = ["bound", "--weight", "22", "--level", "81", "--factors", HINTS]
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
 def argvs() -> list[list[str]]:
     """The argv of every run, with paths relative to the working directory.
 
-    Writes the long-window fixtures into the working directory, which must
-    hold a copy of fixtures/.
+    Writes the long-window fixtures and the hint file into the working
+    directory, which must hold a copy of fixtures/.
     """
     import workloads
 
@@ -114,6 +124,9 @@ def argvs() -> list[list[str]]:
     out += [["bound", "--weight", str(k), "--level", str(n)] for k, n in NO_NEWFORM]
     out += [["bound", "--weight", "6", "--level", "81", "--degree", str(d)] for d in DEGREES_81]
     out.append(FAR_PMAX_SCAN)
+    with open(HINTS, "w", encoding="ascii") as fh:
+        fh.write(HINT_LINE + "\n")
+    out += [HINTED_BOUND, HINTED_BOUND + TEXT]
     return out
 
 

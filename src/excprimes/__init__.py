@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 
 from .exact import (
     DomainError,
-    FactorCache,
     FactoredInteger,
     factorize,
     is_prime,
     lcm_pow_minus_one,
     primes_up_to,
-    set_factor_cache,
 )
 from .cyclotomic import CycloElement, cyclotomic_polynomial, euler_phi, zeta
 from .characters import (
@@ -79,13 +77,11 @@ from .verify import (
 __all__ = [
     "__version__",
     "DomainError",
-    "FactorCache",
     "FactoredInteger",
     "factorize",
     "is_prime",
     "lcm_pow_minus_one",
     "primes_up_to",
-    "set_factor_cache",
     "CycloElement",
     "cyclotomic_polynomial",
     "euler_phi",

@@ -18,7 +18,7 @@ import time
 import click
 
 from . import __version__
-from .exact import DomainError, FactorCache, set_factor_cache
+from .exact import DomainError, factor_hints, parse_factor_hints
 from .characters import character_by_index, enumerate_characters
 from .residues import DenominatorObstruction, FixtureError, NewformFixture
 
@@ -30,9 +30,9 @@ EXIT_INTERNAL = 4
 
 
 class Reporter:
-    """Assembles the report envelope and handles --format/--out/--cache-dir."""
+    """Assembles the report envelope and handles --format/--out."""
 
-    def __init__(self, subcommand: str, inputs: dict, fmt: str, out, cache_dir, timing: bool):
+    def __init__(self, subcommand: str, inputs: dict, fmt: str, out, timing: bool):
         self.subcommand = subcommand
         self.inputs = inputs
         self.fmt = fmt
@@ -40,15 +40,8 @@ class Reporter:
         self.timing = timing
         self.t0 = time.monotonic()
         self.warnings: list[str] = []
-        self.cache = None
-        if cache_dir is not None:
-            self.cache = FactorCache(cache_dir)
-            set_factor_cache(self.cache)
-            self.warnings.extend(self.cache.warnings)
 
     def emit(self, outputs: dict, text_lines: list[str]) -> None:
-        if self.cache is not None:
-            self.cache.flush()
         if self.fmt == "json":
             envelope = {
                 "tool": "excprimes",
@@ -76,15 +69,9 @@ class Reporter:
 
 
 def _under_a_directory(ctx, param, path):
-    """Reject, before any work, a path that nothing could be written to.
-
-    The cache directory is created on flush; the report file's directory must exist.
-    """
+    """Reject, before any work, a report file whose directory does not exist."""
     if path is not None:
         parent = os.path.dirname(os.path.abspath(path))
-        if param.name == "cache_dir":
-            while not os.path.exists(parent):
-                parent = os.path.dirname(parent)
         if not os.path.isdir(parent):
             raise click.BadParameter(f"{parent} is not an existing directory")
     return path
@@ -93,26 +80,23 @@ def _under_a_directory(ctx, param, path):
 def _reported(*inputs):
     """A command's common options, Reporter and exit; `inputs` names its envelope inputs.
 
-    Placed directly above the command function, it adds --format, --out,
-    --cache-dir and --timing, builds the Reporter from the command's name and
-    the named options, calls the body with `rep` and the command's own
-    options, and exits with the code the body returns.
+    Placed directly above the command function, it adds --format, --out and
+    --timing, builds the Reporter from the command's name and the named
+    options, calls the body with `rep` and the command's own options, and
+    exits with the code the body returns.
     """
     def decorate(body):
         @click.option("--timing", is_flag=True, default=False,
                       help="Include elapsed time (breaks byte-for-byte determinism).")
-        @click.option("--cache-dir", type=click.Path(file_okay=False),
-                      default=None, callback=_under_a_directory,
-                      help="Directory for the persistent factorization cache.")
         @click.option("--out", type=click.Path(dir_okay=False, writable=True),
                       default=None, callback=_under_a_directory,
                       help="Write the report to this file instead of stdout.")
         @click.option("--format", "fmt", type=click.Choice(["json", "text"]),
                       default="json", show_default=True, help="Report format.")
         @functools.wraps(body)
-        def command(fmt, out, cache_dir, timing, **params):
+        def command(fmt, out, timing, **params):
             named = {name: params[name] for name in inputs}
-            rep = Reporter(click.get_current_context().command.name, named, fmt, out, cache_dir, timing)
+            rep = Reporter(click.get_current_context().command.name, named, fmt, out, timing)
             sys.exit(body(rep, **params))
         return command
     return decorate
@@ -126,8 +110,7 @@ class _Group(click.Group):
     library makes every value check: a malformed fixture, or a value outside
     a function's domain, exits EXIT_USAGE with the library's message. Any
     other Exception exits EXIT_INTERNAL, never 1 (refuted). Click's own
-    errors keep their codes; a BaseException passes through. The factor
-    cache that `_reported` installed is released however the command ends.
+    errors keep their codes; a BaseException passes through.
     """
 
     def invoke(self, ctx):
@@ -144,8 +127,6 @@ class _Group(click.Group):
         except Exception as exc:
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
-        finally:
-            set_factor_cache(None)
 
 
 @click.group(cls=_Group)
@@ -159,12 +140,20 @@ def main():
 @click.option("--level", type=int, required=True, help="Level N >= 1.")
 @click.option("--degree", type=int, default=None,
               help="Coefficient-field degree for the dihedral bound (default: new-subspace dimension).")
+@click.option("--factors", type=click.Path(exists=True, dir_okay=False), default=None,
+              help="Factor hints, one 'n=p^e,p^e,...' line each, checked before use.")
 @_reported("weight", "level", "degree")
-def cmd_bound(rep, weight, level, degree):
+def cmd_bound(rep, weight, level, degree, factors):
     """Candidate primes: reducible, dihedral, and exceptional projective image."""
     from .bounds import candidate_report
 
-    outputs = candidate_report(weight, level, degree).to_dict()
+    hints = {}
+    if factors is not None:
+        with open(factors, encoding="ascii", errors="replace") as fh:
+            hints, warnings = parse_factor_hints(fh.read().splitlines())
+        rep.warnings.extend(warnings)
+    with factor_hints(hints):
+        outputs = candidate_report(weight, level, degree).to_dict()
     lines = [f"bound report for weight {weight}, level {level}"]
     lines.append("reducible candidates: " + ", ".join(map(str, outputs["reducible_primes"])))
     for r in outputs["reducible"]:

@@ -4,6 +4,10 @@ Everything here is pure and deterministic. Values are plain Python ints
 (arbitrary precision); rationals are fractions.Fraction throughout the
 package. FactoredInteger pairs an integer with its certified factorization
 and is the currency of every "l divides ..." clause in the bound engine.
+
+Besides the factorization memo, the module holds one piece of state: the
+table of factor hints that `factor_hints` fills for the length of one block,
+read by `factorize` before the memo.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import contextlib
 import decimal
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -379,25 +382,18 @@ def factorize(n: int, partial: bool = False) -> FactoredInteger:
 
     A composite part that ECM's budget leaves unsplit (see `_ecm`) raises
     DomainError, unless `partial` is set: the result then carries it as its
-    cofactor. Factorizations are memoised by |n| for the life of the
-    process. An active factor cache is read before the memo and is handed
-    every complete result, memo hits included.
+    cofactor. A factor hint for |n| (see `factor_hints`) is used as it is;
+    otherwise factorizations are memoised by |n| for the life of the process.
     """
     if n == 0:
         raise DomainError("factorize(0) is undefined")
     m = abs(n)
-    cache = _active_cache()
-    factors = cache.get(m) if cache is not None else None
-    cofactor = 1
-    if factors is None:
-        factors, cofactor = _factor_abs(m)
+    factors, cofactor = (_hints[m], 1) if m in _hints else _factor_abs(m)
     if cofactor != 1 and not partial:
         raise DomainError(
             f"a {len(decimal_string(cofactor))}-digit composite part of a "
             f"{len(decimal_string(m))}-digit number is past the ECM budget"
         )
-    if cache is not None and cofactor == 1:
-        cache.put(m, factors)
     return FactoredInteger(n, factors, cofactor)
 
 
@@ -442,95 +438,49 @@ def primes_up_to(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), sieve))
 
 
-class FactorCache:
-    """Line-oriented on-disk factorization cache: each line "n=p^e,p^e,...".
+_hints: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    Corrupt or inconsistent lines are ignored with a warning and recomputed;
-    the cache is never trusted blindly (entries are re-multiplied and each
-    prime re-tested on read).
+
+@contextlib.contextmanager
+def factor_hints(table: dict[int, tuple[tuple[int, int], ...]]):
+    """Let `factorize` take its factors from `table` (see `parse_factor_hints`) within the block.
+
+    The table is emptied however the block ends, and no hint enters the memo.
     """
+    _hints.update(table)
+    try:
+        yield
+    finally:
+        _hints.clear()
 
-    def __init__(self, directory: str):
-        self.path = os.path.join(directory, "factors.txt")
-        self.warnings: list[str] = []
-        self._table: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._dirty = False
-        self._load()
 
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
+def parse_factor_hints(lines: list[str]) -> tuple[dict[int, tuple[tuple[int, int], ...]], list[str]]:
+    """A hint table from lines "n=p^e,p^e,...", and one warning for each line that is not one.
+
+    Nothing is taken on trust: n must be >= 1, every prime must pass
+    `is_prime`, no prime may be listed twice and the factors must
+    re-multiply to n. Blank lines are skipped.
+    """
+    table: dict[int, tuple[tuple[int, int], ...]] = {}
+    warnings: list[str] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
         try:
-            with open(self.path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            self.warnings.append(f"cache unreadable ({exc}); recomputing")
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                n_str, rhs = line.split("=", 1)
-                n = int(n_str)
-                factors = []
-                if rhs:
-                    for part in rhs.split(","):
-                        if "^" in part:
-                            p_str, e_str = part.split("^", 1)
-                            p, e = int(p_str), int(e_str)
-                        else:
-                            p, e = int(part), 1
-                        factors.append((p, e))
-                factors_t = tuple(sorted(factors))
-                if n < 1 or not all(is_prime(p) for p, _ in factors_t):
-                    raise ValueError("bad prime")
-                # re-multiplies, and rejects a prime listed twice
-                FactoredInteger(n, factors_t)
-            except (ValueError, IndexError, ArithmeticError):
-                self.warnings.append(f"ignoring corrupt cache line: {line!r}")
-                continue
-            self._table[n] = factors_t
-
-    def get(self, n: int):
-        return self._table.get(n)
-
-    def put(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
-        if self._table.get(n) != factors:
-            self._table[n] = factors
-            self._dirty = True
-
-    def flush(self) -> None:
-        if not self._dirty:
-            return
-        os.makedirs(os.path.dirname(self.path), exist_ok=True)
-        # write a sibling file and rename it over the old one, so a failed
-        # write never leaves a truncated cache behind
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="ascii") as fh:
-                for n in sorted(self._table):
-                    parts = ",".join(
-                        f"{p}^{e}" if e > 1 else str(p) for p, e in self._table[n]
-                    )
-                    fh.write(f"{n}={parts}\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
-            raise
-        self._dirty = False
-
-
-_cache_holder: list[FactorCache | None] = [None]
-
-
-def set_factor_cache(cache: FactorCache | None) -> None:
-    """Install a process-wide factorization cache (used by the CLI)."""
-    _cache_holder[0] = cache
-
-
-def _active_cache() -> FactorCache | None:
-    return _cache_holder[0]
+            n_str, rhs = line.split("=", 1)
+            n = int(n_str)
+            factors = []
+            for part in rhs.split(",") if rhs else ():
+                p_str, caret, e_str = part.partition("^")
+                factors.append((int(p_str), int(e_str) if caret else 1))
+            factors_t = tuple(sorted(factors))
+            if n < 1 or not all(is_prime(p) for p, _ in factors_t):
+                raise ValueError("bad prime")
+            # re-multiplies, and rejects a prime listed twice
+            FactoredInteger(n, factors_t)
+        except (ValueError, ArithmeticError):
+            warnings.append(f"ignoring corrupt factor hint: {line!r}")
+            continue
+        table[n] = factors_t
+    return table, warnings

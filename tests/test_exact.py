@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from excprimes import (
     DomainError,
-    FactorCache,
     factorize,
     is_prime,
     lcm_pow_minus_one,
     primes_up_to,
-    set_factor_cache,
 )
 from excprimes import exact
+from excprimes.exact import factor_hints, parse_factor_hints
 from oracles import ecm_curve_reference
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -120,23 +119,29 @@ def test_lcm_pow_minus_one_value():
     assert lcm_pow_minus_one(2, 4) == 15  # lcm(2^4 - 1, 2^2 - 1) = lcm(15, 3)
 
 
-def test_factor_cache_roundtrip_and_corruption(tmp_path):
-    d = str(tmp_path)
-    cache = FactorCache(d)
-    cache.put(84, ((2, 2), (3, 1), (7, 1)))
-    cache.flush()
-    reloaded = FactorCache(d)
-    assert reloaded.get(84) == ((2, 2), (3, 1), (7, 1))
-    assert reloaded.warnings == []
+def test_factor_cache_roundtrip_and_corruption():
+    table, warnings = parse_factor_hints([
+        "84=2^2,3,7",
+        "",
+        "84=2^2,3,9",        # does not re-multiply
+        "60=2^2,3,5,junk",   # unparsable token
+        "90=2,45",           # 45 is not prime
+    ])
+    assert table == {84: ((2, 2), (3, 1), (7, 1))}  # corrupt lines rejected
+    assert warnings == [f"ignoring corrupt factor hint: {line!r}"
+                        for line in ("84=2^2,3,9", "60=2^2,3,5,junk", "90=2,45")]
+    with factor_hints(table):
+        assert factorize(84).factors == ((2, 2), (3, 1), (7, 1))
+    assert not exact._hints
 
-    with open(os.path.join(d, "factors.txt"), "a", encoding="ascii") as fh:
-        fh.write("84=2^2,3,9\n")        # does not re-multiply
-        fh.write("60=2^2,3,5,junk\n")   # unparsable token
-        fh.write("90=2,45\n")           # 45 is not prime
-    poisoned = FactorCache(d)
-    assert poisoned.get(84) == ((2, 2), (3, 1), (7, 1))  # corrupt line rejected
-    assert poisoned.get(60) is None and poisoned.get(90) is None
-    assert len(poisoned.warnings) == 3
+
+def test_factor_cache_rejects_a_prime_listed_twice():
+    # "12=2,2,3" re-multiplies, but read as exponents 1, 1, 1 it would give
+    # level 12 the index of level 18
+    table, warnings = parse_factor_hints(["12=2,2,3"])
+    assert table == {} and warnings == ["ignoring corrupt factor hint: '12=2,2,3'"]
+    with factor_hints(table):
+        assert factorize(12).factors == ((2, 2), (3, 1))
 
 
 def test_factorize_known_values():
@@ -214,32 +219,18 @@ def test_ecm_budget_leaves_a_large_composite_as_a_cofactor():
     assert factorize(84, partial=True).cofactor == 1
 
 
-def test_factor_cache_writes_no_line_for_an_incomplete_result(tmp_path):
-    cache = FactorCache(str(tmp_path))
-    set_factor_cache(cache)
-    try:
-        assert factorize(6 * _HARD, partial=True).cofactor == _HARD
-        factorize(84)
-    finally:
-        set_factor_cache(None)
-    assert cache.get(6 * _HARD) is None
-    cache.flush()
-    with open(tmp_path / "factors.txt", encoding="ascii") as fh:
-        assert fh.read().splitlines() == ["84=2^2,3,7"]
-
-
-def test_a_complete_cache_line_completes_a_partial_result(tmp_path):
+def test_a_complete_cache_line_completes_a_partial_result():
     p, q = 16640620490166841687, 2450493213137653603679509
     assert p * q == _HARD and _ref_is_prime(p) and _ref_is_prime(q)
-    with open(tmp_path / "factors.txt", "w", encoding="ascii") as fh:
-        fh.write(f"{_HARD}={p},{q}\n")
-    cache = FactorCache(str(tmp_path))
-    set_factor_cache(cache)
-    try:
-        fac = factorize(_HARD)
-    finally:
-        set_factor_cache(None)
-    assert fac.cofactor == 1 and fac.factors == ((p, 1), (q, 1))
+    assert factorize(_HARD, partial=True).cofactor == _HARD  # memoised
+    table, warnings = parse_factor_hints([f"{_HARD}={p},{q}"])
+    assert not warnings
+    with factor_hints(table):
+        fac = factorize(-_HARD)
+    assert fac.cofactor == 1 and fac.factors == ((p, 1), (q, 1)) and fac.value == -_HARD
+    # the hint is gone with its block, and never entered the memo
+    assert not exact._hints
+    assert factorize(_HARD, partial=True).cofactor == _HARD
 
 
 def test_ecm_splits_a_product_of_two_13_digit_primes():
@@ -290,23 +281,12 @@ def test_factorize_memo_keeps_the_sign():
     assert str(neg) == "-" + str(pos)
 
 
-def test_memo_hit_still_fills_the_factor_cache(tmp_path):
-    n = 2 ** 5 * 10007
-    factorize(n)
-    cache = FactorCache(str(tmp_path))
-    set_factor_cache(cache)
-    try:
-        factorize(n)
-    finally:
-        set_factor_cache(None)
-    assert cache.get(n) == ((2, 5), (10007, 1))
-
-
 def test_factorization_checks_survive_python_O():
     code = f"""
 import sys
-from excprimes.exact import DomainError, FactoredInteger
+from excprimes.exact import DomainError, FactoredInteger, parse_factor_hints
 print(sys.flags.optimize)
+print(parse_factor_hints(["12=2,2,3"]) == ({{}}, ["ignoring corrupt factor hint: '12=2,2,3'"]))
 C, P = {_HARD}, {_ref_next_prime(10 ** 40)}
 print(FactoredInteger(-6 * C, ((2, 1), (3, 1)), C).cofactor == C)
 for value, factors, cofactor, error in (
@@ -331,42 +311,4 @@ for value, factors, cofactor, error in (
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True"] + ["raised"] * 9
-
-
-def test_factor_cache_rejects_a_prime_listed_twice(tmp_path):
-    # "12=2,2,3" re-multiplies, but read as exponents 1, 1, 1 it would give
-    # level 12 the index of level 18
-    with open(tmp_path / "factors.txt", "w", encoding="ascii") as fh:
-        fh.write("12=2,2,3\n")
-    cache = FactorCache(str(tmp_path))
-    assert cache.get(12) is None and len(cache.warnings) == 1
-    set_factor_cache(cache)
-    try:
-        assert factorize(12).factors == ((2, 2), (3, 1))
-    finally:
-        set_factor_cache(None)
-
-
-def test_factor_cache_flush_failure_keeps_the_old_file(tmp_path, monkeypatch):
-    d = str(tmp_path)
-    path = os.path.join(d, "factors.txt")
-    cache = FactorCache(d)
-    cache.put(84, ((2, 2), (3, 1), (7, 1)))
-    cache.flush()
-    with open(path, "rb") as fh:
-        before = fh.read()
-
-    def failing_replace(src, dst):
-        raise OSError("simulated failure")
-
-    cache.put(90, ((2, 1), (3, 2), (5, 1)))
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="simulated"):
-        cache.flush()
-    monkeypatch.undo()
-    with open(path, "rb") as fh:
-        assert fh.read() == before
-    assert os.listdir(d) == ["factors.txt"]
-    cache.flush()
-    assert FactorCache(d).get(90) == ((2, 1), (3, 2), (5, 1))
+    assert proc.stdout.split() == ["1", "True", "True"] + ["raised"] * 9

@@ -312,8 +312,9 @@ def test_cli_bound_is_completed_by_a_cache_line_for_the_norm(tmp_path):
     p, q = 16640620490166841687, 2450493213137653603679509
     norm = 6402103229047855566623041627192831804155994231
     assert norm == 157 * p * q
-    (tmp_path / "factors.txt").write_text(f"{norm}=157,{p},{q}\n", encoding="ascii")
-    proc = run_cli("bound", "--weight", 22, "--level", 81, "--cache-dir", tmp_path, timeout=120)
+    hints = tmp_path / "factors.txt"
+    hints.write_text(f"{norm}=157,{p},{q}\n", encoding="ascii")
+    proc = run_cli("bound", "--weight", 22, "--level", 81, "--factors", hints, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = _payload(proc)["outputs"]
     assert "unfactored" not in out
@@ -511,19 +512,20 @@ def test_cli_characters_table():
     assert nu["values"]["2"] == "1*z"
 
 
-def test_cli_cache_persistence_and_corruption_warning(tmp_path):
-    cache = tmp_path / "cache"
-    first = run_cli("bound", "--weight", 6, "--level", 81, "--cache-dir", cache)
-    assert first.returncode == 0
-    path = cache / "factors.txt"
-    assert path.exists()
-    content = path.read_text(encoding="utf-8")
-    assert "352471=7,43,1171" in content
-    path.write_text(content + "81=3^3\njunkline\n", encoding="utf-8")
-    second = run_cli("bound", "--weight", 6, "--level", 81, "--cache-dir", cache)
-    env = _payload(second)
-    assert sum("corrupt cache line" in w for w in env["warnings"]) == 2
+def test_cli_factor_hints_warn_on_each_corrupt_line(tmp_path):
+    path = tmp_path / "factors.txt"
+    path.write_text("352471=7,43,1171\n81=3^3\njunkline\n", encoding="ascii")
+    env = _payload(run_cli("bound", "--weight", 6, "--level", 81, "--factors", path))
+    assert sum("corrupt factor hint" in w for w in env["warnings"]) == 2
     assert env["outputs"]["reducible_primes"] == [2, 3, 5, 7, 43, 1171]
+
+
+def test_cli_undecodable_factor_hint_is_one_warning(tmp_path):
+    path = tmp_path / "factors.txt"
+    path.write_bytes(b"\xe9=1\n")
+    res = CliRunner().invoke(main, ["bound", "--weight", "4", "--level", "11", "--factors", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.stdout)["warnings"] == ["ignoring corrupt factor hint: '\ufffd=1'"]
 
 
 def test_cli_out_file_and_text_format(tmp_path):
@@ -629,41 +631,49 @@ def test_cli_malformed_fixture_exits_2(tmp_path, fixture_json, name, mutate):
 
 @pytest.mark.parametrize("argv, code", [
     (BAD_ARGUMENTS["bound-degree-0"], 2),
-    (BAD_ARGUMENTS["verify-composite-ell"], 2),
+    (BAD_ARGUMENTS["bound-weight-3"], 2),
     (["bound", "--weight", "4", "--level", "11"], 0),
 ])
 def test_cli_releases_the_factor_cache_however_a_command_ends(tmp_path, argv, code):
+    # the factor hints of one `bound` run are gone when it exits, with or without an error
     from excprimes import exact
 
-    res = CliRunner().invoke(main, [*argv, "--cache-dir", str(tmp_path)])
+    hints = tmp_path / "factors.txt"
+    hints.write_text("84=2^2,3,7\n", encoding="ascii")
+    res = CliRunner().invoke(main, [*argv, "--factors", str(hints)])
     assert res.exit_code == code, res.output
-    assert exact._active_cache() is None
-    assert (tmp_path / "factors.txt").exists() == (code == 0)
+    assert exact._hints == {}
 
 
 def _boom(*args, **kwargs):
     raise AssertionError("the command body ran")
 
 
+# the reason click gives for each unusable path below
+_UNUSABLE = {
+    "afile/out.json": "is not an existing directory",
+    "nodir/out.json": "is not an existing directory",
+    "adir": "is a directory",
+    "nofile.txt": "does not exist",
+}
+
+
 @pytest.mark.parametrize("option, under", [
     ("--out", "afile/out.json"),
-    ("--cache-dir", "afile/sub"),
-    ("--cache-dir", "afile/sub/deeper"),
     ("--out", "nodir/out.json"),
+    ("--factors", "adir"),
+    ("--factors", "nofile.txt"),
 ])
 def test_cli_unusable_output_path_exits_2_before_any_work(tmp_path, monkeypatch, option, under):
+    import excprimes.bounds
     import excprimes.dimensions
 
     (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
     monkeypatch.setattr(excprimes.dimensions, "level_invariants", _boom)
-    res = CliRunner().invoke(main, ["dims", "--weight", "2", "--level", "11", option, str(tmp_path / under)])
+    monkeypatch.setattr(excprimes.bounds, "candidate_report", _boom)
+    command = "bound" if option == "--factors" else "dims"
+    res = CliRunner().invoke(main, [command, "--weight", "4", "--level", "11", option, str(tmp_path / under)])
     _assert_usage_exit(res)
-    assert f"Invalid value for '{option}'" in res.stderr and "is not an existing directory" in res.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
-
-
-def test_cli_cache_dir_is_created_below_an_existing_directory(tmp_path):
-    cache = tmp_path / "new" / "deeper"
-    res = CliRunner().invoke(main, ["bound", "--weight", "4", "--level", "11", "--cache-dir", str(cache)])
-    assert res.exit_code == 0, res.output
-    assert (cache / "factors.txt").exists()
+    assert f"Invalid value for '{option}'" in res.stderr and _UNUSABLE[under] in res.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
