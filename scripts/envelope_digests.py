@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 384 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 389 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -39,11 +39,16 @@ lists each changed argv in CHANGES.md. The runs:
     with --format text, where README's factor hint completes the 44-digit
     cofactor that the unhinted (22, 81) runs above report. The gate replays
     in reverse, so these runs come before those, which shows that a hint
-    does not outlive its command.
+    does not outlive its command;
+  * `verify --form delta.json` at ell in {2, 3, 11, 13, 691}, the one
+    level-1 newform Delta, with tau(1..100) from q prod (1 - q^n)^24 and
+    field polynomial x. No other run reaches level-1 `verify`: it reads
+    inconclusive (a denominator obstruction of a_0(E_12)) at 2 and 3,
+    refuted-at-0 at 11, refuted-by-scan at 13 and certified at 691.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
 order above, from a temporary directory holding a copy of fixtures/, the
-generated long-window fixtures and the hint file, so the paths in the
+generated long-window fixtures, the hint file and Delta, so the paths in the
 envelopes do not depend on where that directory is. bench/workloads.py is
 imported and only read.
 One JSON line per run: the argv, the exit code and the sha256 of stdout and
@@ -84,14 +89,17 @@ HINTS = "factors.txt"
 HINT_LINE = ("6402103229047855566623041627192831804155994231"
              "=157,16640620490166841687,2450493213137653603679509")  # README's (22, 81) example
 HINTED_BOUND = ["bound", "--weight", "22", "--level", "81", "--factors", HINTS]
+DELTA = "delta.json"
+DELTA_TERMS = 100
+DELTA_ELLS = (2, 3, 11, 13, 691)
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
 def argvs() -> list[list[str]]:
     """The argv of every run, with paths relative to the working directory.
 
-    Writes the long-window fixtures and the hint file into the working
-    directory, which must hold a copy of fixtures/.
+    Writes the long-window fixtures, the hint file and Delta into the
+    working directory, which must hold a copy of fixtures/.
     """
     import workloads
 
@@ -127,7 +135,21 @@ def argvs() -> list[list[str]]:
     with open(HINTS, "w", encoding="ascii") as fh:
         fh.write(HINT_LINE + "\n")
     out += [HINTED_BOUND, HINTED_BOUND + TEXT]
+    with open(DELTA, "w", encoding="ascii") as fh:
+        json.dump({"label": "delta", "weight": 12, "level": 1, "field_poly": [0, 1],
+                   "an": {str(n): [str(tau)] for n, tau in enumerate(_tau(DELTA_TERMS), 1)}}, fh)
+    out += [["verify", "--form", DELTA, "--ell", str(ell)] for ell in DELTA_ELLS]
     return out
+
+
+def _tau(terms: int) -> list[int]:
+    """tau(1), ..., tau(terms): the coefficients of q prod_{n >= 1} (1 - q^n)^24."""
+    series = [1] + [0] * (terms - 1)  # prod (1 - q^n)^24 up to q^(terms - 1)
+    for n in range(1, terms):
+        for _ in range(24):
+            for i in range(terms - 1, n - 1, -1):
+                series[i] -= series[i - n]
+    return series
 
 
 def run(argv: list[str]) -> str:

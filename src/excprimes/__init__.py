@@ -46,7 +46,6 @@ from .eisenstein import (
 )
 from .residues import (
     DenominatorObstruction,
-    FiniteField,
     FixtureError,
     NewformFixture,
     ResiduePoint,
@@ -106,7 +105,6 @@ __all__ = [
     "eprime_twisted",
     "eprime_weight2_steinberg",
     "DenominatorObstruction",
-    "FiniteField",
     "FixtureError",
     "NewformFixture",
     "ResiduePoint",

@@ -14,17 +14,18 @@ polynomials checks the power-sum route of `bernoulli_generalized`; the
 conductor from the orders of the generators' images and the primitive
 associate read off values at CRT lifts check the exponent arithmetic of
 `DirichletCharacter._descent`; the
-rational value of a Q(zeta_n) element, the triviality of a character,
-the data of a residue point and its `FiniteField`, rebuilt from ell and the
-point's modulus, are read here for the tests; Frobenius as a
-`FieldElement` power checks the integer orbits of `find_residue_points`;
-Horner evaluation in `FieldElement` arithmetic (of a power-basis vector at
+rational value of a Q(zeta_n) element, the triviality of a character and
+the data of a residue point are read here for the tests. `Fq` is the one
+reference field F_p[y]/(m), on int tuples by schoolbook arithmetic, with m
+the modulus of the point or field under test; it shares no arithmetic with
+`residues` or `polys`. In it, Frobenius as a power checks the integer orbits
+of `find_residue_points`; Horner evaluation (of a power-basis vector at
 alpha, of a Q(zeta_m) element at a point's zeta) checks a residue point's
-integer tables, and with it the congruence comparison with a `FieldElement` per n
-and per point checks `verify._point_outcomes`; the Euler criterion, and the
-discriminant and Artin-Schreier trace in `FieldElement` arithmetic, check
-the integer irreducibility test of the Frobenius scan,
-`residues._fp_irreducible_quadratic`; the entry-by-entry `an` parser
+integer tables, and with it the congruence comparison at every n and point
+checks `verify._point_outcomes`; the Euler criterion, and the discriminant
+and Artin-Schreier trace, check the integer irreducibility test of the
+Frobenius scan, `residues._fp_irreducible_quadratic`; its element lists and
+power tables let the tests find roots by enumeration. The entry-by-entry `an` parser
 checks the one-pass loader of `residues._parse_an`; and a plain ECM curve,
 with one inversion per point and every stage-2 pair, checks
 `exact._ecm_curve`. None of this is on the package's runtime path.
@@ -33,6 +34,7 @@ with one inversion per point and every stage-2 pair, checks
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -45,7 +47,7 @@ from excprimes.bernoulli import bernoulli_classical, bernoulli_generalized
 from excprimes.characters import _group
 from excprimes.cyclotomic import CycloElement, zeta
 from excprimes.eisenstein import TruncationError
-from excprimes.residues import FiniteField, _integer, _parse_rational, residue
+from excprimes.residues import _integer, _parse_rational
 
 
 def evaluate(f: list, x):
@@ -191,79 +193,144 @@ def describe(pt) -> dict:
     return out
 
 
+class Fq:
+    """F_q = F_p[y]/(m) on d-tuples of ints in [0, p), for a monic m of degree d irreducible mod p.
+
+    A sum is taken coordinate by coordinate and a product by schoolbook
+    multiplication, reduced mod m from the top coefficient down; a power is
+    square-and-multiply. The element list and the power tables are built
+    once per field, which `field` builds once per (p, m).
+    """
+
+    def __init__(self, p: int, modulus: tuple):
+        self.p, self.m, self.d = p, modulus, len(modulus) - 1
+        self.q = p ** self.d
+        self.zero = (0,) * self.d
+        self.one = self.of(1)
+
+    def of(self, x) -> tuple:
+        """An int, or a Fraction whose denominator p does not divide, as an element of F_p inside F_q."""
+        return (x.numerator * pow(x.denominator, -1, self.p) % self.p,) + (0,) * (self.d - 1)
+
+    def add(self, x: tuple, y: tuple) -> tuple:
+        return tuple((a + b) % self.p for a, b in zip(x, y))
+
+    def sub(self, x: tuple, y: tuple) -> tuple:
+        return tuple((a - b) % self.p for a, b in zip(x, y))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        p, m, d = self.p, self.m, self.d
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                prod[i + j] += a * b
+        for top in range(2 * d - 2, d - 1, -1):
+            c = prod[top] % p
+            for i in range(d):
+                prod[top - d + i] -= c * m[i]
+        return tuple(c % p for c in prod[:d])
+
+    def pow(self, x: tuple, e: int) -> tuple:
+        """x^e for e >= 0."""
+        result = self.one
+        while e:
+            if e & 1:
+                result = self.mul(result, x)
+            x, e = self.mul(x, x), e >> 1
+        return result
+
+    def horner(self, coeffs, x: tuple) -> tuple:
+        """sum c_i x^i for ints or Fractions c_i."""
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), self.of(c))
+        return acc
+
+    @functools.cached_property
+    def elements(self) -> list:
+        """Every element, in the order of the coordinate tuples."""
+        return list(itertools.product(range(self.p), repeat=self.d))
+
+    @functools.cached_property
+    def generator(self) -> tuple:
+        """The first element, in the order of the coordinate tuples, whose multiplicative order is q - 1."""
+        n = self.q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, math.isqrt(r) + 1))]
+        return next(x for x in self.elements[1:] if all(self.pow(x, n // r) != self.one for r in primes))
+
+    @functools.cache
+    def power_table(self, top: int) -> list:
+        """(x, the coordinates of x^0, ..., x^top in one tuple) for every element x.
+
+        F_q^* is cyclic: x = g^k for the generator g has x^i = g^(ik mod q-1),
+        so the q - 1 powers of g give every row.
+        """
+        n = self.q - 1
+        powers = [self.one]
+        for _ in range(n - 1):
+            powers.append(self.mul(powers[-1], self.generator))
+        table = [(self.zero, self.one + self.zero * top)]
+        for k, x in enumerate(powers):
+            table.append((x, tuple(itertools.chain.from_iterable(powers[i * k % n] for i in range(top + 1)))))
+        return table
+
+
 @functools.cache
-def _field(ell: int, d: int) -> FiniteField:
-    return FiniteField(ell, d)
+def field(p: int, modulus: tuple) -> Fq:
+    return Fq(p, modulus)
 
 
-def field_of(pt) -> FiniteField:
-    """The FiniteField of a residue point, rebuilt from its ell and the degree of its modulus."""
-    field = _field(pt.ell, len(pt.modulus) - 1)
-    if field.modulus != pt.modulus:
-        raise ArithmeticError(f"point modulus {pt.modulus} is not the field's {field.modulus}")
-    return field
+def field_of(pt) -> Fq:
+    """The field of a residue point: its ell and its modulus."""
+    return field(pt.ell, pt.modulus)
 
 
-def _reduce(field, x, context: str = "coefficient"):
-    """An int or Fraction as a FieldElement of F_ell inside field."""
-    return field.element(residue(x, field.p, context))
+def reduce_vector_reference(pt, vec) -> tuple:
+    """sum c_i alpha^i at a residue point, by Horner at alpha."""
+    return field_of(pt).horner(vec, pt.alpha_image)
 
 
-def reduce_vector_reference(pt, vec):
-    """sum c_i alpha^i at a residue point, in FieldElement arithmetic."""
-    field = field_of(pt)
-    acc, power = field.zero(), field.one()
-    for c in vec:
-        acc = acc + _reduce(field, c, "coefficient of alpha") * power
-        power = power * field.element(pt.alpha_image)
-    return acc
-
-
-def reduce_cyclo_reference(pt, x: CycloElement):
+def reduce_cyclo_reference(pt, x: CycloElement) -> tuple:
     """x in Q(zeta_m), m dividing the point's index n, at the point: embedded in Q(zeta_n), then Horner at zeta."""
     if pt.cyclo_index % x.n:
         raise DomainError(f"cannot reduce Q(zeta_{x.n}) through a point for zeta_{pt.cyclo_index}")
-    x = x.embed(pt.cyclo_index)
-    field = field_of(pt)
-    z = field.element(pt.zeta_image if pt.zeta_image is not None else 1)
-    return evaluate([_reduce(field, c, "cyclotomic coordinate") for c in x.coeffs], z)
+    F = field_of(pt)
+    return F.horner(x.embed(pt.cyclo_index).coeffs, F.one if pt.zeta_image is None else pt.zeta_image)
 
 
-def frobenius_reference(x):
-    """x^p for a FieldElement x, by its power; x itself in F_p."""
-    return x if x.field.d == 1 else x ** x.field.p
+def frobenius_reference(F: Fq, x: tuple) -> tuple:
+    """x^p, by its power; x itself in F_p."""
+    return x if F.d == 1 else F.pow(x, F.p)
 
 
-def trace_reference(x) -> int:
-    """Absolute trace of a FieldElement down to F_p, the sum of its d Frobenius conjugates, as an int."""
-    acc, y = x.field.zero(), x
-    for _ in range(x.field.d):
-        acc, y = acc + y, frobenius_reference(y)
-    if any(acc.coeffs[1:]):
-        raise ArithmeticError(f"trace of {x} does not lie in F_{x.field.p}")
-    return acc.coeffs[0]
+def trace_reference(F: Fq, x: tuple) -> int:
+    """Absolute trace of x down to F_p, the sum of its d Frobenius conjugates, as an int."""
+    acc, y = F.zero, x
+    for _ in range(F.d):
+        acc, y = F.add(acc, y), frobenius_reference(F, y)
+    if any(acc[1:]):
+        raise ArithmeticError(f"trace of {x} does not lie in F_{F.p}")
+    return acc[0]
 
 
-def quadratic_irreducible_reference(a, c) -> bool:
-    """Is X^2 - aX + c irreducible over the field of the FieldElements a and c?
+def quadratic_irreducible_reference(F: Fq, a: tuple, c: tuple) -> bool:
+    """Is X^2 - aX + c irreducible over F?
 
     Odd characteristic: the discriminant a^2 - 4c is a non-square (Euler's
     criterion) and nonzero. Characteristic 2: a != 0 and Tr(c / a^2) = 1
-    (Artin-Schreier).
+    (Artin-Schreier), with 1 / a^2 = (a^2)^(q-2).
     """
-    if a.field.p == 2:
-        return bool(a) and trace_reference(c * (a * a).inverse()) == 1
-    disc = a * a - 4 * c
-    return bool(disc) and not is_square_euler(disc)
+    if F.p == 2:
+        return any(a) and trace_reference(F, F.mul(c, F.pow(F.mul(a, a), F.q - 2))) == 1
+    disc = F.sub(F.mul(a, a), F.mul(F.of(4), c))
+    return any(disc) and not is_square_euler(F, disc)
 
 
-def is_square_euler(x) -> bool:
+def is_square_euler(F: Fq, x: tuple) -> bool:
     """Euler criterion in F_q: x^((q-1)/2) = 1; zero counts as a square. Odd characteristic only."""
-    if x.field.p == 2:
+    if F.p == 2:
         raise DomainError("squareness via the Euler criterion needs odd characteristic")
-    if not x:
-        return True
-    return x ** ((x.field.q - 1) // 2) == x.field.one()
+    return not any(x) or F.pow(x, (F.q - 1) // 2) == F.one
 
 
 def parse_an_reference(an: dict, deg: int) -> tuple[dict, int, int]:
@@ -291,18 +358,19 @@ def parse_an_reference(an: dict, deg: int) -> tuple[dict, int, int]:
 
 
 def point_outcomes_reference(fixture, E: QExpansion, points, ell: int, window: int) -> list:
-    """`verify._point_outcomes` with a FieldElement for a_n(f) and a_n(E) at every n and point."""
+    """`verify._point_outcomes` with a_n(f) and a_n(E) evaluated by Horner at every n and point."""
     mismatch = [None] * len(points)
     for n, a_n in verify._compared(fixture, ell, window):
         live = [i for i, m in enumerate(mismatch) if m is None]
         if not live:
             break
         target = E.coefficient(n)
-        if not isinstance(target, CycloElement):
-            target = _reduce(field_of(points[0]), target)
         for i in live:
             pt = points[i]
-            rhs = reduce_cyclo_reference(pt, target) if isinstance(target, CycloElement) else target
+            if isinstance(target, CycloElement):
+                rhs = reduce_cyclo_reference(pt, target)
+            else:
+                rhs = field_of(pt).of(target)
             if reduce_vector_reference(pt, a_n) != rhs:
                 mismatch[i] = n
     return [(verify._point_name(pt), n) for pt, n in zip(points, mismatch)]

@@ -1,14 +1,14 @@
-"""The integer comparison of `verify._point_outcomes` and the integer Frobenius test against FieldElement references.
+"""The integer comparison of `verify._point_outcomes` and the integer Frobenius test against references.
 
 Each residue point walks n on its own, in one walk for every case: a_n(f)
 and a_n(E) are int tuples in F_q, from dot products of a_n(f)'s coordinates
 (raw ints, or Fractions reduced mod ell once per n for all points) with the
 point's table of alpha-power coordinates, and of a CycloElement a_n(E)'s
 reduced coordinates with its table of zeta-power coordinates. The reference
-in `oracles.point_outcomes_reference` builds a FieldElement for a_n(f) and
-a_n(E) at every n and every point. Both must name the same first mismatch at
-every point. The Frobenius scan's one int test must agree with
-`oracles.quadratic_irreducible_reference` and with a count of roots.
+in `oracles.point_outcomes_reference` evaluates a_n(f) and a_n(E) by Horner
+in the reference field at every n and every point. Both must name the same
+first mismatch at every point. The Frobenius scan's one int test must agree
+with `oracles.quadratic_irreducible_reference` and with a count of roots.
 
 Counters of `FieldElement` builds pin the integer routes: a point's tables
 are built with it, and neither the comparison nor the Frobenius scan builds
@@ -434,11 +434,10 @@ def test_prime_field_scan_agrees_with_field_elements_and_builds_none_at_odd_ell(
     assert {row["witness"] is None for row in scan.points} == ({False, True} if ell == ELL else {False})
     for pt, row in zip(points, scan.points):
         assert row["tested"]
-        F = field_of(pt)
+        R = field_of(pt)
         for p, irreducible in row["tested"].items():
-            a_p = residues.FieldElement(F, pt.vector_image(fx.a(p)))
-            pk = F.element(pow(p, fx.weight - 1, ell))
-            assert irreducible == quadratic_irreducible_reference(a_p, pk), (pt, p)
+            a_p, pk = pt.vector_image(fx.a(p)), R.of(pow(p, fx.weight - 1, ell))
+            assert irreducible == quadratic_irreducible_reference(R, a_p, pk), (pt, p)
 
 
 # a_p for Q(omega), omega^2 + omega + 1 = 0, which stays irreducible mod 2, with its image in F_4
@@ -463,10 +462,9 @@ def test_scan_at_2_over_f4_matches_root_counts(monkeypatch):
     assert built[0] == 0
     assert row["tested"] == {p: irreducible for p, (_, irreducible) in F4_SCAN.items()}
     assert row["witness"] == 13
-    F = field_of(pt)
-    elements = [residues.FieldElement(F, (u, v)) for u in range(2) for v in range(2)]
+    R = field_of(pt)
     for p, irreducible in row["tested"].items():
-        a, c = residues.FieldElement(F, pt.vector_image(fx.a(p))), F.element(pow(p, fx.weight - 1, 2))
-        roots = sum(1 for x in elements if x * x - a * x + c == F.zero())
+        a, c = pt.vector_image(fx.a(p)), R.of(pow(p, fx.weight - 1, 2))
+        roots = sum(1 for x in R.elements if not any(R.add(R.sub(R.mul(x, x), R.mul(a, x)), c)))
         assert irreducible == (roots == 0), (p, a, roots)
     assert frobenius_scan(fx, 2, 30).points == (row,)

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from excprimes import DomainError, FiniteField, polys
+from excprimes import DomainError, polys
 from excprimes.cyclotomic import cyclotomic_polynomial
+from excprimes.residues import FiniteField
 
 
 def test_resultant_known_values():

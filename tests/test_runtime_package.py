@@ -12,7 +12,8 @@ must survive `python -O`, so `src/excprimes` holds no `assert`; every name
 imported under `src/excprimes` is used, and every module-level function and
 class, and every method other than a dunder, is named by package code other
 than its own body and `__init__.py` (test-only code lives in
-`tests/oracles.py`); `cli.py` turns exceptions
+`tests/oracles.py`, which names no `FieldElement`, `FiniteField`, `polys` or
+int kernel of `residues`); `cli.py` turns exceptions
 into exit codes in `_Group.invoke` only; and the one Euclidean resultant of
 `polys` agrees with a Sylvester determinant over Q, Q(zeta_n) and F_q.
 """
@@ -33,7 +34,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ROOT, fixture_path
-from excprimes import CycloElement, DomainError, FiniteField, euler_phi, polys
+from excprimes import CycloElement, DomainError, euler_phi, polys
+from excprimes.residues import FiniteField
 
 SRC = os.path.join(ROOT, "src")
 TEST_ONLY = ("sympy", "mpmath", "hypothesis", "pytest", "oracles")
@@ -231,6 +233,19 @@ def test_undecided_field_poly_without_sympy_is_a_usage_error(tmp_path, field_pol
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert "sympy" in done.stderr
+
+
+def test_oracles_share_no_field_arithmetic_with_the_package():
+    # the F_q references run in oracles.Fq, so they cannot share a fault with the code they check
+    with open(os.path.join(ROOT, "tests", "oracles.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = _names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+            names.update((getattr(node, "module", None) or "").split("."))
+    banned = {"FieldElement", "FiniteField", "polys", "_squarefree", "_distinct_degrees"}
+    assert sorted(name for name in names if name in banned or name.startswith("_fp_")) == []
 
 
 # -- the benchmark tracer's targets ----------------------------------------------------
