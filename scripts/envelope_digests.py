@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 389 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 411 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -44,7 +44,10 @@ lists each changed argv in CHANGES.md. The runs:
     level-1 newform Delta, with tau(1..100) from q prod (1 - q^n)^24 and
     field polynomial x. No other run reaches level-1 `verify`: it reads
     inconclusive (a denominator obstruction of a_0(E_12)) at 2 and 3,
-    refuted-at-0 at 11, refuted-by-scan at 13 and certified at 691.
+    refuted-at-0 at 11, refuted-by-scan at 13 and certified at 691;
+  * `verify --form fixtures/45-2a.json` at ell in {2, 3, 5, 7}, the one
+    bundled weight-2 newform whose level 45 = 3^2 * 5 takes the twisted
+    series E' of nu = chi(3,1): certified at 2 and refuted at 3, 5 and 7.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
 order above, from a temporary directory holding a copy of fixtures/, the
@@ -92,6 +95,7 @@ HINTED_BOUND = ["bound", "--weight", "22", "--level", "81", "--factors", HINTS]
 DELTA = "delta.json"
 DELTA_TERMS = 100
 DELTA_ELLS = (2, 3, 11, 13, 691)
+TWISTED_ELLS = (2, 3, 5, 7)
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
@@ -139,6 +143,7 @@ def argvs() -> list[list[str]]:
         json.dump({"label": "delta", "weight": 12, "level": 1, "field_poly": [0, 1],
                    "an": {str(n): [str(tau)] for n, tau in enumerate(_tau(DELTA_TERMS), 1)}}, fh)
     out += [["verify", "--form", DELTA, "--ell", str(ell)] for ell in DELTA_ELLS]
+    out += [["verify", "--form", "fixtures/45-2a.json", "--ell", str(ell)] for ell in TWISTED_ELLS]
     return out
 
 

@@ -8,8 +8,9 @@ CLI examples consume. It shares no code with the installed package, so the
 two implementations can only agree by both being right.
 
 Every fixture is cross-checked before it is written:
-  * printed eigenvalues for the weight-6 level-81 quartic orbit and the
-    weight-4 level-11 quadratic orbit are asserted exactly;
+  * printed eigenvalues for the weight-6 level-81 quartic orbit, the
+    weight-4 level-11 quadratic orbit and a_2, ..., a_19 of the weight-2
+    level-45 curve are asserted exactly;
   * the weight-2 level-11 form is asserted equal, coefficient by
     coefficient, to the eta-product q prod (1-q^n)^2 (1-q^(11n))^2;
   * Deligne bounds |a_p| <= 2 p^((k-1)/2) are checked at every embedding;
@@ -586,6 +587,23 @@ def main():
     write_fixture(
         os.path.join(args.out, "11-4a.json"),
         fixture_dict("11.4a", 4, 11, g, a11_4, 5),
+    )
+
+    # Weight 2, level 45 = 3^2 * 5: the elliptic curve 45a, the one newform
+    # beside two copies of 15a (a_2 = -1). The character mod 3 has c^2 | 45,
+    # so `verify` compares it against the twisted series E'.
+    ms = ModularSymbols(2, 45)
+    assert len(ms.cuspidal_basis()) == 6  # 2 * dim S_2(Gamma0(45)) = 2 * 3
+    g = (-1, 1)  # alpha = a_2 = 1
+    a45 = eigenvalue_table(ms, g, 40)
+    printed = (1, 0, -1, -1, 0, 0, -3, 0, -1, 4, 0, -2, 0, 0, -1, -2, 0, 4)  # a_2, ..., a_19
+    for n, an in enumerate(printed, 2):
+        assert a45[n] == (Fraction(an),), f"45a mismatch at n={n}"
+    check_deligne(a45, g, 2, 45, 40)
+    check_denominators(a45)
+    write_fixture(
+        os.path.join(args.out, "45-2a.json"),
+        fixture_dict("45.2a", 2, 45, g, a45, 40, steinberg_signs={"5": -1}),
     )
 
     # Weight 6, level 81: quartic orbit of alpha = a_2.

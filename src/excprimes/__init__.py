@@ -55,13 +55,11 @@ from .residues import (
 from .bounds import (
     CandidateReport,
     DihedralReport,
-    Weight2SignReport,
     candidate_report,
     dihedral_candidates,
     exceptional_image_candidates,
     reducible_candidates,
     reducible_primes,
-    reducible_weight2_signs,
 )
 from .verify import (
     INSUFFICIENT,
@@ -112,13 +110,11 @@ __all__ = [
     "find_residue_points",
     "CandidateReport",
     "DihedralReport",
-    "Weight2SignReport",
     "candidate_report",
     "dihedral_candidates",
     "exceptional_image_candidates",
     "reducible_candidates",
     "reducible_primes",
-    "reducible_weight2_signs",
     "INSUFFICIENT",
     "ScanResult",
     "VerificationResult",

@@ -149,60 +149,6 @@ def reducible_primes(k: int, N: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Weight2SignReport:
-    signs: tuple[tuple[int, int], ...]
-    impossible: bool
-    clauses: tuple[tuple[int, str], ...]
-    note: str
-
-    def primes(self) -> list[int]:
-        return sorted({p for p, _ in self.clauses})
-
-    def to_dict(self) -> dict:
-        return {
-            "signs": {str(p): s for p, s in self.signs},
-            "impossible": self.impossible,
-            "clauses": [{"prime": p, "clause": c} for p, c in self.clauses],
-            "note": self.note,
-        }
-
-
-def reducible_weight2_signs(signs) -> Weight2SignReport:
-    """Refined weight-2 square-free candidates from a full Atkin-Lehner sign vector."""
-    pairs = sorted((int(p), int(s)) for p, s in (signs.items() if isinstance(signs, dict) else signs))
-    if not pairs:
-        raise DomainError("at least one (prime, sign) pair is required")
-    seen = set()
-    for p, s in pairs:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if p in seen:
-            raise DomainError(f"duplicate prime {p}: level would not be square-free")
-        seen.add(p)
-        if s not in (1, -1):
-            raise DomainError(f"sign for {p} must be +-1, got {s}")
-    note = "constraints hold for ell not dividing 6N"
-    minus = [p for p, s in pairs if s == -1]
-    impossible = len(minus) == len(pairs)
-    if impossible:
-        note += "; all signs -1 is impossible for a reducible representation"
-    clauses = []
-    if minus:
-        g = 0
-        for p in minus:
-            g = math.gcd(g, p + 1)
-        clause = "ell divides gcd of p + 1 over primes with sign -1 (" + ",".join(map(str, minus)) + ")"
-        for ell in factorize(g).primes():
-            clauses.append((ell, clause))
-    else:
-        clause = "all signs +1: ell divides product of p - 1 over p | N"
-        # each p - 1 factored on its own, as their product may be past the ECM budget
-        primes = {ell for p, _ in pairs for ell in factorize(p - 1).primes()}
-        clauses.extend((ell, clause) for ell in primes)
-    return Weight2SignReport(tuple(pairs), impossible, tuple(sorted(clauses)), note)
-
-
-@dataclass(frozen=True)
 class DihedralReport:
     weight: int
     level: int

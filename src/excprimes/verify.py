@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import mul
 
 from .exact import DomainError, factorize, is_prime, primes_up_to
-from .bounds import _square_part_root, reducible_weight2_signs
+from .bounds import _square_part_root
 from .characters import DirichletCharacter, enumerate_characters, trivial_character
 from .cyclotomic import CycloElement
 from .dimensions import sturm_bound
@@ -319,21 +319,29 @@ def verify_reducible(fixture: NewformFixture, ell: int, nu=None) -> Verification
     return replace(min(results, key=lambda r: (rank(r), r.eisenstein)), points=index1)
 
 
+def _outside_weight2_squarefree(fixture: NewformFixture, ell: int) -> str | None:
+    """Why (fixture, ell) is outside weight 2, square-free N > 1, ell not dividing 6N; None inside."""
+    N = fixture.level
+    if fixture.weight != 2:
+        return f"weight must be 2, got {fixture.weight}"
+    if N == 1:
+        return "level 1 has no Steinberg primes, so no sign-twisted E2 combination"
+    if any(e > 1 for _, e in factorize(N).factors):
+        return f"level {N} is not square-free"
+    if (6 * N) % ell == 0:
+        return f"ell = {ell} divides 6N"
+    return None
+
+
 def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> VerificationResult:
     """Weight-2 square-free congruence against the sign-twisted E2 combination."""
-    if fixture.weight != 2:
-        raise DomainError(f"weight must be 2, got {fixture.weight}")
+    outside = _outside_weight2_squarefree(fixture, ell)
+    if outside:
+        raise DomainError(outside)
     N = fixture.level
-    if N == 1:
-        raise DomainError("level 1 has no Steinberg primes, so no sign-twisted E2 combination")
-    fac = factorize(N)
-    if any(e > 1 for _, e in fac.factors):
-        raise DomainError(f"level {N} is not square-free")
-    if (6 * N) % ell == 0:
-        raise DomainError(f"ell = {ell} divides 6N")
     sturm = sturm_bound(2, N)
     window = min(fixture.n_max, sturm)
-    level_primes = list(fac.primes())
+    level_primes = list(factorize(N).primes())
     missing = [p for p in level_primes if p not in fixture.steinberg_signs]
     if missing:
         return VerificationResult(
@@ -342,7 +350,7 @@ def verify_weight2_squarefree(fixture: NewformFixture, ell: int) -> Verification
         )
     signs = [(p, fixture.steinberg_signs[p]) for p in level_primes]
     desc = "Eprime(weight 2, signs={" + ",".join(f"{p}:{s:+d}" for p, s in signs) + "})"
-    if reducible_weight2_signs(signs).impossible:
+    if all(s == -1 for _, s in signs):
         return VerificationResult(
             fixture.label, ell, RESIDUE, desc, 0, sturm,
             VERDICT_REFUTED_STRUCTURAL,
@@ -365,8 +373,9 @@ def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100)
     """The final verdict on ell for a fixture, with the Frobenius scan attached.
 
     The Eisenstein candidates of `verify_reducible` are tried first. Where
-    there is none at weight 2, square-free level N > 1 and nu omitted, and
-    ell does not divide 6N, `verify_weight2_squarefree` answers instead. A
+    there is none (weight 2, nu omitted, no primitive nu mod any c with
+    c^2 | N) and `verify_weight2_squarefree`'s domain holds, it answers
+    instead; elsewhere, as at N = 4m or 8m, no candidate stands. A
     verdict short of certified carries `frobenius_scan` up to p_max (or the
     scan's `scan_error`) and becomes refuted-by-scan when every residue point
     has an irreducibility witness, which rules the congruence out there. The
@@ -376,10 +385,7 @@ def verify_fixture(fixture: NewformFixture, ell: int, nu=None, p_max: int = 100)
     if p_max < 2:
         raise DomainError(f"p_max must be >= 2, got {p_max}")
     result = verify_reducible(fixture, ell, nu=nu)
-    N = fixture.level
-    # At weight 2 there is no candidate exactly when nu is omitted and N is
-    # square-free; level 1 has no Steinberg primes, so no sign clause to test.
-    if result.verdict == NO_CANDIDATE and fixture.weight == 2 and N > 1 and (6 * N) % ell:
+    if result.verdict == NO_CANDIDATE and not _outside_weight2_squarefree(fixture, ell):
         result = verify_weight2_squarefree(fixture, ell)
     if result.certified:
         return result

@@ -11,19 +11,25 @@ import pytest
 from excprimes import (
     INSUFFICIENT,
     CycloElement,
+    NewformFixture,
     character_by_index,
     dihedral_candidates,
     dim_new,
     eisenstein_E,
+    eprime_twisted,
     eprime_weight2_steinberg,
     factorize,
     frobenius_scan,
     reducible_primes,
     sturm_bound,
+    verify_fixture,
     verify_reducible,
+    verify_weight2_squarefree,
 )
 from excprimes.bernoulli import bernoulli_generalized
 from excprimes.verify import _norm_mode_check
+
+from conftest import fixture_path
 
 
 def zeta3(a, b):
@@ -228,14 +234,21 @@ def test_criterion_11_cross_module_soundness(fx81, fx11_4, fx11_2):
     assert verify_reducible(fx81, 7, nu=nu).sturm == sturm_bound(6, 81)
     assert verify_reducible(fx11_4, 61).sturm == sturm_bound(4, 11)
 
-    # Weight-2 square-free route agrees with the sign-clause bound engine.
-    from excprimes import reducible_weight2_signs, verify_weight2_squarefree
+    # The weight-2 square-free route certifies only inside the bound.
+    assert verify_weight2_squarefree(fx11_2, 5).verdict == "certified"
+    assert 5 in reducible_primes(2, 11)
 
-    rep = reducible_weight2_signs({11: 1})
-    assert rep.primes() == [2, 5]  # divisors of 11 - 1 = 10
-    r5 = verify_weight2_squarefree(fx11_2, 5)
-    assert r5.verdict == "certified"
-    assert 5 in rep.primes()
+    # The twisted weight-2 series: 45 = 3^2 * 5 with nu = chi(3,1) and
+    # Steinberg prime 5. It agrees mod 2 at every n <= 40, even n included.
+    fx45 = NewformFixture.from_json_file(fixture_path("45-2a.json"))
+    r2 = verify_fixture(fx45, 2)
+    assert r2.verdict == "certified"
+    assert r2.eisenstein == "Eprime(weight 2, nu=chi(3,1), steinberg=[5])"
+    assert reducible_primes(2, 45) == [2, 3, 5]
+    E = eprime_twisted(character_by_index(3, 1), [5], 40)
+    for n in range(41):
+        a_n = fx45.a(n)[0] if n else 0
+        assert (a_n - E.coefficient(n).coeffs[0]) % 2 == 0, n
 
 
 def test_criterion_12_weight2_constant_term_mod_ell():

@@ -18,7 +18,6 @@ from excprimes import (
     primes_up_to,
     reducible_candidates,
     reducible_primes,
-    reducible_weight2_signs,
 )
 from excprimes.bounds import _dihedral_bound, _ln_upper, _reducible
 
@@ -166,36 +165,6 @@ def test_weight_and_level_errors_read_the_same_in_every_family():
         for k, N, message in cases:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 check(k, N)
-
-
-def test_weight2_sign_reports():
-    rep = reducible_weight2_signs({11: 1})
-    assert rep.primes() == [2, 5] and not rep.impossible
-
-    rep = reducible_weight2_signs([(7, -1)])
-    assert rep.primes() == [2] and rep.impossible
-    assert "impossible" in rep.note
-
-    rep = reducible_weight2_signs([(3, -1), (5, -1)])
-    assert rep.primes() == [2] and rep.impossible
-
-    rep = reducible_weight2_signs([(3, -1), (5, 1)])
-    assert not rep.impossible
-    assert rep.primes() == [2]  # gcd branch: only minus primes contribute
-
-    d = rep.to_dict()
-    assert d["signs"] == {"3": -1, "5": 1} and d["clauses"]
-
-
-def test_weight2_sign_validation():
-    with pytest.raises(DomainError):
-        reducible_weight2_signs({})
-    with pytest.raises(DomainError):
-        reducible_weight2_signs([(4, 1)])
-    with pytest.raises(DomainError):
-        reducible_weight2_signs([(3, 1), (3, -1)])
-    with pytest.raises(DomainError):
-        reducible_weight2_signs({5: 0})
 
 
 def test_dihedral_squarefree_sets():

@@ -139,19 +139,30 @@ def test_scan_upgrade_is_the_library_verdict(fixture_json):
     assert all(pt["witness"] is not None for pt in result.scan.points)
 
 
-def test_weight2_level1_has_no_sign_family():
+@pytest.mark.parametrize("level", [1, 24, 44])
+def test_weight2_level1_has_no_sign_family(level, tmp_path):
+    # at 24 = 8 * 3 and 44 = 4 * 11 no primitive nu has c^2 | N either, and
+    # the loader requires a_2 = 0 when 4 | N
     from excprimes import DomainError, NewformFixture, verify_fixture, verify_weight2_squarefree
+    from excprimes.cli import main
 
-    fx = NewformFixture.from_dict({
-        "label": "w2-level1", "weight": 2, "level": 1, "field_poly": [0, 1],
-        "an": {"1": ["1"], "2": ["3"]},
-    })
+    data = {
+        "label": f"w2-level{level}", "weight": 2, "level": level, "field_poly": [0, 1],
+        "an": {"1": ["1"], "2": ["3" if level == 1 else "0"]},
+    }
+    fx = NewformFixture.from_dict(data)
     result = verify_fixture(fx, 5)
     assert result.verdict == "inconclusive(no Eisenstein candidate for this level shape)"
     assert result.eisenstein == "(none)"
     # a direct call is out of the family's domain, not refuted-structural
-    with pytest.raises(DomainError, match="level 1"):
+    with pytest.raises(DomainError, match=rf"^level {level} (has no Steinberg primes|is not square-free)"):
         verify_weight2_squarefree(fx, 5)
+    # the CLI reports that verdict: exit 3, not a usage error
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(data), encoding="utf-8")
+    res = CliRunner().invoke(main, ["verify", "--form", str(form), "--ell", "5"])
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.stdout)["outputs"]["verdict"] == result.verdict
 
 
 @pytest.mark.parametrize("ell, p_max", [(5, 0), (5, 1), (61, 1), (61, -7)])
