@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 411 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 439 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -47,7 +47,15 @@ lists each changed argv in CHANGES.md. The runs:
     refuted-at-0 at 11, refuted-by-scan at 13 and certified at 691;
   * `verify --form fixtures/45-2a.json` at ell in {2, 3, 5, 7}, the one
     bundled weight-2 newform whose level 45 = 3^2 * 5 takes the twisted
-    series E' of nu = chi(3,1): certified at 2 and refuted at 3, 5 and 7.
+    series E' of nu = chi(3,1): certified at 2 and refuted at 3, 5 and 7;
+  * `verify --form fixtures/50-2a.json` at ell in {2, 3, 5, 7}, whose level
+    50 = 2 * 5^2 takes the twisted series E' of characters mod 5 of order 4,
+    with values in Q(zeta_4); Phi_4 is irreducible mod 3 and 7, so those
+    points lie in F_9 and F_49;
+  * `verify` and `scan --pmax 100` on fixtures/81-6c.json at ell in {11,
+    17, 19}, where the field polynomial splits as (1)(1)(2) mod 11 and as
+    (2)(2) mod 17 and 19, so residue fields of degree 2 hold two distinct
+    quadratic factors' roots.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
 order above, from a temporary directory holding a copy of fixtures/, the
@@ -96,6 +104,7 @@ DELTA = "delta.json"
 DELTA_TERMS = 100
 DELTA_ELLS = (2, 3, 11, 13, 691)
 TWISTED_ELLS = (2, 3, 5, 7)
+QUARTIC_ELLS = (11, 17, 19)  # 81.6c's field polynomial is (1)(1)(2) mod 11 and (2)(2) mod 17 and 19
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
@@ -144,6 +153,10 @@ def argvs() -> list[list[str]]:
                    "an": {str(n): [str(tau)] for n, tau in enumerate(_tau(DELTA_TERMS), 1)}}, fh)
     out += [["verify", "--form", DELTA, "--ell", str(ell)] for ell in DELTA_ELLS]
     out += [["verify", "--form", "fixtures/45-2a.json", "--ell", str(ell)] for ell in TWISTED_ELLS]
+    out += [["verify", "--form", "fixtures/50-2a.json", "--ell", str(ell)] for ell in TWISTED_ELLS]
+    for ell in QUARTIC_ELLS:
+        out += [["verify", "--form", "fixtures/81-6c.json", "--ell", str(ell)],
+                ["scan", "--form", "fixtures/81-6c.json", "--ell", str(ell), "--pmax", "100"]]
     return out
 
 

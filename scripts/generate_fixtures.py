@@ -10,7 +10,7 @@ two implementations can only agree by both being right.
 Every fixture is cross-checked before it is written:
   * printed eigenvalues for the weight-6 level-81 quartic orbit, the
     weight-4 level-11 quadratic orbit and a_2, ..., a_19 of the weight-2
-    level-45 curve are asserted exactly;
+    level-45 and level-50 curves are asserted exactly;
   * the weight-2 level-11 form is asserted equal, coefficient by
     coefficient, to the eta-product q prod (1-q^n)^2 (1-q^(11n))^2;
   * Deligne bounds |a_p| <= 2 p^((k-1)/2) are checked at every embedding;
@@ -604,6 +604,24 @@ def main():
     write_fixture(
         os.path.join(args.out, "45-2a.json"),
         fixture_dict("45.2a", 2, 45, g, a45, 40, steinberg_signs={"5": -1}),
+    )
+
+    # Weight 2, level 50 = 2 * 5^2: the newform with a_2 = 1. The other
+    # newform (a_2 = -1) is its twist by the quadratic character mod 5. The
+    # characters mod 5 of order 4 take values in Q(zeta_4), so `verify`
+    # builds a twisted series E' whose coefficients are not all rational.
+    ms = ModularSymbols(2, 50)
+    assert len(ms.cuspidal_basis()) == 4  # 2 * dim S_2(Gamma0(50)) = 2 * 2
+    g = (-1, 1)  # alpha = a_2 = 1
+    a50 = eigenvalue_table(ms, g, 40)
+    printed = (1, -1, 1, 0, -1, -2, 1, -2, 0, -3, -1, 4, -2, 0, 1, 3, -2, 5)  # a_2, ..., a_19
+    for n, an in enumerate(printed, 2):
+        assert a50[n] == (Fraction(an),), f"50a mismatch at n={n}"
+    check_deligne(a50, g, 2, 50, 40)
+    check_denominators(a50)
+    write_fixture(
+        os.path.join(args.out, "50-2a.json"),
+        fixture_dict("50.2a", 2, 50, g, a50, 40, steinberg_signs={"2": 1}),
     )
 
     # Weight 6, level 81: quartic orbit of alpha = a_2.
