@@ -1,10 +1,11 @@
 """Finite fields F_{ell^d}, newform fixtures, and residue points.
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. FiniteField and
-FieldElement stay inside root finding: they serve only factor degrees, the
-modulus search and root finding at d > 1, through the one polynomial core in
-`polys` (F_p is the field of degree one). A root comes back as a coordinate
-tuple, and everything after it runs on the int kernel below.
+FieldElement stay inside root finding: they serve only factor degrees of
+polynomials of degree above 2 or mod 2, and the modulus search and root
+finding at d >= 3 and over F_4, through the one polynomial core in `polys`
+(F_p is the field of degree one). A root comes back as a coordinate tuple,
+and everything after it runs on the int kernel below.
 
 A residue point is a concrete reduction of the coefficient field (and, when
 needed, a cyclotomic field) into one finite field, as plain frozen data in
@@ -17,12 +18,14 @@ table. Points are produced up to Frobenius orbits with a lexicographically
 least canonical representative, which keeps reports byte-identical across
 runs.
 
-A small F_p kernel on int lists finds roots over F_p itself (d = 1) by
-Cantor-Zassenhaus, and decides whether X^2 - aX + c is irreducible over any
-F_q: Euler's criterion on the norm of the discriminant for odd q, the
-Artin-Schreier trace for q = 2^d. For odd p, a polynomial of degree 1 or 2
-mod p has its roots in F_p, and so its factor degrees, in closed form, and
-Frobenius fixes F_p without a power.
+A small F_p kernel on int lists finds roots over F_p itself (d = 1), and
+over F_{p^2} for odd p, by Cantor-Zassenhaus, and decides whether
+X^2 - aX + c is irreducible over any F_q: Euler's criterion on the norm of
+the discriminant for odd q, the Artin-Schreier trace for q = 2^d. For odd p,
+a polynomial of degree 1 or 2 mod p has its roots in F_p, and so its factor
+degrees, in closed form; so does a monic quadratic's irreducibility, which
+picks the modulus of F_{p^2}, and an irreducible quadratic's two roots in
+F_{p^2}. Frobenius fixes F_p without a power.
 """
 
 from __future__ import annotations
@@ -278,7 +281,9 @@ class FiniteField:
         rng = random.Random(f"modulus:{p}:{d}")
         while True:
             cand = [rng.randrange(p) for _ in range(d)] + [1]
-            if _is_irreducible_mod_p([F.element(c) for c in cand]):
+            # for odd p a monic quadratic is irreducible exactly when it has no root in F_p
+            if not _quadratic_roots_mod_p(cand, p) if d == 2 and p != 2 else \
+                    _is_irreducible_mod_p([F.element(c) for c in cand]):
                 return tuple(cand)
 
     def _reduce(self, vec) -> tuple[int, ...]:
@@ -409,7 +414,10 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
     gcd(x^q - x, f) is the product of the distinct linear factors of f over
     F_q; Cantor-Zassenhaus equal-degree splitting then separates them. Over
     F_p itself (d = 1) both steps run on int lists mod p, or for odd p and
-    degree <= 2 mod p a closed form does, and no FieldElement is built.
+    degree <= 2 mod p a closed form does. Over F_{p^2} for odd p every root
+    lies in an F_p-factor of degree 1 or 2, and `_roots_in_f_p2` finds them
+    on int lists too. No FieldElement is built in either case; they serve
+    d >= 3, and F_4.
     """
     p = field.p
     fp = polys.trim([c % p for c in coeffs])
@@ -423,8 +431,10 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
     roots = []
     if field.d == 1:
         h = _fp_gcd(fp, _fp_sub(_fp_powmod([0, 1], p, fp, p), [0, 1], p), p)
-        _split_linear_product_mod_p(h, roots, rng, p)
-        return [(r,) for r in sorted(set(roots))]
+        _split_equal_degree_mod_p(h, 1, roots, rng, p)
+        return sorted((-g[0] % p,) for g in roots)
+    if field.d == 2 and p != 2:
+        return _roots_in_f_p2(fp, field.modulus, rng, p)
     f = polys.monic([field.element(c) for c in fp])
     x = [field.zero(), field.one()]
     h = polys.gcd(polys.sub(polys.powmod(x, field.q, f), x), f)
@@ -432,21 +442,59 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
     return sorted({r.coeffs for r in roots})
 
 
-def _split_linear_product_mod_p(h: list, out: list, rng: random.Random, p: int):
-    """`_split_linear_product` over F_p on int lists: h monic, a product of distinct linear factors."""
-    if len(h) <= 1:
-        return
-    if len(h) == 2:
-        out.append(-h[0] % p)
+def _roots_in_f_p2(f: list, modulus: tuple, rng: random.Random, p: int) -> list[tuple[int, int]]:
+    """The sorted roots of f in F_{p^2} = F_p[y]/(y^2 + m1 y + m0), odd p, on int lists.
+
+    The roots in F_p come from the distinct linear factors, gcd(x^p - x, f).
+    The distinct irreducible quadratics are gcd(x^(p^2) - x, f) divided by
+    those, and X^2 + bX + c among them has the roots (-b +- s (2y + m1)) / 2,
+    where s^2 = (b^2 - 4c) / (m1^2 - 4 m0): (2y + m1)^2 = m1^2 - 4 m0, and
+    the ratio of two non-squares of F_p is a square there. For degree <= 2
+    mod p, the roots in F_p decide which case f is in.
+    """
+    inv = pow(f[-1], -1, p)
+    f = [c * inv % p for c in f]
+    if len(f) <= 3:
+        linear = _quadratic_roots_mod_p(f, p)
+        quadratics = [] if linear or len(f) == 2 else [f]
+    else:
+        xp = _fp_powmod([0, 1], p, f, p)
+        h1 = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
+        h2 = _fp_quo(_fp_gcd(f, _fp_sub(_fp_powmod(xp, p, f, p), [0, 1], p), p), h1, p)
+        factors, quadratics = [], []
+        _split_equal_degree_mod_p(h1, 1, factors, rng, p)
+        _split_equal_degree_mod_p(h2, 2, quadratics, rng, p)
+        linear = [-g[0] % p for g in factors]
+    m0, m1 = modulus[0], modulus[1]
+    inv_disc, half = pow(m1 * m1 - 4 * m0, -1, p), (p + 1) // 2
+    roots = [(r, 0) for r in linear]
+    for c, b, _ in quadratics:
+        for s in _quadratic_roots_mod_p([-(b * b - 4 * c) * inv_disc % p, 0, 1], p):
+            roots.append(((s * m1 - b) * half % p, s))
+    return sorted(roots)
+
+
+def _split_equal_degree_mod_p(h: list, e: int, out: list, rng: random.Random, p: int):
+    """Cantor-Zassenhaus over F_p on int lists: h monic, a product of distinct irreducible factors of degree e.
+
+    Collects the monic factors, for e = 1 at any p and e = 2 at odd p, by
+    gcd(h, (x + a)^((p^e - 1)/2) - 1) for random a in F_p. Some a separates
+    any two such factors: for e = 2 the Weil bound shows it from p = 11 on,
+    and an enumeration of every pair of monic irreducible quadratics at
+    p = 3, 5 and 7.
+    """
+    if len(h) - 1 <= e:
+        if len(h) > 1:
+            out.append(h)
         return
     while True:
         a = rng.randrange(p)
         # at p = 2 the trace polynomial of a x over F_2 is a x itself
-        split = polys.trim([0, a]) if p == 2 else _fp_sub(_fp_powmod([a, 1], (p - 1) // 2, h, p), [1], p)
+        split = polys.trim([0, a]) if p == 2 else _fp_sub(_fp_powmod([a, 1], (p ** e - 1) // 2, h, p), [1], p)
         g = _fp_gcd(h, split, p)
         if 1 < len(g) < len(h):
-            _split_linear_product_mod_p(g, out, rng, p)
-            _split_linear_product_mod_p(_fp_quo(h, g, p), out, rng, p)
+            _split_equal_degree_mod_p(g, e, out, rng, p)
+            _split_equal_degree_mod_p(_fp_quo(h, g, p), e, out, rng, p)
             return
 
 

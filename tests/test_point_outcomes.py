@@ -12,9 +12,10 @@ with `oracles.quadratic_irreducible_reference` and with a count of roots.
 
 Counters of `FieldElement` builds pin the integer routes: a point's tables
 are built with it, and neither the comparison nor the Frobenius scan builds
-one, at any ell, 2 included; root finding over F_ell itself and the residue points
-of a quadratic field over F_ell build none, and beyond F_ell they are built
-only for factor degrees, the modulus search and root finding.
+one, at any ell, 2 included; root finding over F_ell itself and over F_{ell^2}
+for odd ell, and the residue points of a quadratic field over F_ell, build
+none, and beyond F_ell they are built only for factor degrees, the modulus
+search and root finding.
 """
 
 import functools
@@ -385,6 +386,19 @@ def test_quadratic_prime_field_points_build_no_field_element_or_powmod(monkeypat
     assert len(points) == (4 if n_cyclo == 3 else 2)
     assert {(_field_degree(pt), pt.degree) for pt in points} == {(1, 1)}
     assert sorted({pt.alpha_image[0] for pt in points}) == sorted((S, ELL - S))
+
+
+def test_81_6c_roots_at_1171_build_no_field_element_or_powmod(monkeypatch, fx81):
+    """In F_{1171^2}, roots of the field polynomial and of Phi_3 and Phi_9 come from the int kernel."""
+    field = residues.FiniteField(1171, 2)
+    built = _field_elements_built(monkeypatch)
+    powmods = _calls(monkeypatch, residues.polys, "powmod")
+    roots = [residues.poly_roots_in_field(f, field)
+             for f in (fx81.field_poly, residues.cyclotomic_polynomial(3), residues.cyclotomic_polynomial(9))]
+    monkeypatch.undo()
+    assert (built[0], powmods[0]) == (0, 0)
+    assert [len(r) for r in roots] == [4, 2, 6]  # f = (1)(1)(2) mod 1171, and 1171 = 1 mod 9
+    assert [sum(1 for _, y in r if y) for r in roots] == [2, 0, 0]
 
 
 @pytest.mark.parametrize("ell, n_cyclo, field_degree", [(5, 3, 6), (7, 3, 3), (43, 3, 3), (1171, 3, 2), (43, 1, 3)])

@@ -323,10 +323,87 @@ def test_closed_forms_stay_out_of_characteristic_2_higher_degrees_and_extension_
         assert factor_degree_multiset(coeffs, 2) == degrees
         assert poly_roots_in_field(coeffs, F2) == _roots_by_enumeration(coeffs, F2)
     assert factor_degree_multiset(QUARTIC, 43) == [(1, 1), (3, 1)]
-    for params in ((5, 2), (5, 4)):  # X^2 - 2 over F_25 and F_625
+    for params in ((5, 3), (5, 4)):  # X^2 - 2 over F_125 and F_625
         F = FiniteField(*params)
         assert poly_roots_in_field([-2, 0, 1], F) == _roots_by_enumeration([-2, 0, 1], F)
-    assert len(poly_roots_in_field([-2, 0, 1], FiniteField(5, 2))) == 2
+    assert len(poly_roots_in_field([-2, 0, 1], FiniteField(5, 4))) == 2
+
+
+# -- F_{p^2} for odd p: roots of F_p-factors of degree 1 and 2 by the quadratic formula -----------
+
+
+def _random_factored_poly(rng, p: int, degree: int) -> list:
+    """An integer polynomial of degree <= degree, often with a factor of multiplicity >= 2 mod p."""
+    factors = []
+    while sum(len(g) - 1 for g in factors) < degree:
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 2))] + [1]
+        factors += [g] * (2 if rng.random() < 0.3 else 1)
+    poly = [1]
+    for g in factors:
+        if len(poly) + len(g) - 2 <= degree:
+            poly = polys.mul(poly, g)
+    return [c + p * rng.randint(-3, 3) for c in poly]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_f_p2_roots_match_enumeration(p):
+    """Every monic polynomial of degree <= 3 over F_p, and random ones up to degree 6, over F_{p^2}."""
+    F = FiniteField(p, 2)
+    R = _reference(F)
+
+    def enumerated(coeffs):
+        return sorted(x for x in R.elements if not any(R.horner(coeffs, x)))
+
+    for degree in (1, 2, 3):
+        for low in itertools.product(range(p), repeat=degree):
+            coeffs = [*low, 1]
+            assert poly_roots_in_field(coeffs, F) == enumerated(coeffs), coeffs
+    rng = random.Random(f"f_p2:{p}")
+    for _ in range(150):
+        coeffs = _random_factored_poly(rng, p, 6) if rng.random() < 0.5 else \
+            [rng.randint(-40, 40) for _ in range(rng.randint(2, 7))]
+        if rng.random() < 0.2:
+            coeffs.append(p * rng.randint(-2, 2))  # a leading coefficient that is 0 mod p
+        if all(c % p == 0 for c in coeffs):
+            continue
+        assert poly_roots_in_field(coeffs, F) == enumerated(coeffs), coeffs
+    # X^2 - 2 is irreducible over F_5, so both its roots lie in F_25 outside F_5
+    roots = poly_roots_in_field([-2, 0, 1], FiniteField(5, 2))
+    assert roots == _roots_by_enumeration([-2, 0, 1], FiniteField(5, 2)) and all(y for _, y in roots)
+    assert len(roots) == 2
+
+
+@pytest.mark.parametrize("p", [1171, 7681, 65537])
+def test_f_p2_roots_at_large_primes_satisfy_f_and_match_factor_degrees(p):
+    """Too large to enumerate: each root satisfies f, one per linear factor and two per quadratic one."""
+    F = FiniteField(p, 2)
+    R = _reference(F)
+    rng = random.Random(f"f_p2-large:{p}")
+    for _ in range(25):
+        coeffs = _random_factored_poly(rng, p, 6) if rng.random() < 0.6 else \
+            [rng.randrange(p) for _ in range(rng.randint(2, 6))] + [1]
+        roots = poly_roots_in_field(coeffs, F)
+        assert len(set(roots)) == len(roots) and all(not any(R.horner(coeffs, r)) for r in roots), coeffs
+        degrees = factor_degree_multiset(coeffs, p)
+        assert len(roots) == sum(count * d for d, count in degrees if d <= 2), (coeffs, degrees)
+    for coeffs in (QUARTIC, tuple(cyclotomic_polynomial(9))):
+        roots = poly_roots_in_field(coeffs, F)
+        assert all(not any(R.horner(coeffs, r)) for r in roots)
+        assert len(roots) == sum(count * d for d, count in factor_degree_multiset(coeffs, p) if d <= 2)
+
+
+def test_f_p2_modulus_is_rabins_choice_below_3000():
+    """The root test on each seeded candidate picks the modulus that Rabin's test over FieldElements picks."""
+    for p in range(3, 3000, 2):
+        if not all(p % r for r in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        F1 = FiniteField(p, 1)
+        rng = random.Random(f"modulus:{p}:2")
+        while True:
+            cand = [rng.randrange(p) for _ in range(2)] + [1]
+            if residues._is_irreducible_mod_p([F1.element(c) for c in cand]):
+                break
+        assert FiniteField(p, 2).modulus == tuple(cand), p
 
 
 def test_large_field_root_finding_agrees_with_enumeration():
