@@ -413,11 +413,10 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
 
     gcd(x^q - x, f) is the product of the distinct linear factors of f over
     F_q; Cantor-Zassenhaus equal-degree splitting then separates them. Over
-    F_p itself (d = 1) both steps run on int lists mod p, or for odd p and
-    degree <= 2 mod p a closed form does. Over F_{p^2} for odd p every root
-    lies in an F_p-factor of degree 1 or 2, and `_roots_in_f_p2` finds them
-    on int lists too. No FieldElement is built in either case; they serve
-    d >= 3, and F_4.
+    F_p itself (d = 1), and over F_{p^2} for odd p, `_roots_on_ints` finds
+    the roots on int lists mod p instead, or for odd p and degree <= 2 mod p
+    at d = 1 a closed form does, and no FieldElement is built; FieldElements
+    serve d >= 3 and F_4.
     """
     p = field.p
     fp = polys.trim([c % p for c in coeffs])
@@ -428,13 +427,9 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
     if field.d == 1 and len(fp) <= 3 and p != 2:
         return [(r,) for r in _quadratic_roots_mod_p(fp, p)]
     rng = random.Random(f"edf:{p}:{field.d}:{tuple(fp)}")
+    if field.d == 1 or field.d == 2 and p != 2:
+        return _roots_on_ints(fp, field.modulus, rng, p)
     roots = []
-    if field.d == 1:
-        h = _fp_gcd(fp, _fp_sub(_fp_powmod([0, 1], p, fp, p), [0, 1], p), p)
-        _split_equal_degree_mod_p(h, 1, roots, rng, p)
-        return sorted((-g[0] % p,) for g in roots)
-    if field.d == 2 and p != 2:
-        return _roots_in_f_p2(fp, field.modulus, rng, p)
     f = polys.monic([field.element(c) for c in fp])
     x = [field.zero(), field.one()]
     h = polys.gcd(polys.sub(polys.powmod(x, field.q, f), x), f)
@@ -442,35 +437,31 @@ def poly_roots_in_field(coeffs, field: FiniteField) -> list[tuple[int, ...]]:
     return sorted({r.coeffs for r in roots})
 
 
-def _roots_in_f_p2(f: list, modulus: tuple, rng: random.Random, p: int) -> list[tuple[int, int]]:
-    """The sorted roots of f in F_{p^2} = F_p[y]/(y^2 + m1 y + m0), odd p, on int lists.
+def _roots_on_ints(f: list, modulus: tuple, rng: random.Random, p: int) -> list[tuple[int, ...]]:
+    """The sorted roots of f in F_p, or in F_{p^2} = F_p[y]/(y^2 + m1 y + m0) for odd p, on int lists.
 
     The roots in F_p come from the distinct linear factors, gcd(x^p - x, f).
-    The distinct irreducible quadratics are gcd(x^(p^2) - x, f) divided by
-    those, and X^2 + bX + c among them has the roots (-b +- s (2y + m1)) / 2,
-    where s^2 = (b^2 - 4c) / (m1^2 - 4 m0): (2y + m1)^2 = m1^2 - 4 m0, and
-    the ratio of two non-squares of F_p is a square there. For degree <= 2
-    mod p, the roots in F_p decide which case f is in.
+    In F_{p^2} every other root lies in an irreducible quadratic factor: the
+    distinct ones are gcd(x^(p^2) - x, f) divided by the linear ones, and
+    X^2 + bX + c among them has the roots (-b +- s (2y + m1)) / 2, where
+    s^2 = (b^2 - 4c) / (m1^2 - 4 m0): (2y + m1)^2 = m1^2 - 4 m0, and the
+    ratio of two non-squares of F_p is a square there.
     """
-    inv = pow(f[-1], -1, p)
-    f = [c * inv % p for c in f]
-    if len(f) <= 3:
-        linear = _quadratic_roots_mod_p(f, p)
-        quadratics = [] if linear or len(f) == 2 else [f]
-    else:
-        xp = _fp_powmod([0, 1], p, f, p)
-        h1 = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
+    d = len(modulus) - 1
+    xp = _fp_powmod([0, 1], p, f, p)
+    h1 = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
+    linear = []
+    _split_equal_degree_mod_p(h1, 1, linear, rng, p)
+    roots = [_coordinates([-g[0] % p], d) for g in linear]
+    if d == 2:
+        quadratics = []
         h2 = _fp_quo(_fp_gcd(f, _fp_sub(_fp_powmod(xp, p, f, p), [0, 1], p), p), h1, p)
-        factors, quadratics = [], []
-        _split_equal_degree_mod_p(h1, 1, factors, rng, p)
         _split_equal_degree_mod_p(h2, 2, quadratics, rng, p)
-        linear = [-g[0] % p for g in factors]
-    m0, m1 = modulus[0], modulus[1]
-    inv_disc, half = pow(m1 * m1 - 4 * m0, -1, p), (p + 1) // 2
-    roots = [(r, 0) for r in linear]
-    for c, b, _ in quadratics:
-        for s in _quadratic_roots_mod_p([-(b * b - 4 * c) * inv_disc % p, 0, 1], p):
-            roots.append(((s * m1 - b) * half % p, s))
+        m0, m1 = modulus[0], modulus[1]
+        inv_disc, half = pow(m1 * m1 - 4 * m0, -1, p), (p + 1) // 2
+        for c, b, _ in quadratics:
+            for s in _quadratic_roots_mod_p([-(b * b - 4 * c) * inv_disc % p, 0, 1], p):
+                roots.append(((s * m1 - b) * half % p, s))
     return sorted(roots)
 
 
