@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of the CLI's output on a fixed set of 439 runs, to keep the envelopes byte-identical.
+"""Digests of the CLI's output on a fixed set of 441 runs, to keep the envelopes byte-identical.
 
 tests/envelope_digests.jsonl holds this script's output, and
 tests/test_envelope_digests.py reruns every argv, in reverse order, and
@@ -55,7 +55,10 @@ lists each changed argv in CHANGES.md. The runs:
   * `verify` and `scan --pmax 100` on fixtures/81-6c.json at ell in {11,
     17, 19}, where the field polynomial splits as (1)(1)(2) mod 11 and as
     (2)(2) mod 17 and 19, so residue fields of degree 2 hold two distinct
-    quadratic factors' roots.
+    quadratic factors' roots;
+  * `verify --form fixtures/81-6c.json` at ell in {13, 23}, where the field
+    polynomial is inert, so the residue field is F_{ell^4}, and at 23 Phi_3
+    is inert too: the fields of degree 4 whose modulus no other run picks.
 
 Every run goes through `excprimes.cli.main` in this one interpreter, in the
 order above, from a temporary directory holding a copy of fixtures/, the
@@ -105,6 +108,7 @@ DELTA_TERMS = 100
 DELTA_ELLS = (2, 3, 11, 13, 691)
 TWISTED_ELLS = (2, 3, 5, 7)
 QUARTIC_ELLS = (11, 17, 19)  # 81.6c's field polynomial is (1)(1)(2) mod 11 and (2)(2) mod 17 and 19
+INERT_ELLS = (13, 23)  # 81.6c's field polynomial is inert mod 13 and 23, so D = 4
 PROG_NAME = "python -m excprimes.cli"  # the name that usage and error messages print
 
 
@@ -157,6 +161,7 @@ def argvs() -> list[list[str]]:
     for ell in QUARTIC_ELLS:
         out += [["verify", "--form", "fixtures/81-6c.json", "--ell", str(ell)],
                 ["scan", "--form", "fixtures/81-6c.json", "--ell", str(ell), "--pmax", "100"]]
+    out += [["verify", "--form", "fixtures/81-6c.json", "--ell", str(ell)] for ell in INERT_ELLS]
     return out
 
 
