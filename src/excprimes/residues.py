@@ -107,7 +107,7 @@ def _distinct_degrees(v: list) -> list[tuple[int, int]]:
 
 
 def _is_irreducible_mod_p(m: list) -> bool:
-    """Rabin's test for a monic m of degree d >= 2 over F_p."""
+    """Rabin's test for a monic m of degree d >= 2 over F_p, on FieldElements: the modulus search at d = 3."""
     p, d = m[0].field.p, len(m) - 1
     x = [m[0].field.zero(), m[0].field.one()]
     if polys.powmod(x, p ** d, m) != x:
@@ -188,6 +188,16 @@ def _fp_resultant(f: list, g: list, p: int) -> int:
         acc = acc * pow(g[-1], len(f) - len(r), p) % p
         f, g = g, r
     return acc * pow(g[0], len(f) - 1, p) % p
+
+
+def _fp_is_irreducible(m: list, p: int) -> bool:
+    """Rabin's test for a monic m of degree d >= 2 over F_p: x^(p^d) = x mod m, and
+    gcd(x^(p^(d/r)) - x, m) = 1 for each prime r | d (Rabin, SIAM J. Comput. 9 (1980))."""
+    d, x = len(m) - 1, [0, 1]
+    if _fp_powmod(x, p ** d, m, p) != x:
+        return False
+    return all(len(_fp_gcd(m, _fp_sub(_fp_powmod(x, p ** (d // r), m, p), x, p), p)) == 1
+               for r in {r for r, _ in factorize(d).factors})
 
 
 def _fp_irreducible_quadratic(a, c, m: list, p: int) -> bool:
@@ -275,15 +285,27 @@ class FiniteField:
 
     @staticmethod
     def _find_modulus(p: int, d: int) -> tuple[int, ...]:
+        """The first irreducible candidate of a draw of monic polynomials of degree d seeded by (p, d).
+
+        For odd p a monic quadratic is irreducible exactly when it has no
+        root in F_p. Rabin's test decides every other degree on int lists,
+        except d = 3, which keeps it on FieldElements until bench v2
+        (ROADMAP item 1a), as its one job with fields of degree 3 times the
+        bench's deadline.
+        """
         if d == 1:
             return (0, 1)
-        F = FiniteField(p, 1)
+        F = FiniteField(p, 1) if d == 3 else None
         rng = random.Random(f"modulus:{p}:{d}")
         while True:
             cand = [rng.randrange(p) for _ in range(d)] + [1]
-            # for odd p a monic quadratic is irreducible exactly when it has no root in F_p
-            if not _quadratic_roots_mod_p(cand, p) if d == 2 and p != 2 else \
-                    _is_irreducible_mod_p([F.element(c) for c in cand]):
+            if d == 3:
+                irreducible = _is_irreducible_mod_p([F.element(c) for c in cand])
+            elif d == 2 and p != 2:
+                irreducible = not _quadratic_roots_mod_p(cand, p)
+            else:
+                irreducible = _fp_is_irreducible(cand, p)
+            if irreducible:
                 return tuple(cand)
 
     def _reduce(self, vec) -> tuple[int, ...]:

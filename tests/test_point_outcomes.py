@@ -401,6 +401,16 @@ def test_81_6c_roots_at_1171_build_no_field_element_or_powmod(monkeypatch, fx81)
     assert [sum(1 for _, y in r if y) for r in roots] == [2, 0, 0]
 
 
+@pytest.mark.parametrize("p, d, builds", [(5, 6, False), (13, 4, False), (2, 2, False), (43, 3, True)])
+def test_modulus_search_builds_field_elements_only_at_degree_3(monkeypatch, p, d, builds):
+    """Rabin's test picks the modulus on int lists at d >= 4 and for F_4; d = 3 keeps FieldElements (item 1a)."""
+    built = _field_elements_built(monkeypatch)
+    field = residues.FiniteField(p, d)
+    monkeypatch.undo()
+    assert len(field.modulus) == d + 1
+    assert (built[0] > 0) == builds
+
+
 @pytest.mark.parametrize("ell, n_cyclo, field_degree", [(5, 3, 6), (7, 3, 3), (43, 3, 3), (1171, 3, 2), (43, 1, 3)])
 def test_points_beyond_f_ell_use_field_elements_in_three_callers(
         monkeypatch, fx81, ell, n_cyclo, field_degree):

@@ -392,18 +392,61 @@ def test_f_p2_roots_at_large_primes_satisfy_f_and_match_factor_degrees(p):
         assert len(roots) == sum(count * d for d, count in factor_degree_multiset(coeffs, p) if d <= 2)
 
 
+def _rabins_choice(p: int, d: int) -> tuple[int, ...]:
+    """The first candidate of the seeded modulus draw for F_{p^d} that Rabin's test over FieldElements accepts."""
+    F1 = FiniteField(p, 1)
+    rng = random.Random(f"modulus:{p}:{d}")
+    while True:
+        cand = [rng.randrange(p) for _ in range(d)] + [1]
+        if residues._is_irreducible_mod_p([F1.element(c) for c in cand]):
+            return tuple(cand)
+
+
 def test_f_p2_modulus_is_rabins_choice_below_3000():
     """The root test on each seeded candidate picks the modulus that Rabin's test over FieldElements picks."""
     for p in range(3, 3000, 2):
-        if not all(p % r for r in range(3, math.isqrt(p) + 1, 2)):
-            continue
-        F1 = FiniteField(p, 1)
-        rng = random.Random(f"modulus:{p}:2")
-        while True:
-            cand = [rng.randrange(p) for _ in range(2)] + [1]
-            if residues._is_irreducible_mod_p([F1.element(c) for c in cand]):
-                break
-        assert FiniteField(p, 2).modulus == tuple(cand), p
+        if all(p % r for r in range(3, math.isqrt(p) + 1, 2)):
+            assert FiniteField(p, 2).modulus == _rabins_choice(p, 2), p
+
+
+def _divides_mod_p(g: list, f: list, p: int) -> bool:
+    """Does the monic g divide f over F_p? Schoolbook long division on int lists, lowest degree first."""
+    r, dg = list(f), len(g) - 1
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top] % p
+        for i, gi in enumerate(g):
+            r[top - dg + i] -= c * gi
+    return not any(c % p for c in r)
+
+
+# the number of monic irreducible polynomials of degree d over F_p, (1/d) sum_{e | d} mu(e) p^(d/e)
+IRREDUCIBLE_COUNTS = {(2, 4): 3, (2, 5): 6, (2, 6): 9, (3, 4): 18, (3, 5): 48, (3, 6): 116, (5, 4): 150}
+
+
+@pytest.mark.parametrize("p, d", sorted(IRREDUCIBLE_COUNTS))
+def test_int_rabin_test_matches_trial_division_on_every_monic_polynomial(p, d):
+    divisors = [[*low, 1] for e in range(1, d // 2 + 1) for low in itertools.product(range(p), repeat=e)]
+    irreducible = 0
+    for low in itertools.product(range(p), repeat=d):
+        m = [*low, 1]
+        by_division = not any(_divides_mod_p(g, m, p) for g in divisors)
+        assert residues._fp_is_irreducible(m, p) == by_division, m
+        irreducible += by_division
+    assert irreducible == IRREDUCIBLE_COUNTS[p, d]
+
+
+@pytest.mark.parametrize("m, p", [([0, 4, 0, 0, 0, 1], 5), ([0, 1, 1], 2)])
+def test_int_rabin_test_where_a_frobenius_power_of_x_is_x_mod_m(m, p):
+    """x^5 - x over F_5 and x^2 + x over F_2: x^(p^d) = x, and x^(p^(d/r)) - x is 0 mod m, so the gcd is m."""
+    assert residues._fp_powmod([0, 1], p ** (len(m) - 1), m, p) == [0, 1]
+    assert not residues._fp_is_irreducible(m, p)
+
+
+def test_int_rabin_test_picks_rabins_modulus_at_degrees_4_to_6_and_over_f4():
+    """Below 100, the modulus of F_{p^4}, F_{p^5}, F_{p^6} and F_4 is the one Rabin's test over FieldElements picks."""
+    cases = [(p, d) for d in (4, 5, 6) for p in range(2, 100) if all(p % r for r in range(2, math.isqrt(p) + 1))] + [(2, 2)]
+    for p, d in cases:
+        assert FiniteField(p, d).modulus == _rabins_choice(p, d), (p, d)
 
 
 def test_large_field_root_finding_agrees_with_enumeration():
