@@ -290,8 +290,8 @@ class FiniteField:
         For odd p a monic quadratic is irreducible exactly when it has no
         root in F_p. Rabin's test decides every other degree on int lists,
         except d = 3, which keeps it on FieldElements until bench v2
-        (ROADMAP item 1a), as its one job with fields of degree 3 times the
-        bench's deadline.
+        (ROADMAP item 1a): the bench's deadline self-test needs its job with
+        fields of degree 3, verify(81-6c, 43), to stay slow.
         """
         if d == 1:
             return (0, 1)
