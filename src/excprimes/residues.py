@@ -2,8 +2,8 @@
 
 F_{ell^d} is F_ell[x] modulo a seeded irreducible polynomial. FiniteField and
 FieldElement stay inside root finding: they serve only factor degrees of
-polynomials of degree above 2 or mod 2, and the modulus search and root
-finding at d >= 3 and over F_4, through the one polynomial core in `polys`
+polynomials of degree above 2 or mod 2, root finding at d >= 3 and over F_4,
+and the modulus search at d = 3, through the one polynomial core in `polys`
 (F_p is the field of degree one). A root comes back as a coordinate tuple,
 and everything after it runs on the int kernel below.
 
@@ -18,7 +18,8 @@ table. Points are produced up to Frobenius orbits with a lexicographically
 least canonical representative, which keeps reports byte-identical across
 runs.
 
-A small F_p kernel on int lists finds roots over F_p itself (d = 1), and
+A small F_p kernel on int lists picks the modulus of F_{p^d} for d >= 4
+and of F_4 by Rabin's test, finds roots over F_p itself (d = 1), and
 over F_{p^2} for odd p, by Cantor-Zassenhaus, and decides whether
 X^2 - aX + c is irreducible over any F_q: Euler's criterion on the norm of
 the discriminant for odd q, the Artin-Schreier trace for q = 2^d. For odd p,
@@ -191,8 +192,11 @@ def _fp_resultant(f: list, g: list, p: int) -> int:
 
 
 def _fp_is_irreducible(m: list, p: int) -> bool:
-    """Rabin's test for a monic m of degree d >= 2 over F_p: x^(p^d) = x mod m, and
-    gcd(x^(p^(d/r)) - x, m) = 1 for each prime r | d (Rabin, SIAM J. Comput. 9 (1980))."""
+    """Rabin's test for a monic m of degree d >= 2 over F_p, on int lists.
+
+    m is irreducible exactly when x^(p^d) = x mod m and gcd(x^(p^(d/r)) - x, m)
+    = 1 for each prime r | d (Rabin, SIAM J. Comput. 9 (1980)).
+    """
     d, x = len(m) - 1, [0, 1]
     if _fp_powmod(x, p ** d, m, p) != x:
         return False
