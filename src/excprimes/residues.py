@@ -192,11 +192,8 @@ def _fp_resultant(f: list, g: list, p: int) -> int:
 
 
 def _fp_is_irreducible(m: list, p: int) -> bool:
-    """Rabin's test for a monic m of degree d >= 2 over F_p, on int lists.
-
-    m is irreducible exactly when x^(p^d) = x mod m and gcd(x^(p^(d/r)) - x, m)
-    = 1 for each prime r | d (Rabin, SIAM J. Comput. 9 (1980)).
-    """
+    """Rabin's test on int lists: a monic m of degree d >= 2 is irreducible over F_p exactly when
+    x^(p^d) = x mod m and gcd(x^(p^(d/r)) - x, m) = 1 for each prime r | d (SIAM J. Comput. 9 (1980))."""
     d, x = len(m) - 1, [0, 1]
     if _fp_powmod(x, p ** d, m, p) != x:
         return False
@@ -289,13 +286,10 @@ class FiniteField:
 
     @staticmethod
     def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-        """The first irreducible candidate of a draw of monic polynomials of degree d seeded by (p, d).
+        """The first irreducible monic polynomial of degree d in a draw seeded by (p, d).
 
-        For odd p a monic quadratic is irreducible exactly when it has no
-        root in F_p. Rabin's test decides every other degree on int lists,
-        except d = 3, which keeps it on FieldElements until bench v2
-        (ROADMAP item 1a): the bench's deadline self-test needs its job with
-        fields of degree 3, verify(81-6c, 43), to stay slow.
+        d = 3 keeps Rabin's test on FieldElements until bench v2 (ROADMAP item
+        1a), whose deadline self-test needs verify(81-6c, 43) to stay slow.
         """
         if d == 1:
             return (0, 1)
@@ -305,7 +299,7 @@ class FiniteField:
             cand = [rng.randrange(p) for _ in range(d)] + [1]
             if d == 3:
                 irreducible = _is_irreducible_mod_p([F.element(c) for c in cand])
-            elif d == 2 and p != 2:
+            elif d == 2 and p != 2:  # a monic quadratic is irreducible exactly when it has no root in F_p
                 irreducible = not _quadratic_roots_mod_p(cand, p)
             else:
                 irreducible = _fp_is_irreducible(cand, p)
