@@ -444,8 +444,8 @@ def test_int_rabin_test_where_a_frobenius_power_of_x_is_x_mod_m(m, p):
 
 def test_int_rabin_test_picks_rabins_modulus_at_degrees_4_to_6_and_over_f4():
     """Below 100, the modulus of F_{p^4}, F_{p^5}, F_{p^6} and F_4 is the one Rabin's test over FieldElements picks."""
-    cases = [(p, d) for d in (4, 5, 6) for p in range(2, 100) if all(p % r for r in range(2, math.isqrt(p) + 1))] + [(2, 2)]
-    for p, d in cases:
+    primes = [p for p in range(2, 100) if all(p % r for r in range(2, math.isqrt(p) + 1))]
+    for p, d in [(p, d) for d in (4, 5, 6) for p in primes] + [(2, 2)]:
         assert FiniteField(p, d).modulus == _rabins_choice(p, d), (p, d)
 
 
